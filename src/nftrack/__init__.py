@@ -31,6 +31,7 @@ from .geometry import (
     channel_matrix,
     geometry_summary,
     pair_distance,
+    pilot_response,
 )
 from .information import (
     AvgFisher,
@@ -54,7 +55,14 @@ from .combiners import (
     qom_resolution,
     qom_vector,
 )
-from .observation import Observation, Pilot, generate_pilot, observation_jacobian, observe
+from .observation import (
+    Observation,
+    Pilot,
+    full_snapshot,
+    generate_pilot,
+    observation_jacobian,
+    observe,
+)
 from .harness import (
     CampaignResult,
     ScenarioConfig,
@@ -62,6 +70,7 @@ from .harness import (
     load_config,
     metrics_nmse,
     metrics_rmse,
+    parse_scheme,
     run_campaign,
     run_trial,
 )

@@ -13,6 +13,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import RankDeficientCombiner, SingularPriorCovariance
+from .geometry import pilot_response
 
 # Relative singular-value gate below which combiner rows count as dependent.
 _RANK_RTOL = 1e-8
@@ -188,14 +189,10 @@ def ekf_update(
     Callers that already evaluated the observation Jacobian / predicted
     observation at the prior mean can pass them in to avoid recomputation.
     """
-    from .geometry import channel_matrix
-    from .observation import observation_jacobian
-
-    pose = prior.mean.pose
-    if b_jac is None:
-        b_jac = observation_jacobian(pose, cfg, pilot)
-    if predicted_obs is None:
-        predicted_obs = channel_matrix(pose, cfg) @ pilot.symbols
+    if b_jac is None or predicted_obs is None:
+        hx, b = pilot_response(prior.mean.pose, cfg, pilot.symbols)
+        b_jac = b if b_jac is None else b_jac
+        predicted_obs = hx if predicted_obs is None else predicted_obs
 
     f = fim(b_jac, q, noise_power)
     g = score(z, q, b_jac, predicted_obs, noise_power)

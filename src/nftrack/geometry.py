@@ -139,15 +139,35 @@ def pair_distance(pose: Pose, cfg: ArrayConfig, n_b_idx, n_m_idx):
     return float(d) if d.ndim == 0 else d
 
 
-def _distance_grid(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
-    """(n_b, n_m) matrix of pairwise antenna distances."""
-    return pair_distance(pose, cfg, cfg.bs_indices[:, None], cfg.ms_indices[None, :])
+def _pair_offsets(pose: Pose, cfg: ArrayConfig):
+    """Offsets (dx, dy) from every BS antenna to every MS antenna, and their
+    (n_b, n_m) distance grid r.  dx depends only on the MS antenna, so it is
+    kept as a (1, n_m) row."""
+    nm = cfg.ms_indices[None, :].astype(float)
+    nb = cfg.bs_indices[:, None].astype(float)
+    dx = pose.x + nm * cfg.d_m * np.cos(pose.psi)
+    dy = pose.y + nm * cfg.d_m * np.sin(pose.psi) - nb * cfg.d_b
+    return dx, dy, np.sqrt(dx**2 + dy**2)
+
+
+def _chain_terms(pose: Pose, cfg: ArrayConfig):
+    """The shared kernel: r, the phase, dh/dr and dr/d(x, y, psi) on one grid."""
+    lam = cfg.wavelength
+    nm = cfg.ms_indices[None, :].astype(float)
+    cos_psi, sin_psi = np.cos(pose.psi), np.sin(pose.psi)
+    dx, dy, r = _pair_offsets(pose, cfg)
+    phase = np.exp(-2j * np.pi / lam * r)
+    dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
+    dr_dx = dx / r
+    dr_dy = dy / r
+    dr_dpsi = -dr_dx * nm * cfg.d_m * sin_psi + dr_dy * nm * cfg.d_m * cos_psi
+    return r, phase, dh_dr, (dr_dx, dr_dy, dr_dpsi)
 
 
 def channel_matrix(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
     """Exact LoS channel: entry = lambda/(4*pi*r_e) * exp(-j*2*pi*r_e/lambda)."""
     lam = cfg.wavelength
-    r = _distance_grid(pose, cfg)
+    r = _pair_offsets(pose, cfg)[2]
     return lam / (4 * np.pi * r) * np.exp(-2j * np.pi / lam * r)
 
 
@@ -157,19 +177,24 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
     and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.
     """
-    lam = cfg.wavelength
-    nm = cfg.ms_indices[None, :].astype(float)
-    nb = cfg.bs_indices[:, None].astype(float)
-    cos_psi, sin_psi = np.cos(pose.psi), np.sin(pose.psi)
+    _, _, dh_dr, dr = _chain_terms(pose, cfg)
+    return ChannelDerivatives(*(dh_dr * d for d in dr))
 
-    r = _distance_grid(pose, cfg)
-    dh_dr = (
-        -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * np.exp(-2j * np.pi / lam * r)
-    )
-    dr_dx = (pose.x + nm * cfg.d_m * cos_psi) / r
-    dr_dy = (pose.y + nm * cfg.d_m * sin_psi - nb * cfg.d_b) / r
-    dr_dpsi = -dr_dx * nm * cfg.d_m * sin_psi + dr_dy * nm * cfg.d_m * cos_psi
-    return ChannelDerivatives(dh_dr * dr_dx, dh_dr * dr_dy, dh_dr * dr_dpsi)
+
+def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
+    """H(p) x and its (n_b, 5) state Jacobian from one distance grid.
+
+    The Jacobian's velocity columns are identically zero: a single snapshot
+    carries no information about v or omega.  Bit-identical to
+    ``channel_matrix(pose, cfg) @ x`` and to the derivatives of
+    ``channel_derivatives`` applied to x.
+    """
+    r, phase, dh_dr, dr = _chain_terms(pose, cfg)
+    b = np.zeros((cfg.n_b, 5), dtype=complex)
+    for col, d in enumerate(dr):
+        b[:, col] = (dh_dr * d) @ x
+    h = cfg.wavelength / (4 * np.pi * r) * phase
+    return h @ x, b
 
 
 def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:

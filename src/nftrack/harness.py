@@ -1,14 +1,17 @@
 """Scenario configuration, Monte Carlo campaigns, metrics, and persistence.
 
-A campaign runs one tracking trial per (scheme, trial index).  Every random
-draw is keyed by (seed, trial, step, purpose), so all schemes consume
-byte-identical pilot, process-noise, and observation-noise realizations, and
-results are invariant to the degree of trial parallelism.
+A campaign runs one trial per trial index, and each trial runs every scheme.
+Every random draw is keyed by (seed, trial, step, purpose), so the truth, the
+pilot, the true channel and the full-array noisy snapshot are
+scheme-independent: a trial computes them once per step and hands each
+scheme only its compressed view.  Results are invariant to the degree of
+trial parallelism.
 """
 
 import csv
 import hashlib
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,8 +31,8 @@ from .combiners import (
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_transition, sample_process_noise
 from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian, SingularPriorCovariance
 from .estimation import Belief, Combiner, ekf_predict, ekf_update
-from .geometry import ArrayConfig, Pose, channel_matrix
-from .observation import generate_pilot, observe, observation_jacobian
+from .geometry import ArrayConfig, Pose, channel_matrix, pilot_response
+from .observation import full_snapshot, generate_pilot
 from .rng import stream
 
 PILOT_POLICIES = ("per_trial", "per_step")
@@ -213,6 +216,10 @@ class TrialRecord:
     fallback_steps: List[int] = field(default_factory=list)
     mo_stalled_steps: List[int] = field(default_factory=list)
     diverged_at: Optional[int] = None
+    # Per-step NMSE terms ||H(posterior pose) - H_true||_F^2 and ||H_true||_F^2,
+    # filled by run_trial while the true channel is in hand.
+    h_err_sq: Optional[np.ndarray] = None
+    h_true_sq: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -360,72 +367,91 @@ class _CombinerBuilder:
         return self._qom_or_fallback(prior, b_jac, record, k)
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int) -> TrialRecord:
-    """Simulate the truth and run the predictive-combining EKF over it."""
-    array = cfg.array
-    sigma2 = cfg.noise_power_watts
-    truth = simulate_truth(cfg, trial_index)
+class _SchemeFilter:
+    """One scheme's predictive-combining EKF over a trial's shared truth."""
 
-    record = TrialRecord(
-        trial_index=trial_index,
-        true_states=truth,
-        prior_means=np.zeros((cfg.k_steps, 5)),
-        prior_covs=np.zeros((cfg.k_steps, 5, 5)),
-        post_means=np.zeros((cfg.k_steps, 5)),
-        post_covs=np.zeros((cfg.k_steps, 5, 5)),
-        pilot_norm_sq=0.0,
-    )
-
-    pilot = None
-    if cfg.pilot_policy == "per_trial":
-        pilot = generate_pilot(
-            stream(cfg.seed, trial_index, 0, "pilot"), cfg.p_m_watts, array.n_m
+    def __init__(self, cfg: ScenarioConfig, trial_index: int, truth: np.ndarray,
+                 h_true_sq: np.ndarray):
+        k_steps = cfg.k_steps
+        self.cfg = cfg
+        self.builder = _CombinerBuilder(cfg, trial_index)
+        self.belief = Belief(mean=cfg.initial_state, cov=cfg.initial_cov.copy())
+        self.record = TrialRecord(
+            trial_index=trial_index,
+            true_states=truth,
+            prior_means=np.zeros((k_steps, 5)),
+            prior_covs=np.zeros((k_steps, 5, 5)),
+            post_means=np.zeros((k_steps, 5)),
+            post_covs=np.zeros((k_steps, 5, 5)),
+            pilot_norm_sq=0.0,
+            h_err_sq=np.zeros(k_steps),
+            h_true_sq=h_true_sq,
         )
-        record.pilot_norm_sq = float(np.linalg.norm(pilot.symbols) ** 2)
 
-    builder = _CombinerBuilder(cfg, trial_index)
-    belief = Belief(mean=cfg.initial_state, cov=cfg.initial_cov.copy())
-
-    for k in range(1, cfg.k_steps + 1):
-        i = k - 1
-        if cfg.pilot_policy == "per_step":
-            pilot = generate_pilot(
-                stream(cfg.seed, trial_index, k, "pilot"), cfg.p_m_watts, array.n_m
-            )
-            record.pilot_norm_sq = float(np.linalg.norm(pilot.symbols) ** 2)
-
-        prior = ekf_predict(belief, cfg.noise)
+    def step(self, k: int, pilot, y: np.ndarray, h_true: np.ndarray) -> None:
+        """Predict, build the combiner, fold in Q y, and log step k."""
+        cfg, record, i = self.cfg, self.record, k - 1
+        prior = ekf_predict(self.belief, cfg.noise)
         record.prior_means[i] = prior.mean.as_vector()
         record.prior_covs[i] = prior.cov
 
         if record.diverged_at is not None:
             # Filter is dead; coast on the prediction for the remaining steps.
-            belief = prior
-            record.post_means[i] = belief.mean.as_vector()
-            record.post_covs[i] = belief.cov
-            continue
+            self.belief = prior
+        else:
+            b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
+            combiner = self.builder.build(prior, b_jac, record, k)
+            try:
+                self.belief = ekf_update(
+                    prior, combiner.apply(y), combiner, pilot, cfg.array,
+                    cfg.noise_power_watts, b_jac=b_jac, predicted_obs=b_pred,
+                )
+            except SingularPriorCovariance:
+                record.diverged_at = k
+                self.belief = prior
+        record.post_means[i] = self.belief.mean.as_vector()
+        record.post_covs[i] = self.belief.cov
+        h_est = channel_matrix(Pose(*record.post_means[i, :3]), cfg.array)
+        record.h_err_sq[i] = np.linalg.norm(h_est - h_true) ** 2
 
-        pose_pred = prior.mean.pose
-        b_jac = observation_jacobian(pose_pred, array, pilot)
-        b_pred = channel_matrix(pose_pred, array) @ pilot.symbols
-        combiner = builder.build(prior, b_jac, record, k)
 
-        true_pose = Pose(truth[k, 0], truth[k, 1], truth[k, 2])
-        h_true = channel_matrix(true_pose, array)
-        obs = observe(h_true, pilot, combiner, sigma2, stream(cfg.seed, trial_index, k, "obs"))
+def run_trial(
+    cfg: ScenarioConfig, trial_index: int, schemes: Sequence[CombinerSpec]
+) -> List[TrialRecord]:
+    """Simulate one truth and run every scheme's EKF over it, one record each.
 
-        try:
-            belief = ekf_update(
-                prior, obs, combiner, pilot, array, sigma2,
-                b_jac=b_jac, predicted_obs=b_pred,
-            )
-        except SingularPriorCovariance:
-            record.diverged_at = k
-            belief = prior
-        record.post_means[i] = belief.mean.as_vector()
-        record.post_covs[i] = belief.cov
+    Per step the truth state, pilot, true channel and full-array noisy
+    snapshot are computed once and shared; each scheme only compresses the
+    snapshot with its own combiner.
+    """
+    array = cfg.array
+    truth = simulate_truth(cfg, trial_index)
+    h_true_sq = np.zeros(cfg.k_steps)
+    filters = [
+        _SchemeFilter(cfg.with_combiner(spec), trial_index, truth, h_true_sq)
+        for spec in schemes
+    ]
 
-    return record
+    def draw_pilot(step: int):
+        rng = stream(cfg.seed, trial_index, step, "pilot")
+        return generate_pilot(rng, cfg.p_m_watts, array.n_m)
+
+    pilot = draw_pilot(0) if cfg.pilot_policy == "per_trial" else None
+    for k in range(1, cfg.k_steps + 1):
+        if cfg.pilot_policy == "per_step":
+            pilot = draw_pilot(k)
+        h_true = channel_matrix(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
+        h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
+        y = full_snapshot(
+            h_true, pilot, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")
+        )
+        for f in filters:
+            f.step(k, pilot, y, h_true)
+
+    pilot_norm_sq = float(np.linalg.norm(pilot.symbols) ** 2)
+    for f in filters:
+        f.record.pilot_norm_sq = pilot_norm_sq
+    return [f.record for f in filters]
 
 
 def _wrap_angle(e: np.ndarray) -> np.ndarray:
@@ -446,7 +472,10 @@ def metrics_rmse(records: Sequence[TrialRecord], param: str, wrap_psi: bool = Tr
 
 
 def metrics_nmse(records: Sequence[TrialRecord], cfg: ScenarioConfig) -> np.ndarray:
-    """Per-step channel-reconstruction NMSE, channels rebuilt from poses."""
+    """Per-step channel-reconstruction NMSE, channels rebuilt from poses.
+
+    The post-hoc reference for the NMSE terms run_trial accumulates.
+    """
     if not records:
         raise ValueError("no trial records")
     k_steps = records[0].post_means.shape[0]
@@ -463,11 +492,22 @@ def metrics_nmse(records: Sequence[TrialRecord], cfg: ScenarioConfig) -> np.ndar
     return num / den
 
 
+def _nmse_from_terms(records: Sequence[TrialRecord]) -> np.ndarray:
+    """Per-step NMSE from run_trial's terms, summed in record order as
+    metrics_nmse sums, so the two agree byte for byte."""
+    num = np.zeros(len(records[0].h_err_sq))
+    den = np.zeros_like(num)
+    for rec in records:
+        num += rec.h_err_sq
+        den += rec.h_true_sq
+    return num / den
+
+
 def _metrics_for_records(records, cfg) -> SchemeMetrics:
     rx = metrics_rmse(records, "x", cfg.wrap_psi_rmse)
     ry = metrics_rmse(records, "y", cfg.wrap_psi_rmse)
     rp = metrics_rmse(records, "psi", cfg.wrap_psi_rmse)
-    nm = metrics_nmse(records, cfg)
+    nm = _nmse_from_terms(records)
     b = cfg.burn_in
     return SchemeMetrics(
         rmse_x=rx,
@@ -482,28 +522,28 @@ def _metrics_for_records(records, cfg) -> SchemeMetrics:
     )
 
 
-def _trial_task(args):
-    cfg, trial_index = args
-    return run_trial(cfg, trial_index)
-
-
 def run_campaign(
     cfg: ScenarioConfig,
     schemes: Sequence[CombinerSpec],
     threads: int = 1,
 ) -> CampaignResult:
-    """Run every scheme over shared realizations and aggregate metrics."""
+    """Run every scheme over shared realizations and aggregate metrics.
+
+    With threads > 1 the trials run in one pool of spawned processes; results
+    are assembled in trial order, so the output does not depend on threads.
+    """
     if not schemes:
         raise ConfigError("at least one combiner scheme is required")
+    trials = range(cfg.n_trials)
+    if threads > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.n_trials), mp_context=ctx) as pool:
+            futures = [pool.submit(run_trial, cfg, t, schemes) for t in trials]
+            per_trial = [fut.result() for fut in futures]
+    else:
+        per_trial = [run_trial(cfg, t, schemes) for t in trials]
     results: Dict[str, SchemeMetrics] = {}
-    for spec in schemes:
-        scheme_cfg = cfg.with_combiner(spec)
-        tasks = [(scheme_cfg, t) for t in range(cfg.n_trials)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(_trial_task, tasks))
-        else:
-            records = [run_trial(scheme_cfg, t) for t in range(cfg.n_trials)]
-        records.sort(key=lambda r: r.trial_index)
-        results[scheme_label(spec)] = _metrics_for_records(records, scheme_cfg)
+    for j, spec in enumerate(schemes):
+        records = [trial_records[j] for trial_records in per_trial]
+        results[scheme_label(spec)] = _metrics_for_records(records, cfg.with_combiner(spec))
     return CampaignResult(config=cfg, schemes=results)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .estimation import Combiner
-from .geometry import ArrayConfig, Pose, channel_derivatives
+from .geometry import ArrayConfig, Pose, pilot_response
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,20 @@ def generate_pilot(rng: np.random.Generator, power_watts: float, n_m: int) -> Pi
     return Pilot(symbols=symbols, power=power_watts)
 
 
+def full_snapshot(
+    h: np.ndarray, pilot: Pilot, noise_power: float, rng: np.random.Generator
+) -> np.ndarray:
+    """y = H x + n with n ~ CN(0, noise_power * I) on the full array."""
+    n_b, n_m = h.shape
+    if pilot.symbols.shape != (n_m,):
+        raise ValueError(f"pilot length {pilot.symbols.shape} does not match channel columns {n_m}")
+    y = h @ pilot.symbols
+    if noise_power > 0:
+        scale = np.sqrt(noise_power / 2)
+        y = y + scale * (rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b))
+    return y
+
+
 def observe(
     h: np.ndarray,
     pilot: Pilot,
@@ -46,28 +60,12 @@ def observe(
     keep_full: bool = False,
 ) -> Observation:
     """z = Q (H x + n) with n ~ CN(0, noise_power * I) on the full array."""
-    n_b, n_m = h.shape
-    if pilot.symbols.shape != (n_m,):
-        raise ValueError(f"pilot length {pilot.symbols.shape} does not match channel columns {n_m}")
-    if q.n_b != n_b:
-        raise ValueError(f"combiner has {q.n_b} columns, channel has {n_b} rows")
-    y = h @ pilot.symbols
-    if noise_power > 0:
-        scale = np.sqrt(noise_power / 2)
-        y = y + scale * (rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b))
-    z = q.apply(y)
-    return Observation(z=z, y_full=y if keep_full else None)
+    if q.n_b != h.shape[0]:
+        raise ValueError(f"combiner has {q.n_b} columns, channel has {h.shape[0]} rows")
+    y = full_snapshot(h, pilot, noise_power, rng)
+    return Observation(z=q.apply(y), y_full=y if keep_full else None)
 
 
 def observation_jacobian(pose: Pose, cfg: ArrayConfig, pilot: Pilot) -> np.ndarray:
-    """(n_b, 5) Jacobian of H(p) x w.r.t. the state.
-
-    Velocity columns are identically zero: a single snapshot carries no
-    information about v or omega.
-    """
-    derivs = channel_derivatives(pose, cfg)
-    b = np.zeros((cfg.n_b, 5), dtype=complex)
-    b[:, 0] = derivs.j_x @ pilot.symbols
-    b[:, 1] = derivs.j_y @ pilot.symbols
-    b[:, 2] = derivs.j_psi @ pilot.symbols
-    return b
+    """(n_b, 5) Jacobian of H(p) x w.r.t. the state (see ``pilot_response``)."""
+    return pilot_response(pose, cfg, pilot.symbols)[1]

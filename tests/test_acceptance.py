@@ -55,10 +55,7 @@ def desk_records(scheme_token: str, n_rf: int = None, p_m_dbm: float = None):
     if key not in _campaign_cache:
         cfg = replace(DESK, p_m_dbm=p_m_dbm)
         spec = parse_scheme(scheme_token, n_rf, cfg.array.n_b)
-        scheme_cfg = cfg.with_combiner(spec)
-        _campaign_cache[key] = [
-            run_trial(scheme_cfg, t) for t in range(cfg.n_trials)
-        ]
+        _campaign_cache[key] = [run_trial(cfg, t, [spec])[0] for t in range(cfg.n_trials)]
     return _campaign_cache[key]
 
 
@@ -397,10 +394,10 @@ def test_criterion_9a_mo_improves_random_combiner():
     for seed in seeds:
         cfg = replace(DESK, seed=seed, n_trials=6)
         ra = avg_pos_rmse(
-            [run_trial(cfg.with_combiner(parse_scheme("rand", 3, cfg.array.n_b)), t) for t in range(6)]
+            [run_trial(cfg, t, [parse_scheme("rand", 3, cfg.array.n_b)])[0] for t in range(6)]
         )
         mo = avg_pos_rmse(
-            [run_trial(cfg.with_combiner(parse_scheme("mo:rand", 3, cfg.array.n_b)), t) for t in range(6)]
+            [run_trial(cfg, t, [parse_scheme("mo:rand", 3, cfg.array.n_b)])[0] for t in range(6)]
         )
         wins += mo < ra
     elapsed = time.time() - t0

@@ -13,7 +13,9 @@ from nftrack.geometry import (
     channel_matrix,
     geometry_summary,
     pair_distance,
+    pilot_response,
 )
+from nftrack.observation import Pilot, observation_jacobian
 
 F28 = 28e9
 
@@ -95,6 +97,44 @@ def test_frobenius_norm_uniform_regime():
     h = channel_matrix(pose, cfg)
     uniform = (cfg.wavelength / (4 * np.pi * pose.r)) ** 2 * cfg.n_b * cfg.n_m
     assert np.linalg.norm(h) ** 2 == pytest.approx(uniform, rel=0.01)
+
+
+def _reference_channel_and_derivatives(pose, cfg):
+    """Channel and derivative expressions evaluated on pair_distance's grid,
+    each quantity built from scratch (the shared kernel must not change a bit)."""
+    lam = cfg.wavelength
+    nm = cfg.ms_indices[None, :].astype(float)
+    nb = cfg.bs_indices[:, None].astype(float)
+    cos_psi, sin_psi = np.cos(pose.psi), np.sin(pose.psi)
+    r = pair_distance(pose, cfg, nb, nm)
+    h = lam / (4 * np.pi * r) * np.exp(-2j * np.pi / lam * r)
+    dh_dr = (
+        -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * np.exp(-2j * np.pi / lam * r)
+    )
+    dr_dx = (pose.x + nm * cfg.d_m * cos_psi) / r
+    dr_dy = (pose.y + nm * cfg.d_m * sin_psi - nb * cfg.d_b) / r
+    dr_dpsi = -dr_dx * nm * cfg.d_m * sin_psi + dr_dy * nm * cfg.d_m * cos_psi
+    return h, (dh_dr * dr_dx, dh_dr * dr_dy, dh_dr * dr_dpsi)
+
+
+@pytest.mark.parametrize("n_b,n_m", [(33, 9), (32, 8), (33, 8), (32, 9), (17, 1), (275, 75)])
+def test_pilot_response_is_bit_identical(n_b, n_m):
+    cfg = small_cfg(n_b, n_m)
+    rng = np.random.default_rng(n_b * 100 + n_m)
+    for pose in (Pose(15, -15, 3 * np.pi / 8), Pose(4.0, 7.5, -2.2), Pose(-9.0, 0.3, 0.0)):
+        x = rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m)
+        h_ref, derivs_ref = _reference_channel_and_derivatives(pose, cfg)
+        np.testing.assert_array_equal(channel_matrix(pose, cfg), h_ref)
+        for got, want in zip(channel_derivatives(pose, cfg), derivs_ref):
+            np.testing.assert_array_equal(got, want)
+
+        hx, b = pilot_response(pose, cfg, x)
+        assert hx.tobytes() == (channel_matrix(pose, cfg) @ x).tobytes()
+        assert b.shape == (n_b, 5)
+        for col, d in enumerate(derivs_ref):
+            assert b[:, col].tobytes() == (d @ x).tobytes()
+        np.testing.assert_array_equal(b[:, 3:], 0.0)
+        assert b.tobytes() == observation_jacobian(pose, cfg, Pilot(x, 1.0)).tobytes()
 
 
 def test_channel_matrix_against_scalar_loop():

@@ -1,9 +1,11 @@
 """Campaign harness: trials, metrics, persistence, CLI."""
 
 import json
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ def test_noiseless_fd_trial_locks_exactly():
         combiner=CombinerSpec(kind="fd", n_rf=33),
         n_trials=1,
     )
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [cfg.combiner])[0]
     err = np.abs(rec.post_means[:, :3] - rec.true_states[1:, :3])
     assert err.max() < 1e-6
     assert rec.diverged_at is None
@@ -61,8 +63,8 @@ def test_noiseless_fd_trial_locks_exactly():
 
 def test_trial_determinism():
     cfg = tiny_config()
-    a = run_trial(cfg, 1)
-    b = run_trial(cfg, 1)
+    a = run_trial(cfg, 1, [cfg.combiner])[0]
+    b = run_trial(cfg, 1, [cfg.combiner])[0]
     np.testing.assert_array_equal(a.true_states, b.true_states)
     np.testing.assert_array_equal(a.post_means, b.post_means)
     np.testing.assert_array_equal(a.post_covs, b.post_covs)
@@ -81,14 +83,14 @@ def test_pilot_identical_across_schemes():
     recs = {}
     for tok in ("fd", "rand", "svd_pe", "qom"):
         spec = parse_scheme(tok, 3, cfg.array.n_b)
-        recs[tok] = run_trial(cfg.with_combiner(spec), 0)
+        recs[tok] = run_trial(cfg, 0, [spec])[0]
     norms = {k: v.pilot_norm_sq for k, v in recs.items()}
     assert len(set(norms.values())) == 1
 
 
 def test_monotone_information_per_step():
     cfg = tiny_config(k_steps=20, n_trials=1)
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [cfg.combiner])[0]
     for i in range(cfg.k_steps):
         assert np.trace(rec.post_covs[i]) <= np.trace(rec.prior_covs[i]) + 1e-12
 
@@ -179,7 +181,7 @@ def test_campaign_single_trial_reduction():
     cfg = tiny_config(n_trials=1, k_steps=5)
     spec = parse_scheme("svd_pe", 3, cfg.array.n_b)
     result = run_campaign(cfg, [spec])
-    rec = run_trial(cfg.with_combiner(spec), 0)
+    rec = run_trial(cfg, 0, [spec])[0]
     label = scheme_label(spec)
     np.testing.assert_allclose(
         result.schemes[label].rmse_x,
@@ -191,7 +193,7 @@ def test_campaign_single_trial_reduction():
 def test_campaign_trial_permutation_invariance():
     cfg = tiny_config(n_trials=3, k_steps=5)
     spec = parse_scheme("qom", 3, cfg.array.n_b)
-    recs = [run_trial(cfg.with_combiner(spec), t) for t in range(3)]
+    recs = [run_trial(cfg, t, [spec])[0] for t in range(3)]
     fwd = metrics_rmse(recs, "x")
     rev = metrics_rmse(recs[::-1], "x")
     np.testing.assert_array_equal(fwd, rev)
@@ -199,12 +201,65 @@ def test_campaign_trial_permutation_invariance():
 
 def test_campaign_threads_equivalence():
     cfg = tiny_config(n_trials=2, k_steps=4)
-    specs = [parse_scheme("svd_pe", 3, cfg.array.n_b)]
+    specs = [parse_scheme(tok, 3, cfg.array.n_b) for tok in ("svd_pe", "qom")]
     seq = run_campaign(cfg, specs, threads=1)
     par = run_campaign(cfg, specs, threads=2)
     for label in seq.schemes:
         np.testing.assert_array_equal(seq.schemes[label].rmse_x, par.schemes[label].rmse_x)
         np.testing.assert_array_equal(seq.schemes[label].nmse_h, par.schemes[label].nmse_h)
+
+
+def _record_bytes(rec):
+    out = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        out[f.name] = value.tobytes() if isinstance(value, np.ndarray) else value
+    return out
+
+
+@pytest.mark.parametrize(
+    "case,tokens",
+    [
+        # psi == theta with no motion: the mode geometry is degenerate at
+        # k=1, so qom and mo:qom log fallback steps
+        ("degenerate", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:qom")),
+        # a NaN prior makes every update fail at k=1, so each trial diverges
+        ("diverged", ("fd", "rand", "svd_pe", "qom")),
+    ],
+)
+def test_multi_scheme_trial_matches_single_scheme(case, tokens):
+    if case == "degenerate":
+        cfg = tiny_config(initial_state=MsState(10, 10, np.pi / 4, 0.0, 0.0), k_steps=5)
+    else:
+        cfg = tiny_config(initial_cov=np.diag([np.nan, 0.05**2, 0.001**2, 1.0, 1e-4]), k_steps=4)
+    specs = [parse_scheme(tok, 3, cfg.array.n_b) for tok in tokens]
+    together = run_trial(cfg, 1, specs)
+    assert len(together) == len(specs)
+    for spec, rec in zip(specs, together):
+        alone = run_trial(cfg, 1, [spec])[0]
+        assert _record_bytes(rec) == _record_bytes(alone), scheme_label(spec)
+    if case == "degenerate":
+        assert together[tokens.index("qom")].fallback_steps
+        assert together[tokens.index("mo:qom")].fallback_steps
+    else:
+        assert all(rec.diverged_at == 1 for rec in together)
+
+
+def test_in_trial_nmse_matches_metrics_nmse():
+    cfg = tiny_config(n_trials=3, k_steps=6)
+    specs = [parse_scheme(tok, 3, cfg.array.n_b) for tok in ("fd", "rand", "svd_pe", "qom")]
+    per_trial = [run_trial(cfg, t, specs) for t in range(cfg.n_trials)]
+    result = run_campaign(cfg, specs)
+    for j, spec in enumerate(specs):
+        reference = metrics_nmse([trial[j] for trial in per_trial], cfg)
+        assert result.schemes[scheme_label(spec)].nmse_h.tobytes() == reference.tobytes()
+
+
+def test_readme_library_imports():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    line = re.search(r"^from nftrack import \(.*?\)$", readme, re.S | re.M)
+    assert line is not None, "README library snippet has no nftrack import"
+    exec(line.group(0), {})
 
 
 def test_parse_scheme_tokens():
@@ -316,13 +371,13 @@ def test_cli_entry_point_runs(tmp_path):
 
 def test_per_step_pilot_policy():
     cfg = tiny_config(pilot_policy="per_step", k_steps=6, n_trials=1)
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [cfg.combiner])[0]
     assert rec.diverged_at is None
     # per-trial policy uses one pilot; per-step redraws each step, so the two
     # runs part ways while staying deterministic
-    again = run_trial(cfg, 0)
+    again = run_trial(cfg, 0, [cfg.combiner])[0]
     np.testing.assert_array_equal(rec.post_means, again.post_means)
-    fixed = run_trial(replace(cfg, pilot_policy="per_trial"), 0)
+    fixed = run_trial(replace(cfg, pilot_policy="per_trial"), 0, [cfg.combiner])[0]
     assert not np.array_equal(rec.post_means, fixed.post_means)
 
 
@@ -361,6 +416,6 @@ def test_qom_degenerate_geometry_fallback():
         k_steps=3,
         n_trials=1,
     )
-    rec = run_trial(cfg, 0)
+    rec = run_trial(cfg, 0, [cfg.combiner])[0]
     assert rec.fallback_steps, "expected the degenerate pose to be flagged"
     assert rec.diverged_at is None
