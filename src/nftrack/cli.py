@@ -8,7 +8,6 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_
 from .dynamics import ctrv_transition
 from .errors import ConfigError, NfTrackError
 from .geometry import ArrayConfig, Pose, channel_derivatives
-from .harness import ScenarioConfig, load_config, parse_scheme, run_campaign
+from .harness import ScenarioConfig, load_config, parse_scheme, run_campaign, write_manifest
 from .information import avg_fisher, bayesian_fim_init, bayesian_fim_step, bcrb, fisher_scaling_bounds
 from .observation import generate_pilot, observation_jacobian
 from .rng import stream
@@ -62,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     crb = sub.add_parser("crb", help="Bayesian CRB trace along the nominal trajectory")
     _add_common(crb)
     crb.add_argument("--policy", default="fd", choices=["fd", "rand", "svd_pe", "qom"])
-    crb.add_argument("--samples", type=int, default=100)
     return parser
 
 
@@ -76,7 +74,10 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.pm_dbm is not None:
         cfg = replace(cfg, p_m_dbm=args.pm_dbm)
     if args.nrf is not None:
-        spec = replace(cfg.combiner, n_rf=args.nrf)
+        try:
+            spec = replace(cfg.combiner, n_rf=args.nrf)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --nrf {args.nrf}: {exc}") from exc
         cfg = cfg.with_combiner(spec)
     return cfg
 
@@ -94,10 +95,34 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _parse_grid(token: str) -> np.ndarray:
-    _, start, stop, points = token.split(":")
-    grid = np.linspace(float(start), float(stop), int(points))
-    return np.floor(grid).astype(int)
+def _sweep_arrays(token: str, arr: ArrayConfig):
+    """(value, array) pairs of an nb:/nm:<start>:<stop>:<points> sweep."""
+    axis = token[:2]
+    try:
+        _, start, stop, points = token.split(":")
+        grid = np.floor(np.linspace(float(start), float(stop), int(points))).astype(int)
+        return [
+            (val, ArrayConfig(
+                n_b=val if axis == "nb" else arr.n_b,
+                n_m=val if axis == "nm" else arr.n_m,
+                carrier_freq=arr.carrier_freq,
+            ))
+            for val in grid.tolist()
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"invalid sweep {token!r}: {exc}") from exc
+
+
+def _load_pose_grid(path: str):
+    """Poses of a pose-grid file: a JSON list of {x_m, y_m, psi_rad} objects."""
+    try:
+        with open(path) as fh:
+            return [
+                Pose(float(entry["x_m"]), float(entry["y_m"]), float(entry["psi_rad"]))
+                for entry in json.load(fh)
+            ]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid pose grid {path}: {exc}") from exc
 
 
 def _fisher_row(cfg: ScenarioConfig, array: ArrayConfig, pose: Pose):
@@ -120,22 +145,13 @@ def _cmd_fisher(args) -> int:
     rows = []
     if sweep[0].startswith("nb:") or sweep[0].startswith("nm:"):
         axis = sweep[0][:2]
-        for val in _parse_grid(sweep[0]):
-            arr = cfg.array
-            array = ArrayConfig(
-                n_b=int(val) if axis == "nb" else arr.n_b,
-                n_m=int(val) if axis == "nm" else arr.n_m,
-                carrier_freq=arr.carrier_freq,
-            )
+        for val, array in _sweep_arrays(sweep[0], cfg.array):
             bar, pb, ob = _fisher_row(cfg, array, pose)
-            rows.append([axis, int(val), pose.x, pose.y, pose.psi, bar.f_x, bar.f_y, bar.f_psi, pb, ob])
+            rows.append([axis, val, pose.x, pose.y, pose.psi, bar.f_x, bar.f_y, bar.f_psi, pb, ob])
     elif sweep[0] == "pose-grid":
         if len(sweep) < 2:
             raise ConfigError("pose-grid sweep needs a file argument")
-        with open(sweep[1]) as fh:
-            poses = json.load(fh)
-        for entry in poses:
-            p = Pose(float(entry["x_m"]), float(entry["y_m"]), float(entry["psi_rad"]))
+        for p in _load_pose_grid(sweep[1]):
             bar, pb, ob = _fisher_row(cfg, cfg.array, p)
             rows.append(["pose", 0, p.x, p.y, p.psi, bar.f_x, bar.f_y, bar.f_psi, pb, ob])
     else:
@@ -149,7 +165,7 @@ def _cmd_fisher(args) -> int:
         )
         for row in rows:
             writer.writerow(row)
-    _write_manifest(args.out, cfg)
+    write_manifest(args.out, cfg)
     return 0
 
 
@@ -182,7 +198,6 @@ def _cmd_crb(args) -> int:
     true_state = cfg.initial_state
     rows = []
     for k in range(1, cfg.k_steps + 1):
-        rng = stream(cfg.seed, 0, k, "state")
         state = bayesian_fim_step(
             state,
             true_state,
@@ -191,8 +206,6 @@ def _cmd_crb(args) -> int:
             cfg.p_m_watts,
             cfg.noise_power_watts,
             policy,
-            args.samples,
-            rng,
         )
         bound = bcrb(state)
         rows.append(
@@ -206,20 +219,8 @@ def _cmd_crb(args) -> int:
         writer.writerow(["k", "bcrb_x_m2", "bcrb_y_m2", "bcrb_psi_rad2", "bcrb_pos_trace_m2", "bcrb_trace"])
         for row in rows:
             writer.writerow([row[0]] + [f"{v:.12e}" for v in row[1:]])
-    _write_manifest(args.out, cfg)
+    write_manifest(args.out, cfg)
     return 0
-
-
-def _write_manifest(out_path, cfg: ScenarioConfig) -> None:
-    path = Path(out_path)
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "code_version": __version__,
-    }
-    with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -37,13 +37,9 @@ from .rng import stream
 
 PILOT_POLICIES = ("per_trial", "per_step")
 
-SCHEME_LABELS = {
-    "fd": "fd",
-    "random": "rand",
-    "rand": "rand",
-    "svd_pe": "svd_pe",
-    "qom": "qom",
-}
+# Scheme token -> CombinerSpec kind, and CombinerSpec kind -> CSV label.
+SCHEME_KINDS = {"fd": "fd", "rand": "random", "random": "random", "svd_pe": "svd_pe", "qom": "qom"}
+SCHEME_LABELS = {"fd": "fd", "random": "rand", "svd_pe": "svd_pe", "qom": "qom"}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -257,15 +253,22 @@ class CampaignResult:
                             f"{metrics.nmse_h[i]:.12e}",
                         ]
                     )
-        manifest = {
-            "config_hash": self.config.config_hash(),
-            "seed": self.config.seed,
-            "code_version": __version__,
-            "schemes": list(self.schemes.keys()),
-        }
-        with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_manifest(path, self.config, schemes=list(self.schemes.keys()))
+
+
+def write_manifest(out_path, cfg: ScenarioConfig, **extra) -> None:
+    """Write the <out_path>.manifest.json sidecar: config hash, seed, code
+    version, and any extra fields."""
+    path = Path(out_path)
+    manifest = {
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.seed,
+        "code_version": __version__,
+        **extra,
+    }
+    with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def scheme_label(spec: CombinerSpec) -> str:
@@ -279,11 +282,11 @@ def parse_scheme(token: str, n_rf: int, n_b: int, mo_iters: int = 5) -> Combiner
     token = token.strip().lower()
     if token.startswith("mo:"):
         init = token[3:]
-        init_kind = {"rand": "random", "random": "random", "svd_pe": "svd_pe", "qom": "qom"}.get(init)
-        if init_kind is None:
+        init_kind = SCHEME_KINDS.get(init)
+        if init_kind in (None, "fd"):
             raise ConfigError(f"unknown mo initializer {init!r}")
         return CombinerSpec(kind="mo", n_rf=n_rf, mo_init=init_kind, mo_iters=mo_iters)
-    kind = {"fd": "fd", "rand": "random", "random": "random", "svd_pe": "svd_pe", "qom": "qom"}.get(token)
+    kind = SCHEME_KINDS.get(token)
     if kind is None:
         raise ConfigError(f"unknown scheme {token!r}")
     return CombinerSpec(kind=kind, n_rf=n_b if kind == "fd" else n_rf)

@@ -3,7 +3,7 @@
 The average Fisher information integrates the per-pilot information over the
 pilot distribution in closed form; the Bayesian bound combines information
 transported through the motion model with the expected data information of
-each new snapshot.
+each new snapshot, evaluated at the nominal next pose.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition, sample_process_noise
+from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import AssumptionViolated
 from .estimation import Combiner, _symmetrize
 from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives, geometry_summary
@@ -123,45 +123,24 @@ def bayesian_fim_step(
     pilot_power: float,
     noise_power: float,
     q_policy: Callable[[Pose], Combiner],
-    n_samples: int,
-    rng: np.random.Generator,
 ) -> BayesianFimState:
-    """One recursion step: transported prior information plus expected data
-    information averaged over the next-state distribution.
+    """One recursion step: transported prior information plus the expected
+    data information at the nominal next pose.
 
-    The state expectation uses antithetic noise pairs.  Process noise only
-    perturbs velocities, so sampled poses usually coincide; identical poses
-    are evaluated once.
+    Process noise perturbs only v and omega, so every next state the motion
+    model can reach from true_state_prev shares the nominal pose, and the
+    expectation of the data information over the next state is its value
+    there.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     a = ctrv_jacobian(true_state_prev, spec.tau)
     f_prev_inv = np.linalg.solve(_symmetrize(state.f_b), np.eye(5))
     f_p = np.linalg.solve(
         _symmetrize(a @ f_prev_inv @ a.T + spec.covariance()), np.eye(5)
     )
-
-    nominal = ctrv_transition(true_state_prev, spec.tau)
-    nominal_vec = nominal.as_vector()
-    samples = []
-    while len(samples) < n_samples:
-        noise = sample_process_noise(spec, rng)
-        samples.append(nominal_vec + noise)
-        if len(samples) < n_samples:
-            samples.append(nominal_vec - noise)
-
-    f_d = np.zeros((5, 5))
-    cache = {}
-    for vec in samples:
-        pose_key = (vec[0], vec[1], vec[2])
-        if pose_key not in cache:
-            pose = Pose(*pose_key)
-            derivs = channel_derivatives(pose, cfg)
-            comb = q_policy(pose)
-            cache[pose_key] = expected_fim(derivs, comb, pilot_power, noise_power, cfg.n_m)
-        f_d += cache[pose_key]
-    f_d /= len(samples)
-
+    pose = ctrv_transition(true_state_prev, spec.tau).pose
+    f_d = expected_fim(
+        channel_derivatives(pose, cfg), q_policy(pose), pilot_power, noise_power, cfg.n_m
+    )
     return BayesianFimState(f_b=_symmetrize(f_p + f_d), k=state.k + 1)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 # Stable purpose codes; extending the list is fine, reordering is not
 # (it would silently change every campaign's random numbers).
-PURPOSES = ("process", "obs", "pilot", "combiner", "state")
+PURPOSES = ("process", "obs", "pilot", "combiner")
 _PURPOSE_CODE = {name: i for i, name in enumerate(PURPOSES)}
 
 

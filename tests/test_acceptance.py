@@ -31,7 +31,6 @@ from nftrack.geometry import (
 from nftrack.harness import load_config, metrics_rmse, parse_scheme, run_campaign, run_trial
 from nftrack.information import avg_fisher, bayesian_fim_init, bayesian_fim_step, bcrb
 from nftrack.observation import generate_pilot, observation_jacobian
-from nftrack.rng import stream
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 DESK = load_config(CONFIG_PATH)
@@ -449,7 +448,7 @@ def test_criterion_10_bcrb_lower_bounds_tracking_mse():
     for k in range(1, cfg.k_steps + 1):
         state = bayesian_fim_step(
             state, true_state, cfg.array, cfg.noise, P_M, SIGMA2,
-            lambda pose: fd, 100, stream(cfg.seed, 0, k, "state"),
+            lambda pose: fd,
         )
         v = bcrb(state)
         bounds.append(v[0, 0] + v[1, 1])

@@ -269,8 +269,12 @@ def test_parse_scheme_tokens():
     mo = parse_scheme("mo:qom", 3, 33)
     assert mo.kind == "mo" and mo.mo_init == "qom"
     assert scheme_label(mo) == "mo:qom"
-    with pytest.raises(ConfigError):
-        parse_scheme("bogus", 3, 33)
+    for tok in ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:svd_pe", "mo:qom"):
+        assert scheme_label(parse_scheme(tok, 3, 33)) == tok
+    assert scheme_label(parse_scheme("mo:random", 3, 33)) == "mo:rand"
+    for bad in ("bogus", "mo:fd", "mo:bogus", "mo:"):
+        with pytest.raises(ConfigError):
+            parse_scheme(bad, 3, 33)
 
 
 def test_config_roundtrip(tmp_path):
@@ -343,18 +347,41 @@ def test_cli_crb(tmp_path):
     p = _write_cli_config(tmp_path)
     out = tmp_path / "crb.csv"
     rc = cli_main(
-        ["crb", "--config", str(p), "--out", str(out), "--policy", "fd", "--samples", "4",
-         "--steps", "3"]
+        ["crb", "--config", str(p), "--out", str(out), "--policy", "fd", "--steps", "3"]
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    missing = tmp_path / "missing.json"
-    rc = cli_main(["track", "--config", str(missing), "--out", str(tmp_path / "x.csv")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["track", "--config", "{missing}"],
+        ["track", "--config", "{config}", "--nrf", "0"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:bad"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:10:20"],
+        ["fisher", "--config", "{config}", "--sweep", "nm:0:5:2"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{missing}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{no_y}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{at_origin}"],
+    ],
+    ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
+         "grid-no-y", "grid-origin"],
+)
+def test_cli_config_error_exit_code(tmp_path, capsys, argv):
+    paths = {
+        "missing": tmp_path / "missing.json",
+        "config": _write_cli_config(tmp_path),
+        "no_y": tmp_path / "no_y.json",
+        "at_origin": tmp_path / "at_origin.json",
+    }
+    paths["no_y"].write_text(json.dumps([{"x_m": 15.0, "psi_rad": 0.0}]))
+    paths["at_origin"].write_text(json.dumps([{"x_m": 0.0, "y_m": 0.0, "psi_rad": 0.0}]))
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "x.csv")]
+    rc = cli_main(argv)
     assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_entry_point_runs(tmp_path):
@@ -400,7 +427,7 @@ def test_cli_crb_svd_policy(tmp_path):
     p = _write_cli_config(tmp_path)
     out = tmp_path / "crb_svd.csv"
     rc = cli_main(["crb", "--config", str(p), "--out", str(out), "--policy", "svd_pe",
-                   "--samples", "2", "--steps", "2"])
+                   "--steps", "2"])
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 3
 

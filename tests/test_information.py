@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nftrack.combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_pe
-from nftrack.dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian
+from nftrack.dynamics import (
+    MsState,
+    ProcessNoiseSpec,
+    ctrv_jacobian,
+    ctrv_transition,
+    sample_process_noise,
+)
 from nftrack.errors import AssumptionViolated
 from nftrack.estimation import Combiner
 from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, geometry_summary
@@ -196,7 +202,7 @@ def test_bayesian_step_pure_information_transport():
     prev = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
     fd = combiner_fd(cfg)
     state1 = bayesian_fim_step(
-        state0, prev, cfg, spec, 0.0, SIGMA2, lambda pose: fd, 1, np.random.default_rng(0)
+        state0, prev, cfg, spec, 0.0, SIGMA2, lambda pose: fd
     )
     a = ctrv_jacobian(prev, spec.tau)
     expected = np.linalg.inv(a @ np.linalg.inv(state0.f_b) @ a.T)
@@ -215,7 +221,7 @@ def test_bayesian_step_deterministic_given_seed():
     runs = []
     for _ in range(2):
         s = bayesian_fim_step(
-            state0, prev, cfg, spec, P_M, SIGMA2, lambda pose: fd, 8, np.random.default_rng(99)
+            state0, prev, cfg, spec, P_M, SIGMA2, lambda pose: fd
         )
         runs.append(s.f_b)
     np.testing.assert_array_equal(runs[0], runs[1])
@@ -237,13 +243,63 @@ def test_bayesian_step_policies_run():
     traces = {}
     for name, pol in policies.items():
         s = bayesian_fim_step(
-            state0, prev, cfg, spec, P_M, SIGMA2, pol, 4, np.random.default_rng(7)
+            state0, prev, cfg, spec, P_M, SIGMA2, pol
         )
         v = bcrb(s)
         traces[name] = v[0, 0] + v[1, 1]
         assert np.all(np.diag(v) >= 0)
     # the uncompressed receiver is at least as informative as any combiner
     assert traces["fd"] <= min(traces.values()) * (1 + 1e-9)
+
+
+def _sym(m):
+    return 0.5 * (m + m.T)
+
+
+def _sampled_bayesian_fim_step(state, prev, cfg, spec, p_m, sigma2, q_policy, n_samples, rng):
+    """Reference: the recursion with the data FIM averaged over antithetic
+    next-state draws, every draw evaluated at its own sampled pose."""
+    a = ctrv_jacobian(prev, spec.tau)
+    f_prev_inv = np.linalg.solve(_sym(state.f_b), np.eye(5))
+    f_p = np.linalg.solve(_sym(a @ f_prev_inv @ a.T + spec.covariance()), np.eye(5))
+    nominal_vec = ctrv_transition(prev, spec.tau).as_vector()
+    samples = []
+    while len(samples) < n_samples:
+        noise = sample_process_noise(spec, rng)
+        samples.append(nominal_vec + noise)
+        if len(samples) < n_samples:
+            samples.append(nominal_vec - noise)
+    f_d = np.zeros((5, 5))
+    for vec in samples:
+        pose = Pose(*vec[:3])
+        f_d += expected_fim(channel_derivatives(pose, cfg), q_policy(pose), p_m, sigma2, cfg.n_m)
+    return _sym(f_p + f_d / len(samples))
+
+
+def test_sampled_next_state_reduces_to_nominal_pose():
+    # Process noise perturbs only v and omega, so every sampled next state
+    # has the nominal pose and the sampled average equals one evaluation there.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        spec = ProcessNoiseSpec(
+            sigma_v=rng.uniform(0, 10), sigma_omega=rng.uniform(0, 2), tau=rng.uniform(1e-3, 0.5)
+        )
+        assert np.all(sample_process_noise(spec, rng)[:3] == 0.0)
+
+    cfg = desk_array(n_b=17, n_m=5)
+    state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
+    policies = {"fd": lambda pose: combiner_fd(cfg), "qom": lambda pose: combiner_qom(pose, cfg, 3)}
+    for n_samples in (1, 4, 7):
+        spec = ProcessNoiseSpec(
+            sigma_v=rng.uniform(0, 10), sigma_omega=rng.uniform(0, 2), tau=rng.uniform(1e-3, 0.1)
+        )
+        prev = MsState(15, -15, rng.uniform(-np.pi, np.pi), rng.uniform(0, 20), rng.uniform(-1, 1))
+        for name, pol in policies.items():
+            sampled = _sampled_bayesian_fim_step(
+                state0, prev, cfg, spec, P_M, SIGMA2, pol, n_samples, np.random.default_rng(n_samples)
+            )
+            nominal = bayesian_fim_step(state0, prev, cfg, spec, P_M, SIGMA2, pol)
+            np.testing.assert_allclose(nominal.f_b, sampled, rtol=1e-12, err_msg=name)
 
 
 def test_bcrb_diagonal_inverse():
