@@ -22,15 +22,23 @@ from .observation import generate_pilot, observation_jacobian
 from .rng import stream
 
 
-def _add_common(parser):
+# Scenario overrides: flag -> (type, ScenarioConfig field), applied in this order.
+_OVERRIDES = {
+    "--seed": (int, "seed"),
+    "--trials": (int, "n_trials"),
+    "--steps": (int, "k_steps"),
+    "--pm-dbm": (float, "p_m_dbm"),
+}
+
+
+def _add_common(parser, *overrides):
+    """--config, --out and the named scenario overrides; a subcommand gets
+    only the flags it reads."""
     parser.add_argument("--config", required=True, help="scenario config (JSON)")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--nrf", type=int, default=None)
-    parser.add_argument("--pm-dbm", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    for flag in overrides:
+        kind, name = _OVERRIDES[flag]
+        parser.add_argument(flag, type=kind, default=None, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     track = sub.add_parser("track", help="run a Monte Carlo tracking campaign")
-    _add_common(track)
+    _add_common(track, *_OVERRIDES)
+    track.add_argument("--nrf", type=int, default=None)
+    track.add_argument("--threads", type=int, default=1)
     track.add_argument(
         "--schemes",
         default="fd,rand,svd_pe,qom",
@@ -50,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fisher = sub.add_parser("fisher", help="average-Fisher-information sweeps")
-    _add_common(fisher)
+    _add_common(fisher, "--seed", "--pm-dbm")
     fisher.add_argument(
         "--sweep",
         required=True,
@@ -59,21 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     crb = sub.add_parser("crb", help="Bayesian CRB trace along the nominal trajectory")
-    _add_common(crb)
+    _add_common(crb, "--seed", "--steps", "--pm-dbm")
+    crb.add_argument("--nrf", type=int, default=None)
     crb.add_argument("--policy", default="fd", choices=["fd", "rand", "svd_pe", "qom"])
     return parser
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, n_trials=args.trials)
-    if args.steps is not None:
-        cfg = replace(cfg, k_steps=args.steps)
-    if args.pm_dbm is not None:
-        cfg = replace(cfg, p_m_dbm=args.pm_dbm)
-    if args.nrf is not None:
+    for _, name in _OVERRIDES.values():
+        value = getattr(args, name, None)
+        if value is not None:
+            cfg = replace(cfg, **{name: value})
+    if getattr(args, "nrf", None) is not None:
         try:
             spec = replace(cfg.combiner, n_rf=args.nrf)
         except ValueError as exc:
@@ -100,6 +107,8 @@ def _sweep_arrays(token: str, arr: ArrayConfig):
     axis = token[:2]
     try:
         _, start, stop, points = token.split(":")
+        if int(points) < 1:
+            raise ValueError("a sweep needs at least one point")
         grid = np.floor(np.linspace(float(start), float(stop), int(points))).astype(int)
         return [
             (val, ArrayConfig(

@@ -21,8 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateJacobian
-from .estimation import Belief, Combiner, fim, psd_inverse
+from .errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
+from .estimation import _RANK_RTOL, Belief, Combiner, psd_inverse
 from .geometry import ArrayConfig, Pose, antenna_indices, pair_distance
 
 ORDERINGS = ("center_first", "edge_first", "mixed_edge_center")
@@ -30,6 +30,9 @@ ORDERINGS = ("center_first", "edge_first", "mixed_edge_center")
 # |cos(theta) * sin(psi - theta)| below this counts as zero effective
 # aperture: the mode resolution is undefined and callers must fall back.
 _GEOMETRY_EPS = 1e-12
+
+# Line-search step factors 2^j: up to ten doublings, or ten halvings.
+_DOUBLINGS = 2.0 ** np.arange(1, 11)
 
 
 @dataclass(frozen=True)
@@ -216,30 +219,105 @@ class MoInfo:
     improved: bool = False
 
 
+def _h(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
+    """Raise RankDeficientCombiner where smallest/largest singular value of Q
+    is at most _RANK_RTOL, the gate of Combiner.
+
+    The Gram eigenvalues are the squared singular values, so squaring has
+    lost the digits the gate needs; they only screen: a ratio above 1e-12
+    passes for certain, anything else is settled by the SVD of that Q.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    screened = lam[..., 0] > 1e-12 * lam[..., -1]
+    if screened.all():
+        return
+    for q_i in q.reshape(-1, *q.shape[-2:])[~screened.reshape(-1)]:
+        svals = np.linalg.svd(q_i, compute_uv=False)
+        if svals[-1] <= _RANK_RTOL * svals[0]:
+            raise RankDeficientCombiner(
+                f"smallest singular value {svals[-1]:.3e} under gate "
+                f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
+            )
+
+
+def _pd_inverse(j: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric matrix (or stack) by Cholesky.
+
+    A single matrix that is non-finite or not positive definite goes to
+    psd_inverse for its jitter retry or SingularPriorCovariance; a stack
+    raises LinAlgError instead.
+    """
+    try:
+        if not np.isfinite(j).all():
+            raise np.linalg.LinAlgError("non-finite information matrix")
+        c_inv = np.linalg.inv(np.linalg.cholesky(j))
+    except np.linalg.LinAlgError:
+        if j.ndim > 2:
+            raise
+        return psd_inverse(j)
+    return _symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
+
+
 def _mo_objective(q: np.ndarray, prior_info: np.ndarray, b: np.ndarray, noise_power: float):
-    comb = Combiner(q, unit_modulus=False)
-    f = fim(b, comb, noise_power)
-    post = psd_inverse(prior_info + f)
-    return float(np.trace(post)), post
+    """Predicted posterior-covariance trace of a combiner, or of a stack.
+
+    With W = Q B, G = Q Q^H = L L^H and V = L^-1 W the data information is
+    F = (2/sigma^2) Re V^H V, and the posterior is (P^-1 + F)^-1.  q is
+    (n_rf, n_b) or (m, n_rf, n_b); returns (trace, posterior, L^-1) with the
+    same leading axes.  A failing combiner raises as Combiner and
+    psd_inverse would: RankDeficientCombiner, LinAlgError for a Gram that is
+    not positive definite, ValueError for a non-finite W, and
+    SingularPriorCovariance for an information matrix that stays singular.
+    """
+    gram = q @ _h(q)
+    _rank_gate(q, gram)
+    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    # One product for the whole stack: (m n_rf) x n_b times n_b x 5.
+    w = (q.reshape(-1, q.shape[-1]) @ b).reshape(q.shape[:-1] + b.shape[1:])
+    if not np.isfinite(w).all():
+        raise ValueError("array must not contain infs or NaNs")
+    v = l_inv @ w
+    info = prior_info + (2.0 / noise_power) * np.real(_h(v) @ v)
+    post = _pd_inverse(_symmetrize(info))
+    return np.trace(post, axis1=-2, axis2=-1), post, l_inv
+
+
+def _mo_candidates(qs: np.ndarray, prior_info: np.ndarray, b: np.ndarray, noise_power: float):
+    """Yield (Q, objective, posterior, L^-1) for each combiner of a stack, in order.
+
+    The stack is evaluated at once.  If any candidate fails, they are
+    re-evaluated one at a time as the caller consumes them, so only a
+    candidate the line search actually reaches can raise.
+    """
+    try:
+        results = _mo_objective(qs, prior_info, b, noise_power)
+    except (RankDeficientCombiner, np.linalg.LinAlgError, ValueError):
+        for q_t in qs:
+            yield (q_t, *_mo_objective(q_t, prior_info, b, noise_power))
+        return
+    yield from zip(qs, *results)
 
 
 def _mo_euclidean_grad(
-    q: np.ndarray, post: np.ndarray, b: np.ndarray, noise_power: float
+    q: np.ndarray, post: np.ndarray, b: np.ndarray, noise_power: float, l_inv: np.ndarray
 ) -> np.ndarray:
     """Gradient of trace((P^-1 + F(Q))^-1) w.r.t. Q under Re{tr(G^H dQ)}.
 
-    With S the posterior covariance and M = Q Q^H:
-      grad = -(4/sigma^2) M^-1 Q B S^2 B^H (I - P_Q).
+    With S the posterior covariance, M = Q Q^H = L L^H (l_inv = L^-1, as
+    returned by _mo_objective) and Y = M^-1 Q B, so that B^H P_Q = Y^H Q:
+      grad = -(4/sigma^2) Y S^2 (B^H - Y^H Q).
     """
-    gram = q @ q.conj().T
-    w = q @ b  # n_rf x 5
-    y = np.linalg.solve(gram, w)  # M^-1 Q B
-    s2 = post @ post
-    z = y @ s2 @ b.conj().T  # n_rf x n_b
-    # P_Q applied from the right: Z P_Q = ((Z Q^H) M^-1) Q, with M Hermitian.
-    zqh = z @ q.conj().T
-    z_pq = np.linalg.solve(gram, zqh.conj().T).conj().T @ q
-    return -(4.0 / noise_power) * (z - z_pq)
+    y = _h(l_inv) @ (l_inv @ (q @ b))  # n_rf x 5
+    return -(4.0 / noise_power) * (y @ (post @ post)) @ (b.conj().T - _h(y) @ q)
 
 
 def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -272,12 +350,12 @@ def combiner_mo(
         raise ValueError("iters must be >= 1")
     prior_info = psd_inverse(prior.cov)
     q = _renormalize(np.asarray(init.q, dtype=complex).copy())
-    f_curr, post = _mo_objective(q, prior_info, b_pred, noise_power)
+    f_curr, post, l_inv = _mo_objective(q, prior_info, b_pred, noise_power)
     info = MoInfo(objectives=[f_curr])
     best_q, best_f = q, f_curr
 
     for _ in range(iters):
-        egrad = _mo_euclidean_grad(q, post, b_pred, noise_power)
+        egrad = _mo_euclidean_grad(q, post, b_pred, noise_power, l_inv)
         rgrad = _tangent_project(egrad, q)
         gnorm = np.linalg.norm(rgrad)
         if gnorm < 1e-15:
@@ -286,34 +364,32 @@ def combiner_mo(
         # Forward-backward line search from a conservative probe step: the
         # step expands only while the objective keeps dropping, so a
         # near-stationary initializer barely moves while a poor one can be
-        # restructured within the same iteration budget.
+        # restructured within the same iteration budget.  The ten doubled
+        # (or halved) steps are evaluated as one stack and walked in order.
         step = 1e-2 * np.linalg.norm(q) / gnorm
 
-        def _trial(t):
-            q_t = _renormalize(q - t * rgrad)
-            f_t, post_t = _mo_objective(q_t, prior_info, b_pred, noise_power)
-            return q_t, f_t, post_t
+        def _trials(steps):
+            qs = _renormalize(q - steps[:, None, None] * rgrad)
+            return _mo_candidates(qs, prior_info, b_pred, noise_power)
 
-        q_new, f_new, post_new = _trial(step)
-        accepted = f_new <= f_curr - 1e-4 * step * gnorm**2
+        new = next(_trials(np.array([step])))
+        accepted = new[1] <= f_curr - 1e-4 * step * gnorm**2
         if accepted:
-            for _exp in range(10):
-                q_2, f_2, post_2 = _trial(step * 2)
-                if f_2 < f_new:
-                    step *= 2
-                    q_new, f_new, post_new = q_2, f_2, post_2
-                else:
+            for cand in _trials(step * _DOUBLINGS):
+                if not cand[1] < new[1]:
                     break
+                step *= 2
+                new = cand
         else:
-            for _bt in range(10):
+            for cand in _trials(step / _DOUBLINGS):
                 step *= 0.5
-                q_new, f_new, post_new = _trial(step)
-                if f_new <= f_curr - 1e-4 * step * gnorm**2:
+                if cand[1] <= f_curr - 1e-4 * step * gnorm**2:
                     accepted = True
+                    new = cand
                     break
         if not accepted:
             break
-        q, f_curr, post = q_new, f_new, post_new
+        q, f_curr, post, l_inv = new
         info.objectives.append(f_curr)
         info.accepted_steps += 1
         if f_curr < best_f:

@@ -65,6 +65,8 @@ class ScenarioConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.p_m_dbm, self.noise_power_dbm]).all():
+            raise ConfigError("p_m_dbm and noise_power_dbm must be finite")
         if self.k_steps < 1 or self.n_trials < 1:
             raise ConfigError("k_steps and n_trials must be >= 1")
         if self.pilot_policy not in PILOT_POLICIES:
@@ -403,8 +405,9 @@ class _SchemeFilter:
             self.belief = prior
         else:
             b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
-            combiner = self.builder.build(prior, b_jac, record, k)
             try:
+                # The MO builder inverts the prior covariance as well.
+                combiner = self.builder.build(prior, b_jac, record, k)
                 self.belief = ekf_update(
                     prior, combiner.apply(y), combiner, pilot, cfg.array,
                     cfg.noise_power_watts, b_jac=b_jac, predicted_obs=b_pred,

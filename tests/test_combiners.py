@@ -1,11 +1,14 @@
 """Analog combiner builders: FD, random, SVD phase extraction, mode
 selection, and manifold optimization."""
 
+from itertools import islice, product
+
 import numpy as np
 import pytest
 
 from nftrack.combiners import (
     CombinerSpec,
+    _mo_candidates,
     _mo_euclidean_grad,
     _mo_objective,
     combiner_fd,
@@ -19,8 +22,13 @@ from nftrack.combiners import (
     qom_vector,
 )
 from nftrack.dynamics import MsState, ProcessNoiseSpec
-from nftrack.errors import DegenerateGeometry, DegenerateJacobian
-from nftrack.estimation import Belief, ekf_predict, fim, psd_inverse
+from nftrack.errors import (
+    DegenerateGeometry,
+    DegenerateJacobian,
+    RankDeficientCombiner,
+    SingularPriorCovariance,
+)
+from nftrack.estimation import Belief, Combiner, ekf_predict, fim, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, channel_matrix
 from nftrack.information import avg_fisher
 from nftrack.observation import generate_pilot, observation_jacobian
@@ -273,8 +281,8 @@ def test_qom_ordering_sensitivity():
 # ------------------------------------------------------------------------ mo
 
 
-def mo_inputs(seed=0):
-    cfg, pilot, b = desk_b_jac(seed)
+def mo_inputs(seed=0, n_b=101, n_m=25):
+    cfg, pilot, b = desk_b_jac(seed, n_b, n_m)
     noise = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
     post = Belief(
         MsState(15, -15, 3 * np.pi / 8, 10, 0.1),
@@ -290,8 +298,8 @@ def test_mo_gradient_matches_finite_differences():
     prior_info = psd_inverse(prior.cov)
     rng = np.random.default_rng(3)
     q = combiner_random(rng, 3, cfg.n_b).q.copy()
-    _, post = _mo_objective(q, prior_info, b, sigma2)
-    grad = _mo_euclidean_grad(q, post, b, sigma2)
+    _, post, l_inv = _mo_objective(q, prior_info, b, sigma2)
+    grad = _mo_euclidean_grad(q, post, b, sigma2, l_inv)
     h = 1e-6
     for _ in range(10):
         i, j = rng.integers(0, 3), rng.integers(0, cfg.n_b)
@@ -300,8 +308,8 @@ def test_mo_gradient_matches_finite_differences():
             qp[i, j] += h * direction
             qm = q.copy()
             qm[i, j] -= h * direction
-            fp, _ = _mo_objective(qp, prior_info, b, sigma2)
-            fm, _ = _mo_objective(qm, prior_info, b, sigma2)
+            fp, _, _ = _mo_objective(qp, prior_info, b, sigma2)
+            fm, _, _ = _mo_objective(qm, prior_info, b, sigma2)
             fd_val = (fp - fm) / (2 * h)
             an_val = np.real(np.conj(grad[i, j]) * direction)
             assert fd_val == pytest.approx(an_val, rel=2e-3, abs=1e-12)
@@ -331,6 +339,169 @@ def test_mo_near_stationary_at_qom_init():
     _, info = combiner_mo(init, prior, b, 1e-10, iters=5)
     rel = (info.objectives[0] - info.objectives[-1]) / info.objectives[0]
     assert 0 <= rel < 0.01
+
+
+# Reference for combiner_mo: the sequential line search on the Combiner /
+# fim / psd_inverse path, one objective evaluation per step candidate.
+
+
+def _reference_objective(q, prior_info, b, noise_power):
+    post = psd_inverse(prior_info + fim(b, Combiner(q, unit_modulus=False), noise_power))
+    return float(np.trace(post)), post
+
+
+def _reference_grad(q, post, b, noise_power):
+    gram = q @ q.conj().T
+    y = np.linalg.solve(gram, q @ b)
+    z = y @ (post @ post) @ b.conj().T
+    z_pq = np.linalg.solve(gram, (z @ q.conj().T).conj().T).conj().T @ q
+    return -(4.0 / noise_power) * (z - z_pq)
+
+
+def _unit(q):
+    mags = np.abs(q)
+    mags[mags == 0] = 1.0
+    return q / mags
+
+
+def reference_mo(init, prior, b, noise_power, iters=5):
+    """(best Q, objectives, accepted steps) of the sequential line search."""
+    prior_info = psd_inverse(prior.cov)
+    q = _unit(np.asarray(init.q, dtype=complex).copy())
+    f_curr, post = _reference_objective(q, prior_info, b, noise_power)
+    objectives = [f_curr]
+    best_q, best_f = q, f_curr
+    for _ in range(iters):
+        egrad = _reference_grad(q, post, b, noise_power)
+        rgrad = egrad - np.real(egrad * np.conj(q)) * q
+        gnorm = np.linalg.norm(rgrad)
+        if gnorm < 1e-15:
+            break
+        step = 1e-2 * np.linalg.norm(q) / gnorm
+
+        def trial(t):
+            q_t = _unit(q - t * rgrad)
+            return (q_t, *_reference_objective(q_t, prior_info, b, noise_power))
+
+        q_new, f_new, post_new = trial(step)
+        accepted = f_new <= f_curr - 1e-4 * step * gnorm**2
+        if accepted:
+            for _ in range(10):
+                q_2, f_2, post_2 = trial(step * 2)
+                if f_2 < f_new:
+                    step *= 2
+                    q_new, f_new, post_new = q_2, f_2, post_2
+                else:
+                    break
+        else:
+            for _ in range(10):
+                step *= 0.5
+                q_new, f_new, post_new = trial(step)
+                if f_new <= f_curr - 1e-4 * step * gnorm**2:
+                    accepted = True
+                    break
+        if not accepted:
+            break
+        q, f_curr, post = q_new, f_new, post_new
+        objectives.append(f_curr)
+        if f_curr < best_f:
+            best_q, best_f = q, f_curr
+    return best_q, objectives, len(objectives) - 1
+
+
+@pytest.mark.parametrize("n_b,n_m", [(101, 25), (275, 75)])
+@pytest.mark.parametrize("n_rf", [1, 3])
+def test_mo_matches_sequential_reference(n_b, n_m, n_rf):
+    # Five iterations at sigma^2 = 1e-10 always accept the probe step and
+    # walk the doublings; twenty iterations, and sigma^2 = 1e-8, also reject
+    # probes and walk the halvings, some of them to the end.  The gradient
+    # passes through S^2, so both paths carry about 1e-13 relative rounding
+    # in it; twenty iterations of doubled steps grow that to ~2e-8 in Q.
+    for seed, noise_power, iters in product(range(3), (1e-10, 1e-8), (5, 20)):
+        cfg, b, prior = mo_inputs(seed, n_b, n_m)
+        inits = {
+            "random": combiner_random(np.random.default_rng(seed), n_rf, n_b),
+            "svd_pe": combiner_svd_pe(b, n_rf),
+            "qom": combiner_qom(prior.mean.pose, cfg, n_rf),
+        }
+        for name, init in inits.items():
+            comb, info = combiner_mo(init, prior, b, noise_power, iters=iters)
+            ref_q, ref_objectives, ref_accepted = reference_mo(init, prior, b, noise_power, iters)
+            label = f"seed {seed}, sigma^2 {noise_power}, {iters} iterations, {name}"
+            assert info.accepted_steps == ref_accepted, label
+            np.testing.assert_allclose(info.objectives, ref_objectives, rtol=1e-9, err_msg=label)
+            q_atol = 1e-9 if iters == 5 else 1e-7
+            np.testing.assert_allclose(comb.q, ref_q, rtol=0, atol=q_atol, err_msg=label)
+
+
+def test_mo_stacked_objective_matches_single():
+    cfg, b, prior = mo_inputs()
+    prior_info = psd_inverse(prior.cov)
+    rng = np.random.default_rng(7)
+    stack = np.exp(2j * np.pi * rng.random((10, 3, cfg.n_b)))
+    f_all, post_all, l_inv_all = _mo_objective(stack, prior_info, b, 1e-10)
+    for q, f, post, l_inv in zip(stack, f_all, post_all, l_inv_all):
+        f_1, post_1, l_inv_1 = _mo_objective(q, prior_info, b, 1e-10)
+        np.testing.assert_allclose(f, f_1, rtol=1e-12)
+        np.testing.assert_allclose(post, post_1, rtol=1e-12)
+        np.testing.assert_allclose(l_inv, l_inv_1, rtol=1e-12)
+
+
+def _near_duplicate_rows(rng, gap, n_b=101):
+    """Random unit-modulus 3 x n_b rows whose last row is the second one
+    rotated by phases of size gap."""
+    q = np.exp(2j * np.pi * rng.random((3, n_b)))
+    q[2] = q[1] * np.exp(1j * gap * rng.standard_normal(n_b))
+    return q
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-10])
+def test_mo_rank_gate_rejects_dependent_rows(gap):
+    cfg, b, prior = mo_inputs()
+    prior_info = psd_inverse(prior.cov)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        q = _near_duplicate_rows(rng, gap)
+        with pytest.raises(RankDeficientCombiner):
+            _mo_objective(q, prior_info, b, 1e-10)
+        with pytest.raises(RankDeficientCombiner):
+            combiner_mo(Combiner(q, unit_modulus=True), prior, b, 1e-10)
+
+
+def test_mo_rank_gate_passes_rows_1e7_apart():
+    cfg, b, prior = mo_inputs()
+    prior_info = psd_inverse(prior.cov)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        q = _near_duplicate_rows(rng, 1e-7)
+        f, _, _ = _mo_objective(q, prior_info, b, 1e-10)
+        assert np.isfinite(f)
+        Combiner(q, unit_modulus=True).solve_gram(q @ b)  # the Combiner gate agrees
+
+
+def test_mo_candidates_raise_only_when_reached():
+    cfg, b, prior = mo_inputs()
+    prior_info = psd_inverse(prior.cov)
+    rng = np.random.default_rng(13)
+    good = np.exp(2j * np.pi * rng.random((2, 3, cfg.n_b)))
+    stack = np.concatenate([good, _near_duplicate_rows(rng, 0.0)[None]])
+    reached = list(islice(_mo_candidates(stack, prior_info, b, 1e-10), 2))
+    for (q, f, _, _), q_1 in zip(reached, good):
+        assert f == pytest.approx(_mo_objective(q_1, prior_info, b, 1e-10)[0], rel=1e-12)
+        np.testing.assert_array_equal(q, q_1)
+    with pytest.raises(RankDeficientCombiner):
+        list(_mo_candidates(stack, prior_info, b, 1e-10))
+
+
+@pytest.mark.parametrize("prior_info", [-1e20 * np.eye(5), np.full((5, 5), np.nan)],
+                         ids=["not-pd", "nan"])
+def test_mo_objective_singular_information_raises(prior_info):
+    cfg, b, _ = mo_inputs()
+    q = combiner_random(np.random.default_rng(0), 3, cfg.n_b).q
+    with pytest.raises(SingularPriorCovariance):
+        _mo_objective(q, prior_info, b, 1e-10)
+    with pytest.raises(SingularPriorCovariance):
+        next(_mo_candidates(q[None], prior_info, b, 1e-10))
 
 
 def test_combiner_spec_validation():

@@ -224,7 +224,7 @@ def _record_bytes(rec):
         # k=1, so qom and mo:qom log fallback steps
         ("degenerate", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:qom")),
         # a NaN prior makes every update fail at k=1, so each trial diverges
-        ("diverged", ("fd", "rand", "svd_pe", "qom")),
+        ("diverged", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:svd_pe", "mo:qom")),
     ],
 )
 def test_multi_scheme_trial_matches_single_scheme(case, tokens):
@@ -291,6 +291,11 @@ def test_config_roundtrip(tmp_path):
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         tiny_config(k_steps=0)
+    for power in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            tiny_config(p_m_dbm=power)
+        with pytest.raises(ConfigError):
+            tiny_config(noise_power_dbm=power)
     with pytest.raises(ConfigError):
         tiny_config(pilot_policy="sometimes")
     with pytest.raises(ConfigError):
@@ -365,9 +370,12 @@ def test_cli_crb(tmp_path):
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{missing}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{no_y}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{at_origin}"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:68:275:0"],
+        ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "nan"],
+        ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "inf"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
-         "grid-no-y", "grid-origin"],
+         "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -382,6 +390,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     rc = cli_main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crb", "--trials", "7"],
+        ["crb", "--threads", "2"],
+        ["fisher", "--sweep", "nb:33:66:2", "--trials", "7"],
+        ["fisher", "--sweep", "nb:33:66:2", "--threads", "2"],
+        ["fisher", "--sweep", "nb:33:66:2", "--nrf", "2"],
+        ["fisher", "--sweep", "nb:33:66:2", "--steps", "2"],
+    ],
+    ids=["crb-trials", "crb-threads", "fisher-trials", "fisher-threads", "fisher-nrf",
+         "fisher-steps"],
+)
+def test_cli_rejects_flags_a_subcommand_ignores(tmp_path, argv):
+    p = _write_cli_config(tmp_path)
+    out = tmp_path / "x.csv"
+    assert cli_main([*argv, "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_entry_point_runs(tmp_path):
