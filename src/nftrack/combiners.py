@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
-from .estimation import _RANK_RTOL, Belief, Combiner, psd_inverse
+from .estimation import _RANK_RTOL, Belief, Combiner, _factor_screen, _rank_deficient, psd_inverse
 from .geometry import ArrayConfig, Pose, antenna_indices, pair_distance
 
 ORDERINGS = ("center_first", "edge_first", "mixed_edge_center")
@@ -104,12 +104,17 @@ def combiner_svd_pe(b_pred: np.ndarray, n_rf: int) -> Combiner:
     u, s, _ = np.linalg.svd(b3, full_matrices=False)
     u = _fix_singular_vector_signs(u)
 
-    # Deterministic order under (measure-zero) singular-value ties.
+    # Descending singular values; the columns break (measure-zero) ties.
+    rounded = [round(float(x), 12) for x in s]
+
     def _lex_key(i):
         col = u[:, i]
-        return (-round(float(s[i]), 12), tuple(np.round(col.real, 12)), tuple(np.round(col.imag, 12)))
+        return (-rounded[i], tuple(np.round(col.real, 12)), tuple(np.round(col.imag, 12)))
 
-    order = sorted(range(len(s)), key=_lex_key)
+    if len(set(rounded)) == len(rounded):
+        order = sorted(range(len(s)), key=lambda i: -rounded[i])
+    else:
+        order = sorted(range(len(s)), key=_lex_key)
     u = u[:, order]
     rows = min(n_rf, 3)
     q_svd = u[:, :rows].conj().T
@@ -243,10 +248,7 @@ def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
     for q_i in q.reshape(-1, *q.shape[-2:])[~screened.reshape(-1)]:
         svals = np.linalg.svd(q_i, compute_uv=False)
         if svals[-1] <= _RANK_RTOL * svals[0]:
-            raise RankDeficientCombiner(
-                f"smallest singular value {svals[-1]:.3e} under gate "
-                f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
-            )
+            raise _rank_deficient(svals)
 
 
 def _pd_inverse(j: np.ndarray) -> np.ndarray:
@@ -279,8 +281,15 @@ def _mo_objective(q: np.ndarray, prior_info: np.ndarray, b: np.ndarray, noise_po
     SingularPriorCovariance for an information matrix that stays singular.
     """
     gram = q @ _h(q)
-    _rank_gate(q, gram)
-    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    # The rank gate runs only where the Gram factor cannot vouch for Q.
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        _rank_gate(q, gram)
+        raise
+    if not _factor_screen(chol, gram).all():
+        _rank_gate(q, gram)
+    l_inv = np.linalg.inv(chol)
     # One product for the whole stack: (m n_rf) x n_b times n_b x 5.
     w = (q.reshape(-1, q.shape[-1]) @ b).reshape(q.shape[:-1] + b.shape[1:])
     if not np.isfinite(w).all():
@@ -348,7 +357,7 @@ def combiner_mo(
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    prior_info = psd_inverse(prior.cov)
+    prior_info = prior.info
     q = _renormalize(np.asarray(init.q, dtype=complex).copy())
     f_curr, post, l_inv = _mo_objective(q, prior_info, b_pred, noise_power)
     info = MoInfo(objectives=[f_curr])

@@ -7,9 +7,10 @@ symmetrized to suppress drift over long runs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import RankDeficientCombiner, SingularPriorCovariance
@@ -18,25 +19,86 @@ from .geometry import pilot_response
 # Relative singular-value gate below which combiner rows count as dependent.
 _RANK_RTOL = 1e-8
 
+# Cholesky factor and solve by dtype, resolved once: psd_inverse works in
+# float64, Combiner Gram matrices are complex128.
+_POTRF = {np.dtype(t): get_lapack_funcs(("potrf",), dtype=t)[0] for t in (float, complex)}
+_POTRS = {np.dtype(t): get_lapack_funcs(("potrs",), dtype=t)[0] for t in (float, complex)}
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a square matrix, upper triangle left as is.
+
+    The same LAPACK potrf call as scipy.linalg.cho_factor(a, lower=True),
+    without its wrapper: ValueError for non-finite input, LinAlgError for a
+    matrix that is not positive definite.
+    """
+    _check_finite(a)
+    c, info = _POTRF[a.dtype](a, lower=True, overwrite_a=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from the factor c of A, as scipy.linalg.cho_solve((c, True), b)."""
+    b = np.asarray(b)
+    _check_finite(c)
+    _check_finite(b)
+    x, info = _POTRS[np.result_type(c, b)](c, b, lower=True, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
+def _factor_screen(l: np.ndarray, gram: np.ndarray):
+    """True where the Cholesky factor L of a Gram matrix G = Q Q^H (or of
+    each in a stack) proves Q well above the rank gate.
+
+    prod L_ii^2 = det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max,
+    so det G > 1e-12 (tr G)^n implies lambda_min / lambda_max > 1e-12, i.e.
+    a singular-value ratio above 1e-6, far above _RANK_RTOL.  False settles
+    nothing: the caller must run the gate itself.
+    """
+    d = l.diagonal(0, -2, -1).real
+    tr = gram.diagonal(0, -2, -1).real.sum(-1)
+    return (d * d).prod(-1) > 1e-12 * tr ** gram.shape[-1]
+
+
+def _rank_deficient(svals: np.ndarray) -> RankDeficientCombiner:
+    return RankDeficientCombiner(
+        f"smallest singular value {svals[-1]:.3e} under gate "
+        f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
+    )
+
 
 class Combiner:
     """Analog combining matrix with cached row-space factorizations.
 
-    The Gram matrix Q Q^H is Cholesky-factored once per instance, and the
-    full row-space projection Q^H (Q Q^H)^-1 Q is materialized lazily (it is
-    only needed by diagnostics; the filter path uses Gram solves).
+    The Gram matrix Q Q^H is Cholesky-factored once per instance by a direct
+    LAPACK potrf call, and its rank is screened from that factor: the SVD
+    rank gate runs only when the factorization fails or the screen cannot
+    vouch for the rows.  The full row-space projection Q^H (Q Q^H)^-1 Q is
+    materialized lazily (it is only needed by diagnostics; the filter path
+    uses Gram solves).
     """
 
     def __init__(self, q: np.ndarray, unit_modulus: bool, is_identity: bool = False):
         q = np.asarray(q, dtype=complex)
         if q.ndim != 2:
             raise ValueError("combiner must be a 2-D matrix")
-        if unit_modulus and not np.allclose(np.abs(q), 1.0, atol=1e-9):
+        if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
             raise ValueError("unit-modulus combiner has entries away from the unit circle")
         self.q = q
         self.unit_modulus = unit_modulus
         self.is_identity = is_identity
-        self._gram_cho = None
+        self._gram_factor = None
         self._projection = None
 
     @property
@@ -50,17 +112,21 @@ class Combiner:
     def _check_rank(self):
         svals = np.linalg.svd(self.q, compute_uv=False)
         if svals[-1] <= _RANK_RTOL * svals[0]:
-            raise RankDeficientCombiner(
-                f"smallest singular value {svals[-1]:.3e} under gate "
-                f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
-            )
+            raise _rank_deficient(svals)
 
-    def _gram(self):
-        if self._gram_cho is None:
-            self._check_rank()
+    def _gram(self) -> np.ndarray:
+        """Lower Cholesky factor of Q Q^H, behind the rank gate."""
+        if self._gram_factor is None:
             gram = self.q @ self.q.conj().T
-            self._gram_cho = cho_factor(gram, lower=True)
-        return self._gram_cho
+            try:
+                c = _cho_factor(gram)
+            except (np.linalg.LinAlgError, ValueError):
+                self._check_rank()
+                raise
+            if not _factor_screen(c, gram):
+                self._check_rank()
+            self._gram_factor = c
+        return self._gram_factor
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Compress a full-array vector: Q y."""
@@ -72,7 +138,7 @@ class Combiner:
         """(Q Q^H)^-1 rhs."""
         if self.is_identity:
             return np.array(rhs, copy=True)
-        return cho_solve(self._gram(), rhs)
+        return _cho_solve(self._gram(), rhs)
 
     def project(self, m: np.ndarray) -> np.ndarray:
         """P_Q m without materializing the n_b x n_b projection."""
@@ -85,7 +151,7 @@ class Combiner:
         if self.is_identity:
             return float(np.linalg.norm(m) ** 2)
         w = self.q @ m
-        half = solve_triangular(self._gram()[0], w, lower=True)
+        half = solve_triangular(self._gram(), w, lower=True)
         return float(np.linalg.norm(half) ** 2)
 
     @property
@@ -95,7 +161,7 @@ class Combiner:
             if self.is_identity:
                 self._projection = np.eye(self.n_b, dtype=complex)
             else:
-                half = solve_triangular(self._gram()[0], self.q, lower=True)
+                half = solve_triangular(self._gram(), self.q, lower=True)
                 self._projection = half.conj().T @ half
         return self._projection
 
@@ -107,19 +173,28 @@ class Belief:
     mean: MsState
     cov: np.ndarray
 
+    @cached_property
+    def info(self) -> np.ndarray:
+        """Information matrix cov^-1 by psd_inverse, computed once and shared
+        by the combiner design and the update of the same step."""
+        return psd_inverse(self.cov)
+
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
 def psd_inverse(m: np.ndarray, exc=SingularPriorCovariance) -> np.ndarray:
-    """Invert a symmetric PSD matrix by Cholesky; one jitter retry, then fail."""
+    """Invert a symmetric PSD matrix by Cholesky; one jitter retry, then fail.
+
+    The factor and solve are direct LAPACK potrf/potrs calls, the same
+    routines and arguments as scipy's cho_factor/cho_solve.
+    """
     ms = _symmetrize(np.asarray(m, dtype=float))
     eye = np.eye(ms.shape[0])
     for attempt in range(2):
         try:
-            c = cho_factor(ms, lower=True)
-            return _symmetrize(cho_solve(c, eye))
+            return _symmetrize(_cho_solve(_cho_factor(ms), eye))
         except (np.linalg.LinAlgError, ValueError):
             # ValueError covers NaN/inf contamination after divergence.
             if attempt == 1:
@@ -197,7 +272,6 @@ def ekf_update(
     f = fim(b_jac, q, noise_power)
     g = score(z, q, b_jac, predicted_obs, noise_power)
 
-    prior_info = psd_inverse(prior.cov)
-    post_cov = psd_inverse(prior_info + f)
+    post_cov = psd_inverse(prior.info + f)
     post_mean = prior.mean.as_vector() + post_cov @ g
     return Belief(mean=MsState.from_vector(post_mean), cov=_symmetrize(post_cov))

@@ -406,7 +406,7 @@ class _SchemeFilter:
         else:
             b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
             try:
-                # The MO builder inverts the prior covariance as well.
+                # The MO builder and the update share prior.info, one inverse.
                 combiner = self.builder.build(prior, b_jac, record, k)
                 self.belief = ekf_update(
                     prior, combiner.apply(y), combiner, pilot, cfg.array,

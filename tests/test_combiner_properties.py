@@ -1,0 +1,233 @@
+"""Property tests of the combiner rank screen, the svd_pe tie order and the
+prediction-stage fallbacks on degenerate input."""
+
+from functools import lru_cache
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor
+
+from nftrack.combiners import (
+    CombinerSpec,
+    _fix_singular_vector_signs,
+    _mo_objective,
+    _rank_gate,
+    combiner_qom,
+    combiner_random,
+    combiner_svd_pe,
+)
+from nftrack.dynamics import MsState, ProcessNoiseSpec
+from nftrack.errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
+from nftrack.estimation import _RANK_RTOL, Combiner, psd_inverse
+from nftrack.geometry import ArrayConfig, Pose
+from nftrack.harness import ScenarioConfig, _CombinerBuilder
+from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.rng import stream
+
+F28 = 28e9
+SIGMA2 = 1e-10
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+PRIOR_INFO = psd_inverse(np.diag([0.05**2, 0.05**2, 0.001**2, 1.0, 1e-4]))
+
+
+@lru_cache(maxsize=None)
+def _jacobian(n_b: int, n_m: int = 9, pose: Pose = Pose(15, -15, 3 * np.pi / 8)):
+    cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
+    pilot = generate_pilot(np.random.default_rng(0), 0.01, cfg.n_m)
+    return observation_jacobian(pose, cfg, pilot)
+
+
+# ----------------------------------------------------------- rank screen
+
+
+@st.composite
+def near_dependent_rows(draw):
+    """Unit-modulus n_rf x n_b rows whose last row is an earlier one rotated
+    by phases of size gap (n_rf = 1 has no earlier row and keeps full rank).
+    Gaps up to 1e-6 sit at or under the gate; 1e-3 and 1 are clear of it."""
+    n_b = draw(st.sampled_from([16, 33, 101]))
+    n_rf = draw(st.sampled_from(range(1, 7)))
+    gap = draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.exp(2j * np.pi * rng.random((n_rf, n_b)))
+    if n_rf > 1:
+        src = draw(st.integers(0, n_rf - 2))
+        q[-1] = q[src] * np.exp(1j * gap * rng.standard_normal(n_b))
+    return q
+
+
+def _gate_fires(q: np.ndarray) -> bool:
+    svals = np.linalg.svd(q, compute_uv=False)
+    return bool(svals[-1] <= _RANK_RTOL * svals[0])
+
+
+def _outcome(fn, *args):
+    """The exception type fn raises, or the bytes of its first result."""
+    try:
+        out = fn(*args)
+    except (RankDeficientCombiner, np.linalg.LinAlgError, ValueError) as exc:
+        return type(exc)
+    return (out[0] if isinstance(out, tuple) else out).tobytes()
+
+
+def _reference_gram(q):
+    """Gate first, then scipy's factor: the order before the factor screen."""
+    if _gate_fires(q):
+        raise RankDeficientCombiner("gate")
+    return cho_factor(q @ q.conj().T, lower=True)[0]
+
+
+def _reference_mo_objective(q, prior_info, b, noise_power):
+    """_mo_objective with the eigenvalue/SVD gate run before the Cholesky."""
+    gram = q @ q.conj().swapaxes(-1, -2)
+    _rank_gate(q, gram)
+    l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    v = l_inv @ (q @ b)
+    info = prior_info + (2.0 / noise_power) * np.real(v.conj().swapaxes(-1, -2) @ v)
+    post = np.linalg.inv(0.5 * (info + info.swapaxes(-1, -2)))
+    return (np.trace(post, axis1=-2, axis2=-1),)
+
+
+@PROPERTY
+@given(near_dependent_rows())
+def test_gram_screen_raises_exactly_when_the_gate_fires(q):
+    got = _outcome(lambda: Combiner(q, unit_modulus=True)._gram())
+    assert (got is RankDeficientCombiner) == _gate_fires(q)
+    assert got == _outcome(_reference_gram, q)
+
+
+@PROPERTY
+@given(near_dependent_rows())
+def test_mo_objective_screen_raises_exactly_when_the_gate_fires(q):
+    b = _jacobian(q.shape[1])
+    got = _outcome(_mo_objective, q, PRIOR_INFO, b, SIGMA2)
+    assert (got is RankDeficientCombiner) == _gate_fires(q)
+    ref = _outcome(_reference_mo_objective, q, PRIOR_INFO, b, SIGMA2)
+    if isinstance(got, bytes):
+        assert isinstance(ref, bytes)
+        assert np.frombuffer(got)[0] == pytest.approx(np.frombuffer(ref)[0], rel=1e-9)
+    else:
+        assert got is ref
+    # In a stack behind a full-rank combiner the same combiner decides.
+    good = np.exp(2j * np.pi * np.random.default_rng(1).random(q.shape))
+    stacked = _outcome(_mo_objective, np.stack([good, q]), PRIOR_INFO, b, SIGMA2)
+    assert (stacked is RankDeficientCombiner) == _gate_fires(q)
+
+
+# ------------------------------------------------------- svd_pe tie order
+
+
+def _reference_svd_pe(b_pred, n_rf):
+    """combiner_svd_pe with the full lexicographic sort on every call."""
+    u, s, _ = np.linalg.svd(np.asarray(b_pred)[:, :3], full_matrices=False)
+    u = _fix_singular_vector_signs(u)
+
+    def _lex_key(i):
+        col = u[:, i]
+        return (-round(float(s[i]), 12), tuple(np.round(col.real, 12)), tuple(np.round(col.imag, 12)))
+
+    u = u[:, sorted(range(len(s)), key=_lex_key)]
+    return np.exp(1j * np.angle(u[:, : min(n_rf, 3)].conj().T))
+
+
+@PROPERTY
+@given(
+    st.sampled_from([(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (2.0, 2.0, 1.0), (3.0, 2.0, 1.0)]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_svd_pe_tie_order_matches_full_sort(svals, n_rf, seed):
+    rng = np.random.default_rng(seed)
+    n_b = 33
+    u, _ = np.linalg.qr(rng.standard_normal((n_b, 3)) + 1j * rng.standard_normal((n_b, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    b = np.zeros((n_b, 5), dtype=complex)
+    b[:, :3] = (u * np.array(svals)) @ v.conj().T
+    rounded = [round(float(x), 12) for x in np.linalg.svd(b[:, :3], compute_uv=False)]
+    assert len(set(rounded)) == len(set(svals))  # the ties survive the SVD
+    got = combiner_svd_pe(b, n_rf).q
+    assert got.tobytes() == _reference_svd_pe(b, n_rf).tobytes()
+
+
+# ------------------------------------------------------------- fallbacks
+
+
+def _builder(kind, n_rf, pose=Pose(15, -15, 3 * np.pi / 8), seed=11):
+    cfg = ScenarioConfig(
+        array=ArrayConfig(n_b=33, n_m=9, carrier_freq=F28),
+        initial_state=MsState(pose.x, pose.y, pose.psi, 10, 0.1),
+        initial_cov=np.diag([0.05**2, 0.05**2, 0.001**2, 1.0, 1e-4]),
+        noise=ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02),
+        p_m_dbm=10.0,
+        noise_power_dbm=-70.0,
+        k_steps=3,
+        n_trials=1,
+        combiner=CombinerSpec(kind=kind, n_rf=n_rf),
+        seed=seed,
+    )
+    record = SimpleNamespace(trial_index=0, fallback_steps=[], mo_stalled_steps=[])
+    return _CombinerBuilder(cfg, 0), record, cfg
+
+
+def _prior(pose):
+    return SimpleNamespace(mean=MsState(pose.x, pose.y, pose.psi, 10, 0.1))
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 1000))
+def test_svd_pe_falls_back_on_zero_jacobian(n_rf, seed):
+    builder, record, cfg = _builder("svd_pe", n_rf, seed=seed)
+    pose = cfg.initial_state.pose
+    zero = np.zeros((cfg.array.n_b, 5), dtype=complex)
+    with pytest.raises(DegenerateJacobian):
+        combiner_svd_pe(zero, n_rf)
+
+    # First step: the trial's random combiner, drawn from its "combiner" stream.
+    first = builder.build(_prior(pose), zero, record, 1)
+    rand = combiner_random(stream(seed, 0, 0, "combiner"), n_rf, cfg.array.n_b)
+    assert first.q.tobytes() == rand.q.tobytes()
+    assert record.fallback_steps == [1]
+
+    b = _jacobian(cfg.array.n_b)
+    second = builder.build(_prior(pose), b, record, 2)
+    assert second.q.tobytes() == combiner_svd_pe(b, n_rf).q.tobytes()
+    # Later steps: the previous step's combiner.
+    assert builder.build(_prior(pose), zero, record, 3) is second
+    assert record.fallback_steps == [1, 3]
+
+
+@st.composite
+def degenerate_pose(draw):
+    """A pose with zero effective aperture: the MS on the BS array axis
+    (x = 0, theta = +-pi/2), or the MS array along the line of sight
+    (psi = theta or theta + pi)."""
+    r = draw(st.floats(2.0, 30.0))
+    if draw(st.booleans()):
+        y = r if draw(st.booleans()) else -r
+        return Pose(0.0, y, draw(st.floats(-np.pi, np.pi)))
+    theta = draw(st.floats(-1.3, 1.3))
+    pose = Pose(r * np.cos(theta), r * np.sin(theta), 0.0)
+    return Pose(pose.x, pose.y, pose.theta + draw(st.sampled_from([0.0, np.pi])))
+
+
+@PROPERTY
+@given(degenerate_pose(), st.integers(1, 3))
+def test_qom_falls_back_on_degenerate_pose(pose, n_rf):
+    builder, record, cfg = _builder("qom", n_rf)
+    with pytest.raises(DegenerateGeometry):
+        combiner_qom(pose, cfg.array, n_rf)
+    b = _jacobian(cfg.array.n_b, pose=pose)
+
+    # First step: the phase-extracted SVD combiner of the same Jacobian.
+    first = builder.build(_prior(pose), b, record, 1)
+    assert first.q.tobytes() == combiner_svd_pe(b, n_rf).q.tobytes()
+    assert record.fallback_steps == [1]
+
+    good = cfg.initial_state.pose
+    second = builder.build(_prior(good), _jacobian(cfg.array.n_b), record, 2)
+    assert second.q.tobytes() == combiner_qom(good, cfg.array, n_rf).q.tobytes()
+    # Later steps: the previous step's combiner.
+    assert builder.build(_prior(pose), b, record, 3) is second
+    assert record.fallback_steps == [1, 3]

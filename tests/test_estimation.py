@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+import nftrack.estimation as estimation
 from nftrack.combiners import combiner_fd, combiner_random
 from nftrack.dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
-from nftrack.errors import RankDeficientCombiner
+from nftrack.errors import RankDeficientCombiner, SingularPriorCovariance
 from nftrack.estimation import (
     Belief,
     Combiner,
+    _cho_factor,
+    _cho_solve,
     ekf_predict,
     ekf_update,
     fim,
@@ -60,6 +64,21 @@ def test_rank_gate():
     comb = Combiner(q, unit_modulus=True)
     with pytest.raises(RankDeficientCombiner):
         _ = comb.projection
+
+
+@pytest.mark.parametrize(
+    "modulus, accepted", [(1 + 1e-10, True), (1 - 1e-10, True), (1 + 1e-6, False),
+                          (1 - 1e-6, False), (np.nan, False)],
+)
+def test_unit_modulus_check_tolerance(modulus, accepted):
+    q = np.exp(2j * np.pi * np.random.default_rng(3).random((2, 8)))
+    q[1, 3] *= modulus
+    if accepted:
+        Combiner(q, unit_modulus=True)
+    else:
+        with pytest.raises(ValueError):
+            Combiner(q, unit_modulus=True)
+    Combiner(q, unit_modulus=False)  # only the unit-modulus contract checks
 
 
 # ---------------------------------------------------------------------- score
@@ -184,6 +203,98 @@ def test_psd_inverse_roundtrip():
     m = a @ a.T + np.eye(5)
     inv = psd_inverse(m)
     np.testing.assert_allclose(inv @ m, np.eye(5), atol=1e-10)
+
+
+# ------------------------------------------------- direct LAPACK Cholesky
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _spd(rng, n, dtype):
+    a = rng.standard_normal((n, n))
+    if dtype == complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a @ a.conj().T + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(5, float)] + [(n, complex) for n in range(1, 9)],
+)
+def test_cholesky_helpers_match_scipy_bytes(n, dtype):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        a = _spd(rng, n, dtype)
+        c_ref, lower = cho_factor(a, lower=True)
+        c = _cho_factor(a)
+        _assert_same_bytes(c, c_ref)
+        for rhs_shape in ((n,), (n, 1), (n, 6)):
+            rhs = rng.standard_normal(rhs_shape) + (1j * rng.standard_normal(rhs_shape)
+                                                    if dtype == complex else 0.0)
+            _assert_same_bytes(_cho_solve(c, rhs), cho_solve((c_ref, lower), rhs))
+        eye = np.eye(n)
+        _assert_same_bytes(_cho_solve(c, eye), cho_solve((c_ref, lower), eye))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cholesky_helpers_reject_non_finite(bad):
+    a = _spd(np.random.default_rng(4), 5, float)
+    c = _cho_factor(a)
+    a_bad, rhs_bad, c_bad = a.copy(), np.ones(5), c.copy()
+    a_bad[2, 1] = bad
+    rhs_bad[3] = bad
+    c_bad[4, 4] = bad
+    with pytest.raises(ValueError):
+        _cho_factor(a_bad)
+    with pytest.raises(ValueError):
+        _cho_solve(c, rhs_bad)
+    with pytest.raises(ValueError):
+        _cho_solve(c_bad, np.ones(5))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cholesky_factor_rejects_non_positive_definite(dtype):
+    a = _spd(np.random.default_rng(5), 4, dtype)
+    a[2, 2] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _cho_factor(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        _cho_factor(-np.eye(3, dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "m", [np.full((5, 5), np.nan), -np.eye(5), np.zeros((5, 5))], ids=["nan", "minus-eye", "zero"]
+)
+def test_psd_inverse_singular_raises(m):
+    with pytest.raises(SingularPriorCovariance):
+        psd_inverse(m)
+
+
+def test_psd_inverse_jitter_retry_matches_scipy_path():
+    # Singular but PSD: the first factorization fails and the jittered one
+    # succeeds, as it did through scipy's wrappers.
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 3))
+    m = a @ a.T
+    ms = 0.5 * (m + m.T)
+    ms = ms + (1e-12 * np.trace(ms) / 5) * np.eye(5)
+    ref = cho_solve(cho_factor(ms, lower=True), np.eye(5))
+    _assert_same_bytes(psd_inverse(m), 0.5 * (ref + ref.T))
+
+
+def test_belief_info_is_one_shared_inverse(monkeypatch):
+    cov = np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4])
+    belief = Belief(MsState(10, -5, 0.4, 8, 0.05), cov)
+    calls = []
+    real = estimation.psd_inverse
+    monkeypatch.setattr(estimation, "psd_inverse", lambda m: calls.append(1) or real(m))
+    info = belief.info
+    assert belief.info is info and len(calls) == 1
+    _assert_same_bytes(info, real(cov))
+    with pytest.raises(SingularPriorCovariance):
+        _ = Belief(belief.mean, -np.eye(5)).info
 
 
 def test_predict_stationary_state():

@@ -1,6 +1,7 @@
 """Campaign harness: trials, metrics, persistence, CLI."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nftrack
 from nftrack.cli import main as cli_main
 from nftrack.combiners import CombinerSpec
 from nftrack.dynamics import MsState, ProcessNoiseSpec
@@ -415,10 +417,14 @@ def test_cli_rejects_flags_a_subcommand_ignores(tmp_path, argv):
 def test_cli_entry_point_runs(tmp_path):
     p = _write_cli_config(tmp_path)
     out = tmp_path / "sub.csv"
+    # The child imports the same nftrack as this process, installed or not.
+    src = str(Path(nftrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nftrack.cli", "track", "--config", str(p), "--out", str(out),
          "--schemes", "fd"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert out.exists()
@@ -458,6 +464,19 @@ def test_cli_crb_svd_policy(tmp_path):
                    "--steps", "2"])
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_mo_step_inverts_the_prior_once(monkeypatch):
+    # One inverse for the prior information (shared by combiner_mo and the
+    # update) and one for the posterior, per step.
+    cfg = tiny_config(combiner=CombinerSpec(kind="mo", n_rf=3, mo_init="qom"), k_steps=4)
+    calls = []
+    real = nftrack.estimation.psd_inverse
+    for module in (nftrack.estimation, nftrack.combiners):
+        monkeypatch.setattr(module, "psd_inverse", lambda m: calls.append(1) or real(m))
+    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    assert rec.diverged_at is None
+    assert len(calls) == 2 * cfg.k_steps
 
 
 def test_qom_degenerate_geometry_fallback():
