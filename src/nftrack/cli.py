@@ -18,7 +18,7 @@ from .errors import ConfigError, NfTrackError
 from .geometry import ArrayConfig, Pose, channel_derivatives
 from .harness import ScenarioConfig, load_config, parse_scheme, run_campaign, write_manifest
 from .information import avg_fisher, bayesian_fim_init, bayesian_fim_step, bcrb, fisher_scaling_bounds
-from .observation import generate_pilot, observation_jacobian
+from .observation import generate_pilot
 from .rng import stream
 
 
@@ -179,22 +179,30 @@ def _cmd_fisher(args) -> int:
 
 
 def _make_q_policy(name: str, cfg: ScenarioConfig):
-    """Combiner factory for the CRB recursion, mirroring the tracking pipeline."""
+    """Combiner factory for the CRB recursion, mirroring the tracking pipeline.
+
+    A policy maps (pose, channel derivatives at that pose) to a combiner.
+    """
     array = cfg.array
     n_rf = cfg.combiner.n_rf
     if name == "fd":
         fd = combiner_fd(array)
-        return lambda pose: fd
+        return lambda pose, derivs: fd
     if name == "rand":
         fixed = combiner_random(stream(cfg.seed, 0, 0, "combiner"), n_rf, array.n_b)
-        return lambda pose: fixed
+        return lambda pose, derivs: fixed
     if name == "qom":
-        return lambda pose: combiner_qom(pose, array, n_rf)
+        return lambda pose, derivs: combiner_qom(pose, array, n_rf)
     if name == "svd_pe":
         pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, array.n_m)
 
-        def policy(pose):
-            return combiner_svd_pe(observation_jacobian(pose, array, pilot), n_rf)
+        def policy(pose, derivs):
+            # The observation Jacobian's columns, bit for bit as pilot_response
+            # builds them, from the step's own derivatives.
+            b = np.zeros((array.n_b, 5), dtype=complex)
+            for col, j in enumerate(derivs):
+                b[:, col] = j @ pilot.symbols
+            return combiner_svd_pe(b, n_rf)
 
         return policy
     raise ConfigError(f"unknown CRB policy {name!r}")

@@ -148,8 +148,6 @@ class Combiner:
 
     def projection_norm_sq(self, m: np.ndarray) -> float:
         """||P_Q m||_F^2 via the Gram Cholesky factor."""
-        if self.is_identity:
-            return float(np.linalg.norm(m) ** 2)
         w = self.q @ m
         half = solve_triangular(self._gram(), w, lower=True)
         return float(np.linalg.norm(half) ** 2)

@@ -11,7 +11,7 @@ All quantities are SI: meters, radians, Hz, Watts.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -108,12 +108,68 @@ class Pose:
         return float(np.arctan2(self.y, self.x))
 
 
-class ChannelDerivatives(NamedTuple):
-    """Channel derivative matrices w.r.t. x (1/m), y (1/m) and psi (1/rad)."""
+class ChannelDerivatives:
+    """Channel derivative matrices w.r.t. x (1/m), y (1/m) and psi (1/rad).
 
-    j_x: np.ndarray
-    j_y: np.ndarray
-    j_psi: np.ndarray
+    Unpacks and iterates like the tuple (j_x, j_y, j_psi).  ``gram`` is the
+    3x3 pose Gram matrix Re tr(J_mu^H J_nu) of the three.
+    """
+
+    def __init__(self, j_x: np.ndarray, j_y: np.ndarray, j_psi: np.ndarray):
+        self.matrices = (j_x, j_y, j_psi)
+
+    @property
+    def j_x(self) -> np.ndarray:
+        return self.matrices[0]
+
+    @property
+    def j_y(self) -> np.ndarray:
+        return self.matrices[1]
+
+    @property
+    def j_psi(self) -> np.ndarray:
+        return self.matrices[2]
+
+    def __iter__(self):
+        return iter(self.matrices)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return np.array([[np.vdot(a, b).real for b in self.matrices] for a in self.matrices])
+
+
+class _ExactDerivatives(ChannelDerivatives):
+    """Exact derivatives at one pose: the complex matrices are built on first
+    access, and the pose Gram never needs them.
+
+    J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
+    Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
+    |dh/dr|^2 = (lambda / (4 pi r^2))^2 (1 + (2 pi r / lambda)^2).
+    """
+
+    def __init__(self, pose: Pose, cfg: ArrayConfig):
+        self.pose = pose
+        self.cfg = cfg
+
+    @cached_property
+    def matrices(self):
+        _, _, dh_dr, dr = _chain_terms(self.pose, self.cfg)
+        return tuple(dh_dr * d for d in dr)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        pose, cfg, lam = self.pose, self.cfg, self.cfg.wavelength
+        lever = cfg.ms_indices[None, :] * cfg.d_m
+        dx, dy, r = _pair_offsets(pose, cfg)
+        dr_dx, dr_dy = dx / r, dy / r
+        dr = (dr_dx, dr_dy, lever * (dr_dy * np.cos(pose.psi) - dr_dx * np.sin(pose.psi)))
+        dh_dr_sq = (lam / (4 * np.pi * r**2)) ** 2 * (1 + (2 * np.pi / lam * r) ** 2)
+        g = np.empty((3, 3))
+        for i in range(3):
+            weighted = dh_dr_sq * dr[i]
+            for j in range(i, 3):
+                g[i, j] = g[j, i] = np.vdot(weighted, dr[j])
+        return g
 
 
 @dataclass(frozen=True)
@@ -175,10 +231,11 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     """Exact pose derivatives of the channel, via the chain rule through r_e.
 
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
-    and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.
+    and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  The
+    matrices are built on first access (bit-identical to dh/dr * dr/dmu of
+    ``_chain_terms``); ``gram`` comes from the distance grid alone.
     """
-    _, _, dh_dr, dr = _chain_terms(pose, cfg)
-    return ChannelDerivatives(*(dh_dr * d for d in dr))
+    return _ExactDerivatives(pose, cfg)
 
 
 def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):

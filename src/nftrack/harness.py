@@ -345,11 +345,17 @@ class _CombinerBuilder:
         self._previous = comb
         return comb
 
+    @staticmethod
+    def _mark_fallback(record, k) -> None:
+        """Record step k as a fallback once, however many builders fell back."""
+        if record.fallback_steps[-1:] != [k]:
+            record.fallback_steps.append(k)
+
     def _svd_or_fallback(self, prior, b_jac, record, k) -> Combiner:
         try:
             return combiner_svd_pe(b_jac, self.spec.n_rf)
         except DegenerateJacobian:
-            record.fallback_steps.append(k)
+            self._mark_fallback(record, k)
             if self._previous is not None:
                 return self._previous
             rng = stream(self.cfg.seed, record.trial_index, 0, "combiner")
@@ -359,7 +365,7 @@ class _CombinerBuilder:
         try:
             return combiner_qom(prior.mean.pose, self.cfg.array, self.spec.n_rf)
         except DegenerateGeometry:
-            record.fallback_steps.append(k)
+            self._mark_fallback(record, k)
             if self._previous is not None:
                 return self._previous
             return self._svd_or_fallback(prior, b_jac, record, k)

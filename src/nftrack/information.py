@@ -4,6 +4,16 @@ The average Fisher information integrates the per-pilot information over the
 pilot distribution in closed form; the Bayesian bound combines information
 transported through the motion model with the expected data information of
 each new snapshot, evaluated at the nominal next pose.
+
+For the fully digital receiver (identity combiner) the phase cancels: every
+channel entry depends on the pose only through its distance r, so
+J_mu = dh/dr * dr/dmu with dr/dmu real, and
+
+    Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu,
+    |dh/dr|^2 = (lambda / (4 pi r^2))^2 (1 + (2 pi r / lambda)^2).
+
+That pose Gram (``ChannelDerivatives.gram``) is real arithmetic on the
+distance grid, so the identity branches below build no complex matrix.
 """
 
 from dataclasses import dataclass
@@ -41,11 +51,11 @@ def avg_fisher(
 ) -> AvgFisher:
     """(2 P_m / (sigma^2 N_m)) * ||P_Q J_mu||_F^2 for mu in {x, y, psi}."""
     scale = 2.0 * p_m / (noise_power * n_m)
-    return AvgFisher(
-        f_x=scale * q.projection_norm_sq(derivs.j_x),
-        f_y=scale * q.projection_norm_sq(derivs.j_y),
-        f_psi=scale * q.projection_norm_sq(derivs.j_psi),
-    )
+    if q.is_identity:
+        norms_sq = np.diagonal(derivs.gram).tolist()
+    else:
+        norms_sq = [q.projection_norm_sq(j) for j in derivs]
+    return AvgFisher(*(scale * v for v in norms_sq))
 
 
 def expected_fim(
@@ -60,15 +70,13 @@ def expected_fim(
     Entry (mu, nu) over the pose block is
     (2 P_m / (sigma^2 N_m)) Re tr(J_mu^H P_Q J_nu); velocity rows are zero.
     """
-    js = [derivs.j_x, derivs.j_y, derivs.j_psi]
     scale = 2.0 * p_m / (noise_power * n_m)
     f = np.zeros((5, 5))
     if q.is_identity:
-        projected = js
-        originals = js
-    else:
-        projected = [q.solve_gram(q.q @ j) for j in js]  # (QQ^H)^-1 Q J_nu
-        originals = [q.q @ j for j in js]  # Q J_mu
+        f[:3, :3] = scale * derivs.gram
+        return f
+    originals = [q.q @ j for j in derivs]  # Q J_mu
+    projected = [q.solve_gram(w) for w in originals]  # (QQ^H)^-1 Q J_nu
     for i in range(3):
         for j_idx in range(i, 3):
             val = scale * float(
@@ -122,7 +130,7 @@ def bayesian_fim_step(
     spec: ProcessNoiseSpec,
     pilot_power: float,
     noise_power: float,
-    q_policy: Callable[[Pose], Combiner],
+    q_policy: Callable[[Pose, ChannelDerivatives], Combiner],
 ) -> BayesianFimState:
     """One recursion step: transported prior information plus the expected
     data information at the nominal next pose.
@@ -130,7 +138,8 @@ def bayesian_fim_step(
     Process noise perturbs only v and omega, so every next state the motion
     model can reach from true_state_prev shares the nominal pose, and the
     expectation of the data information over the next state is its value
-    there.
+    there.  q_policy(pose, derivs) receives the channel derivatives of that
+    pose, which the data information then reuses.
     """
     a = ctrv_jacobian(true_state_prev, spec.tau)
     f_prev_inv = np.linalg.solve(_symmetrize(state.f_b), np.eye(5))
@@ -138,9 +147,8 @@ def bayesian_fim_step(
         _symmetrize(a @ f_prev_inv @ a.T + spec.covariance()), np.eye(5)
     )
     pose = ctrv_transition(true_state_prev, spec.tau).pose
-    f_d = expected_fim(
-        channel_derivatives(pose, cfg), q_policy(pose), pilot_power, noise_power, cfg.n_m
-    )
+    derivs = channel_derivatives(pose, cfg)
+    f_d = expected_fim(derivs, q_policy(pose, derivs), pilot_power, noise_power, cfg.n_m)
     return BayesianFimState(f_b=_symmetrize(f_p + f_d), k=state.k + 1)
 
 

@@ -448,7 +448,7 @@ def test_criterion_10_bcrb_lower_bounds_tracking_mse():
     for k in range(1, cfg.k_steps + 1):
         state = bayesian_fim_step(
             state, true_state, cfg.array, cfg.noise, P_M, SIGMA2,
-            lambda pose: fd,
+            lambda pose, derivs: fd,
         )
         v = bcrb(state)
         bounds.append(v[0, 0] + v[1, 1])

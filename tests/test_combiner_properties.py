@@ -231,3 +231,18 @@ def test_qom_falls_back_on_degenerate_pose(pose, n_rf):
     # Later steps: the previous step's combiner.
     assert builder.build(_prior(pose), b, record, 3) is second
     assert record.fallback_steps == [1, 3]
+
+
+@PROPERTY
+@given(degenerate_pose(), st.integers(1, 3), st.integers(0, 1000))
+def test_qom_then_svd_pe_fallback_records_the_step_once(pose, n_rf, seed):
+    # Degenerate qom geometry and a zero Jacobian for its svd_pe fallback:
+    # both builders fall back at step 1, which is recorded once.
+    builder, record, cfg = _builder("qom", n_rf, seed=seed)
+    zero = np.zeros((cfg.array.n_b, 5), dtype=complex)
+    first = builder.build(_prior(pose), zero, record, 1)
+    rand = combiner_random(stream(seed, 0, 0, "combiner"), n_rf, cfg.array.n_b)
+    assert first.q.tobytes() == rand.q.tobytes()
+    assert record.fallback_steps == [1]
+    assert builder.build(_prior(pose), zero, record, 2) is first
+    assert record.fallback_steps == [1, 2]

@@ -1,7 +1,10 @@
 """CTRV propagation, Jacobian, and process-noise sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nftrack.dynamics import (
     _U_SERIES,
@@ -113,6 +116,46 @@ def test_jacobian_continuity_at_switch():
     for sign in (+1, -1):
         near = ctrv_jacobian(MsState(15, -15, 0.9, 10, sign * 1e-6), tau)
         assert np.abs(near - limit).max() < 1e-8
+
+
+@st.composite
+def turn_rate_pair(draw):
+    """A state and tau, and two turn rates omega_1, omega_2 whose
+    u = omega * tau lie 1e-18 to 1e-7 from 0 or from either side of the
+    series switch (so pairs across the switch and across 0 occur)."""
+    tau = draw(st.floats(1e-3, 1.0))
+    center = draw(st.sampled_from([0.0, _U_SERIES, -_U_SERIES]))
+    state = MsState(
+        draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)),
+        draw(st.floats(-np.pi, np.pi)), draw(st.floats(0.0, 30.0)), 0.0,
+    )
+    omegas = []
+    for _ in range(2):
+        offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.integers(-18, -7))
+        omegas.append((center + offset) / tau)
+    return state, tau, omegas
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(turn_rate_pair())
+def test_transition_and_jacobian_continuous_through_zero_turn_rate(case):
+    # Lipschitz in omega near u = 0 and across the _U_SERIES switch: the
+    # helpers' slopes in u are at most 1/2, so the transition moves by at
+    # most (tau + v tau^2) |d omega| and the Jacobian by (1 + v) tau^2
+    # (1 + tau) |d omega|, plus rounding at the size of the entries.  Just
+    # above the switch the direct g2 = (u sin u + cos u - 1)/u^2 cancels in
+    # cos u - 1: an absolute error of about eps/u^2 = 2.2e-10 at u = 1e-3 in
+    # the v tau^2 terms, allowed here with a margin of 4.
+    cancel = 1e-9
+    state, tau, (w1, w2) = case
+    a, b = (replace(state, omega=w) for w in (w1, w2))
+    d_omega = abs(w1 - w2)
+    step = np.abs(ctrv_transition(a, tau).as_vector() - ctrv_transition(b, tau).as_vector())
+    floor = 1e-12 * (1.0 + abs(state.x) + abs(state.y) + abs(state.psi) + state.v * tau)
+    assert step[:3].max() <= (tau + state.v * tau**2) * d_omega + floor
+    jump = np.abs(ctrv_jacobian(a, tau) - ctrv_jacobian(b, tau)).max()
+    jac_floor = 1e-12 * (1.0 + state.v) + cancel * state.v * tau**2
+    assert jump <= (1.0 + state.v) * tau**2 * (1.0 + tau) * d_omega + jac_floor
 
 
 def test_noise_spec_covariance():

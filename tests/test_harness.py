@@ -13,7 +13,7 @@ import pytest
 
 import nftrack
 from nftrack.cli import main as cli_main
-from nftrack.combiners import CombinerSpec
+from nftrack.combiners import CombinerSpec, combiner_svd_pe
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
@@ -29,6 +29,8 @@ from nftrack.harness import (
     scheme_label,
     simulate_truth,
 )
+from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.rng import stream
 
 F28 = 28e9
 
@@ -258,10 +260,18 @@ def test_in_trial_nmse_matches_metrics_nmse():
 
 
 def test_readme_library_imports():
+    # Runs the README library snippet's imports and its Fisher example (the
+    # campaign lines in between are left out for time).
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     line = re.search(r"^from nftrack import \(.*?\)$", readme, re.S | re.M)
     assert line is not None, "README library snippet has no nftrack import"
-    exec(line.group(0), {})
+    fisher = re.search(r"^arr = .*?^info = avg_fisher\(.*?\)$", readme, re.S | re.M)
+    assert fisher is not None, "README library snippet has no avg_fisher example"
+    namespace = {"np": np}
+    exec(line.group(0), namespace)
+    exec(fisher.group(0), namespace)
+    info = namespace["info"]
+    assert min(info.f_x, info.f_y, info.f_psi) > 0
 
 
 def test_parse_scheme_tokens():
@@ -464,6 +474,48 @@ def test_cli_crb_svd_policy(tmp_path):
                    "--steps", "2"])
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("config", ["tiny", "configs/desk.json"])
+def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatch, config):
+    # The svd_pe CRB policy builds its Jacobian from the step's channel
+    # derivatives; the CSV must equal that of a policy that rebuilds it with
+    # observation_jacobian at the same pose.
+    p = _write_cli_config(tmp_path) if config == "tiny" else Path(__file__).parent.parent / config
+    argv = ["crb", "--config", str(p), "--policy", "svd_pe", "--steps", "8"]
+    assert cli_main([*argv, "--out", str(tmp_path / "derivs.csv")]) == 0
+
+    def reference_policy(name, cfg):
+        pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, cfg.array.n_m)
+        return lambda pose, derivs: combiner_svd_pe(
+            observation_jacobian(pose, cfg.array, pilot), cfg.combiner.n_rf
+        )
+
+    monkeypatch.setattr(nftrack.cli, "_make_q_policy", reference_policy)
+    assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
+    assert (tmp_path / "derivs.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["crb", "--policy", "fd", "--steps", "5"], 0),
+    (["crb", "--policy", "rand", "--steps", "5"], 5),
+    (["crb", "--policy", "svd_pe", "--steps", "5"], 5),
+    (["crb", "--policy", "qom", "--steps", "5"], 5),
+    (["fisher", "--sweep", "nb:33:66:3"], 0),
+    (["fisher", "--sweep", "nm:1:9:3"], 0),
+])
+def test_cli_channel_kernel_builds(tmp_path, monkeypatch, argv, builds):
+    # The fully digital CRB and the Fisher sweeps use the phase-free pose
+    # Gram and build no complex channel kernel; a compressed CRB step builds
+    # exactly one.
+    p = _write_cli_config(tmp_path)
+    calls = []
+    real = nftrack.geometry._chain_terms
+    monkeypatch.setattr(
+        nftrack.geometry, "_chain_terms", lambda pose, cfg: calls.append(1) or real(pose, cfg)
+    )
+    assert cli_main([*argv, "--config", str(p), "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == builds
 
 
 def test_mo_step_inverts_the_prior_once(monkeypatch):

@@ -202,7 +202,7 @@ def test_bayesian_step_pure_information_transport():
     prev = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
     fd = combiner_fd(cfg)
     state1 = bayesian_fim_step(
-        state0, prev, cfg, spec, 0.0, SIGMA2, lambda pose: fd
+        state0, prev, cfg, spec, 0.0, SIGMA2, lambda pose, derivs: fd
     )
     a = ctrv_jacobian(prev, spec.tau)
     expected = np.linalg.inv(a @ np.linalg.inv(state0.f_b) @ a.T)
@@ -221,7 +221,7 @@ def test_bayesian_step_deterministic_given_seed():
     runs = []
     for _ in range(2):
         s = bayesian_fim_step(
-            state0, prev, cfg, spec, P_M, SIGMA2, lambda pose: fd
+            state0, prev, cfg, spec, P_M, SIGMA2, lambda pose, derivs: fd
         )
         runs.append(s.f_b)
     np.testing.assert_array_equal(runs[0], runs[1])
@@ -235,10 +235,10 @@ def test_bayesian_step_policies_run():
     pilot = generate_pilot(np.random.default_rng(0), P_M, cfg.n_m)
     rand = combiner_random(np.random.default_rng(1), 3, cfg.n_b)
     policies = {
-        "fd": lambda pose: combiner_fd(cfg),
-        "rand": lambda pose: rand,
-        "svd_pe": lambda pose: combiner_svd_pe(observation_jacobian(pose, cfg, pilot), 3),
-        "qom": lambda pose: combiner_qom(pose, cfg, 3),
+        "fd": lambda pose, derivs: combiner_fd(cfg),
+        "rand": lambda pose, derivs: rand,
+        "svd_pe": lambda pose, derivs: combiner_svd_pe(observation_jacobian(pose, cfg, pilot), 3),
+        "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
     }
     traces = {}
     for name, pol in policies.items():
@@ -272,7 +272,8 @@ def _sampled_bayesian_fim_step(state, prev, cfg, spec, p_m, sigma2, q_policy, n_
     f_d = np.zeros((5, 5))
     for vec in samples:
         pose = Pose(*vec[:3])
-        f_d += expected_fim(channel_derivatives(pose, cfg), q_policy(pose), p_m, sigma2, cfg.n_m)
+        derivs = channel_derivatives(pose, cfg)
+        f_d += expected_fim(derivs, q_policy(pose, derivs), p_m, sigma2, cfg.n_m)
     return _sym(f_p + f_d / len(samples))
 
 
@@ -288,7 +289,10 @@ def test_sampled_next_state_reduces_to_nominal_pose():
 
     cfg = desk_array(n_b=17, n_m=5)
     state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
-    policies = {"fd": lambda pose: combiner_fd(cfg), "qom": lambda pose: combiner_qom(pose, cfg, 3)}
+    policies = {
+        "fd": lambda pose, derivs: combiner_fd(cfg),
+        "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
+    }
     for n_samples in (1, 4, 7):
         spec = ProcessNoiseSpec(
             sigma_v=rng.uniform(0, 10), sigma_omega=rng.uniform(0, 2), tau=rng.uniform(1e-3, 0.1)

@@ -1,12 +1,12 @@
 """Property tests of the information layer over random near-field geometries."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nftrack.combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_pe
 from nftrack.errors import DegenerateGeometry
-from nftrack.geometry import ArrayConfig, Pose, channel_derivatives
-from nftrack.information import expected_fim
+from nftrack.geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives
+from nftrack.information import avg_fisher, expected_fim
 from nftrack.observation import generate_pilot, observation_jacobian
 
 P_M = 0.01  # 10 dBm
@@ -65,3 +65,54 @@ def test_fd_information_dominates_every_combiner(scenario, n_rf, seed):
     for name, q in combiners.items():
         gap = np.linalg.eigvalsh(f_fd - _data_fim(derivs, q, cfg))
         assert gap.min() >= -tol, name
+
+
+def _complex_gram(derivs):
+    """Re sum conj(J_mu) J_nu, entry by entry from the complex matrices."""
+    js = list(derivs)
+    return np.array([[np.real(np.sum(np.conj(a) * b)) for b in js] for a in js])
+
+
+# Odd and even n_b and n_m, n_m = 1, at the 2 m and 30 m ends of the range.
+_EDGES = [
+    (ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=28e9), pose)
+    for n_b, n_m in ((33, 9), (32, 8), (33, 8), (32, 9), (17, 1), (16, 1))
+    for pose in (Pose(2.0, 0.0, 0.3), Pose(-21.0, 21.4, -2.0))
+]
+
+
+def _with_edges(test):
+    for case in _EDGES:
+        test = example(case)(test)
+    return test
+
+
+@PROPERTY
+@_with_edges
+@given(near_field())
+def test_phase_free_gram_matches_complex_matrices(scenario):
+    cfg, pose = scenario
+    derivs = channel_derivatives(pose, cfg)
+    gram = derivs.gram
+    ref = _complex_gram(derivs)
+    np.testing.assert_array_equal(gram, gram.T)
+    assert np.abs(gram - ref).max() <= 1e-12 * np.linalg.norm(gram)
+    # Derivatives given as matrices (e.g. the asymptotic ones) take their
+    # Gram from the matrices.
+    explicit = ChannelDerivatives(*derivs).gram
+    assert np.abs(explicit - ref).max() <= 1e-12 * np.linalg.norm(gram)
+
+
+@PROPERTY
+@_with_edges
+@given(near_field())
+def test_fd_information_matches_complex_reference(scenario):
+    cfg, pose = scenario
+    fd = combiner_fd(cfg)
+    ref = 2.0 * P_M / (SIGMA2 * cfg.n_m) * _complex_gram(channel_derivatives(pose, cfg))
+    tol = 1e-12 * np.linalg.norm(ref)
+    f = _data_fim(channel_derivatives(pose, cfg), fd, cfg)
+    assert np.abs(f[:3, :3] - ref).max() <= tol
+    assert not f[3:].any() and not f[:, 3:].any()
+    af = avg_fisher(channel_derivatives(pose, cfg), fd, P_M, SIGMA2, cfg.n_m)
+    assert np.abs([af.f_x, af.f_y, af.f_psi] - np.diagonal(ref)).max() <= tol
