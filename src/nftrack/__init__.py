@@ -15,12 +15,11 @@ from .errors import (
     ConfigError,
     DegenerateGeometry,
     DegenerateJacobian,
-    FilterDiverged,
     NfTrackError,
     RankDeficientCombiner,
     SingularPriorCovariance,
 )
-from .estimation import Belief, Combiner, ekf_predict, ekf_update, fim, row_space_projection, score
+from .estimation import Belief, Combiner, ekf_predict, ekf_update, fim, score
 from .geometry import (
     ArrayConfig,
     ChannelDerivatives,
@@ -55,14 +54,7 @@ from .combiners import (
     qom_resolution,
     qom_vector,
 )
-from .observation import (
-    Observation,
-    Pilot,
-    full_snapshot,
-    generate_pilot,
-    observation_jacobian,
-    observe,
-)
+from .observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
 from .harness import (
     CampaignResult,
     ScenarioConfig,

@@ -12,14 +12,18 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_pe
+from .combiners import CRB_POLICIES, SCHEMES, parse_scheme
 from .dynamics import ctrv_transition
 from .errors import ConfigError, NfTrackError
-from .geometry import ArrayConfig, Pose, channel_derivatives
-from .harness import ScenarioConfig, load_config, parse_scheme, run_campaign, write_manifest
-from .information import avg_fisher, bayesian_fim_init, bayesian_fim_step, bcrb, fisher_scaling_bounds
-from .observation import generate_pilot
-from .rng import stream
+from .geometry import ArrayConfig, Pose
+from .harness import ScenarioConfig, crb_policy, load_config, run_campaign, write_manifest
+from .information import (
+    bayesian_fim_init,
+    bayesian_fim_step,
+    bcrb,
+    digital_avg_fisher,
+    fisher_scaling_bounds,
+)
 
 
 # Scenario overrides: flag -> (type, ScenarioConfig field), applied in this order.
@@ -55,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--threads", type=int, default=1)
     track.add_argument(
         "--schemes",
-        default="fd,rand,svd_pe,qom",
-        help="comma-separated list: fd, rand, svd_pe, qom, mo:rand, mo:svd_pe, mo:qom",
+        default=",".join(CRB_POLICIES),
+        help=f"comma-separated list of {', '.join(SCHEMES)} (default: the CRB policies)",
     )
 
     fisher = sub.add_parser("fisher", help="average-Fisher-information sweeps")
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     crb = sub.add_parser("crb", help="Bayesian CRB trace along the nominal trajectory")
     _add_common(crb, "--seed", "--steps", "--pm-dbm")
     crb.add_argument("--nrf", type=int, default=None)
-    crb.add_argument("--policy", default="fd", choices=["fd", "rand", "svd_pe", "qom"])
+    crb.add_argument("--policy", default=CRB_POLICIES[0], choices=CRB_POLICIES)
     return parser
 
 
@@ -135,9 +139,7 @@ def _load_pose_grid(path: str):
 
 
 def _fisher_row(cfg: ScenarioConfig, array: ArrayConfig, pose: Pose):
-    derivs = channel_derivatives(pose, array)
-    fd = combiner_fd(array)
-    bar = avg_fisher(derivs, fd, cfg.p_m_watts, cfg.noise_power_watts, array.n_m)
+    bar = digital_avg_fisher(pose, array, cfg.p_m_watts, cfg.noise_power_watts)
     try:
         pos_bound, orient_bound = fisher_scaling_bounds(
             pose, array, cfg.p_m_watts, cfg.noise_power_watts
@@ -178,39 +180,9 @@ def _cmd_fisher(args) -> int:
     return 0
 
 
-def _make_q_policy(name: str, cfg: ScenarioConfig):
-    """Combiner factory for the CRB recursion, mirroring the tracking pipeline.
-
-    A policy maps (pose, channel derivatives at that pose) to a combiner.
-    """
-    array = cfg.array
-    n_rf = cfg.combiner.n_rf
-    if name == "fd":
-        fd = combiner_fd(array)
-        return lambda pose, derivs: fd
-    if name == "rand":
-        fixed = combiner_random(stream(cfg.seed, 0, 0, "combiner"), n_rf, array.n_b)
-        return lambda pose, derivs: fixed
-    if name == "qom":
-        return lambda pose, derivs: combiner_qom(pose, array, n_rf)
-    if name == "svd_pe":
-        pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, array.n_m)
-
-        def policy(pose, derivs):
-            # The observation Jacobian's columns, bit for bit as pilot_response
-            # builds them, from the step's own derivatives.
-            b = np.zeros((array.n_b, 5), dtype=complex)
-            for col, j in enumerate(derivs):
-                b[:, col] = j @ pilot.symbols
-            return combiner_svd_pe(b, n_rf)
-
-        return policy
-    raise ConfigError(f"unknown CRB policy {name!r}")
-
-
 def _cmd_crb(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    policy = _make_q_policy(args.policy, cfg)
+    policy = crb_policy(cfg, args.policy)
     state = bayesian_fim_init(cfg.initial_cov)
     true_state = cfg.initial_state
     rows = []

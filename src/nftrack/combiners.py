@@ -13,17 +13,22 @@ Five families:
           array, mixed edge-center ordered,
   mo      Riemannian descent on the unit-modulus manifold, minimizing the
           predicted posterior-covariance trace from a given starting point.
+
+SCHEMES is the one table of scheme tokens, and PredictionBuilder the one
+prediction-stage factory, fallbacks included, that tracking and the CRB use.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import cached_property
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
+from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
 from .estimation import _RANK_RTOL, Belief, Combiner, _factor_screen, _rank_deficient, psd_inverse
 from .geometry import ArrayConfig, Pose, antenna_indices, pair_distance
+from .rng import stream
 
 ORDERINGS = ("center_first", "edge_first", "mixed_edge_center")
 
@@ -39,21 +44,18 @@ _DOUBLINGS = 2.0 ** np.arange(1, 11)
 class CombinerSpec:
     """Scheme selector carried by the scenario configuration."""
 
-    kind: str  # fd | random | svd_pe | qom | mo
+    kind: str  # a kind of SCHEMES
     n_rf: int
-    mo_init: Optional[str] = None  # init scheme for kind == "mo"
+    mo_init: Optional[str] = None  # initializer kind for kind == "mo"
     mo_iters: int = 5
 
     def __post_init__(self):
-        if self.kind not in ("fd", "random", "svd_pe", "qom", "mo"):
-            raise ValueError(f"unknown combiner kind {self.kind!r}")
+        if scheme_label(self) is None:
+            raise ValueError(f"no scheme of kind {self.kind!r} with mo_init {self.mo_init!r}")
         if self.n_rf < 1:
             raise ValueError("n_rf must be >= 1")
-        if self.kind == "mo":
-            if self.mo_init not in ("random", "svd_pe", "qom"):
-                raise ValueError("mo combiner needs mo_init in {random, svd_pe, qom}")
-            if self.mo_iters < 1:
-                raise ValueError("mo_iters must be >= 1")
+        if self.kind == "mo" and self.mo_iters < 1:
+            raise ValueError("mo_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -408,3 +410,113 @@ def combiner_mo(
     if not info.improved:
         return init, info
     return Combiner(best_q, unit_modulus=True), info
+
+
+class PredictionBuilder:
+    """One trial's prediction-stage combiner factory.
+
+    Builders see only predicted quantities: the pose, the observation
+    Jacobian (asked for only by schemes that use it) and, for mo, the belief.
+    A builder that cannot work on its input falls back along its chain (see
+    SCHEMES) and records the step in fallback_steps once; an mo step that
+    accepts no line-search step is recorded in mo_stalled_steps.  The trial's
+    random combiner is drawn on first use from its keyed "combiner" stream.
+    """
+
+    def __init__(self, spec: CombinerSpec, array: ArrayConfig, seed: int, trial_index: int,
+                 noise_power: float):
+        self.spec, self.array, self.noise_power = spec, array, noise_power
+        self.fallback_steps: List[int] = []
+        self.mo_stalled_steps: List[int] = []
+        self._seed, self._trial_index = seed, trial_index
+        self._chain = SCHEMES[scheme_label(spec)].build
+        self._previous = None
+
+    def build(
+        self, k: int, pose: Pose, jacobian: Callable[[], np.ndarray], prior: Optional[Belief]
+    ) -> Combiner:
+        """Step k's combiner at the predicted pose; jacobian() returns the
+        predicted observation Jacobian, prior is the predicted belief."""
+        self._previous = self._chain(self, k, pose, jacobian, prior)
+        return self._previous
+
+    @cached_property
+    def identity(self) -> Combiner:
+        return combiner_fd(self.array)
+
+    @cached_property
+    def random(self) -> Combiner:
+        rng = stream(self._seed, self._trial_index, 0, "combiner")
+        return combiner_random(rng, self.spec.n_rf, self.array.n_b)
+
+    def _mark_fallback(self, k: int) -> None:
+        """Record step k as a fallback once, however many builders fell back."""
+        if self.fallback_steps[-1:] != [k]:
+            self.fallback_steps.append(k)
+
+    def _svd_pe(self, k, pose, jacobian, prior) -> Combiner:
+        try:
+            return combiner_svd_pe(jacobian(), self.spec.n_rf)
+        except DegenerateJacobian:
+            self._mark_fallback(k)
+            return self.random if self._previous is None else self._previous
+
+    def _qom(self, k, pose, jacobian, prior) -> Combiner:
+        try:
+            return combiner_qom(pose, self.array, self.spec.n_rf)
+        except DegenerateGeometry:
+            self._mark_fallback(k)
+            if self._previous is None:
+                return self._svd_pe(k, pose, jacobian, prior)
+            return self._previous
+
+    def _mo(self, k, pose, jacobian, prior) -> Combiner:
+        init = SCHEMES[_label(self.spec.mo_init, None)].build(self, k, pose, jacobian, prior)
+        comb, info = combiner_mo(init, prior, jacobian(), self.noise_power, self.spec.mo_iters)
+        if not info.improved:
+            self.mo_stalled_steps.append(k)
+        return comb
+
+
+class Scheme(NamedTuple):
+    """A scheme: its CombinerSpec kind and mo initializer kind, whether
+    `crb --policy` takes it, and its PredictionBuilder chain."""
+
+    kind: str
+    mo_init: Optional[str]
+    crb: bool
+    build: Callable[..., Combiner]
+
+
+# Token (= CSV label) -> scheme.  Fallbacks: svd_pe takes the previous
+# combiner, else the trial's random one; qom the previous combiner, else the
+# svd_pe chain; mo starts from its initializer's chain.
+SCHEMES = {
+    "fd": Scheme("fd", None, True, lambda builder, *_: builder.identity),
+    "rand": Scheme("random", None, True, lambda builder, *_: builder.random),
+    "svd_pe": Scheme("svd_pe", None, True, PredictionBuilder._svd_pe),
+    "qom": Scheme("qom", None, True, PredictionBuilder._qom),
+    "mo:rand": Scheme("mo", "random", False, PredictionBuilder._mo),
+    "mo:svd_pe": Scheme("mo", "svd_pe", False, PredictionBuilder._mo),
+    "mo:qom": Scheme("mo", "qom", False, PredictionBuilder._mo),
+}
+
+CRB_POLICIES = tuple(label for label, s in SCHEMES.items() if s.crb)
+
+
+def _label(kind: str, mo_init: Optional[str]) -> Optional[str]:
+    return next((lb for lb, s in SCHEMES.items() if (s.kind, s.mo_init) == (kind, mo_init)), None)
+
+
+def scheme_label(spec: CombinerSpec) -> Optional[str]:
+    """The SCHEMES token of a spec (mo_init counts only for mo), or None."""
+    return _label(spec.kind, spec.mo_init if spec.kind == "mo" else None)
+
+
+def parse_scheme(token: str, n_rf: int, n_b: int, mo_iters: int = 5) -> CombinerSpec:
+    """Translate a SCHEMES token, also spelled with kind names (random, mo:random)."""
+    token = token.strip().lower()
+    for label, s in SCHEMES.items():
+        if token in (label, s.kind if s.mo_init is None else f"mo:{s.mo_init}"):
+            return CombinerSpec(s.kind, n_b if s.kind == "fd" else n_rf, s.mo_init, mo_iters)
+    raise ConfigError(f"unknown scheme {token!r}")

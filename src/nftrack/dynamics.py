@@ -62,6 +62,8 @@ class ProcessNoiseSpec:
     def __post_init__(self):
         for name in ("sigma_v", "sigma_omega", "tau"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not np.isfinite([self.sigma_v, self.sigma_omega, self.tau]).all():
+            raise ValueError("process noise parameters must be finite")
         if self.sigma_v < 0 or self.sigma_omega < 0:
             raise ValueError("noise standard deviations must be nonnegative")
         if self.tau <= 0:

@@ -25,9 +25,5 @@ class SingularPriorCovariance(NfTrackError):
     """Prior covariance could not be inverted even after jitter."""
 
 
-class FilterDiverged(NfTrackError):
-    """Tracking filter lost a usable covariance; trial must be flagged."""
-
-
 class AssumptionViolated(NfTrackError):
     """Closed-form bound evaluated outside its domain of validity."""

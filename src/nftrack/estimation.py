@@ -201,13 +201,8 @@ def psd_inverse(m: np.ndarray, exc=SingularPriorCovariance) -> np.ndarray:
     raise exc("covariance not positive definite even after jitter")
 
 
-def row_space_projection(q: Combiner) -> np.ndarray:
-    """Q^H (Q Q^H)^-1 Q, computed through a Cholesky factor of the Gram matrix."""
-    return q.projection
-
-
 def score(
-    z,
+    z: np.ndarray,
     q: Combiner,
     b: np.ndarray,
     predicted_obs: np.ndarray,
@@ -217,8 +212,7 @@ def score(
 
     g = (2/sigma^2) Re{ B^H Q^H (Q Q^H)^-1 (z - Q b_pred) }.
     """
-    zvec = z.z if hasattr(z, "z") else np.asarray(z)
-    residual = zvec - q.apply(predicted_obs)
+    residual = z - q.apply(predicted_obs)
     weighted = q.solve_gram(residual)
     if q.is_identity:
         back = weighted

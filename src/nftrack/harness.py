@@ -10,36 +10,27 @@ trial parallelism.
 
 import csv
 import hashlib
+import itertools
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .combiners import (
-    CombinerSpec,
-    combiner_fd,
-    combiner_mo,
-    combiner_qom,
-    combiner_random,
-    combiner_svd_pe,
-)
+from .combiners import CombinerSpec, PredictionBuilder, parse_scheme, scheme_label
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_transition, sample_process_noise
-from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian, SingularPriorCovariance
-from .estimation import Belief, Combiner, ekf_predict, ekf_update
+from .errors import ConfigError, SingularPriorCovariance
+from .estimation import Belief, ekf_predict, ekf_update
 from .geometry import ArrayConfig, Pose, channel_matrix, pilot_response
-from .observation import full_snapshot, generate_pilot
+from .observation import Pilot, full_snapshot, generate_pilot
 from .rng import stream
 
 PILOT_POLICIES = ("per_trial", "per_step")
-
-# Scheme token -> CombinerSpec kind, and CombinerSpec kind -> CSV label.
-SCHEME_KINDS = {"fd": "fd", "rand": "random", "random": "random", "svd_pe": "svd_pe", "qom": "qom"}
-SCHEME_LABELS = {"fd": "fd", "random": "rand", "svd_pe": "svd_pe", "qom": "qom"}
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -69,13 +60,25 @@ class ScenarioConfig:
             raise ConfigError("p_m_dbm and noise_power_dbm must be finite")
         if self.k_steps < 1 or self.n_trials < 1:
             raise ConfigError("k_steps and n_trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.pilot_policy not in PILOT_POLICIES:
             raise ConfigError(f"pilot_policy must be one of {PILOT_POLICIES}")
         if self.burn_in < 0 or self.burn_in >= self.k_steps:
             raise ConfigError("burn_in must lie in [0, k_steps)")
+        if not np.isfinite(self.initial_state.as_vector()).all():
+            raise ConfigError("initial_state must be finite")
+        if self.initial_state.x == 0.0 and self.initial_state.y == 0.0:
+            raise ConfigError("initial_state cannot sit at the BS array center")
         cov = np.asarray(self.initial_cov, dtype=float)
         if cov.shape != (5, 5):
             raise ConfigError("initial_cov must be 5x5")
+        if not np.isfinite(cov).all():
+            raise ConfigError("initial_cov must be finite")
+        try:
+            np.linalg.cholesky(0.5 * (cov + cov.T))
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("initial_cov must be positive definite") from exc
         object.__setattr__(self, "initial_cov", cov)
         if self.combiner.kind == "fd":
             if self.combiner.n_rf != self.array.n_b:
@@ -183,7 +186,7 @@ class ScenarioConfig:
                 wrap_psi_rmse=bool(d.get("wrap_psi_rmse", True)),
                 burn_in=int(d.get("burn_in", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid scenario configuration: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -273,27 +276,6 @@ def write_manifest(out_path, cfg: ScenarioConfig, **extra) -> None:
         fh.write("\n")
 
 
-def scheme_label(spec: CombinerSpec) -> str:
-    if spec.kind == "mo":
-        return f"mo:{SCHEME_LABELS[spec.mo_init]}"
-    return SCHEME_LABELS[spec.kind]
-
-
-def parse_scheme(token: str, n_rf: int, n_b: int, mo_iters: int = 5) -> CombinerSpec:
-    """Translate a CLI scheme token (fd, rand, svd_pe, qom, mo:<init>)."""
-    token = token.strip().lower()
-    if token.startswith("mo:"):
-        init = token[3:]
-        init_kind = SCHEME_KINDS.get(init)
-        if init_kind in (None, "fd"):
-            raise ConfigError(f"unknown mo initializer {init!r}")
-        return CombinerSpec(kind="mo", n_rf=n_rf, mo_init=init_kind, mo_iters=mo_iters)
-    kind = SCHEME_KINDS.get(token)
-    if kind is None:
-        raise ConfigError(f"unknown scheme {token!r}")
-    return CombinerSpec(kind=kind, n_rf=n_b if kind == "fd" else n_rf)
-
-
 def simulate_truth(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
     """True trajectory, shared by every scheme within a trial."""
     states = np.zeros((cfg.k_steps + 1, 5))
@@ -306,78 +288,6 @@ def simulate_truth(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
     return states
 
 
-class _CombinerBuilder:
-    """Per-trial combiner factory implementing the prediction-stage contract.
-
-    Builders see only the predicted belief.  A degenerate mode geometry
-    falls back to the previous step's combiner (at the first step, to the
-    phase-extracted SVD combiner) and flags the step.
-    """
-
-    def __init__(self, cfg: ScenarioConfig, trial_index: int):
-        self.cfg = cfg
-        self.spec = cfg.combiner
-        self.noise_power = cfg.noise_power_watts
-        self._identity = None
-        self._random = None
-        self._previous = None
-        if self.spec.kind == "fd":
-            self._identity = combiner_fd(cfg.array)
-        if self.spec.kind == "random" or (self.spec.kind == "mo" and self.spec.mo_init == "random"):
-            rng = stream(cfg.seed, trial_index, 0, "combiner")
-            self._random = combiner_random(rng, self.spec.n_rf, cfg.array.n_b)
-
-    def build(self, prior: Belief, b_jac: np.ndarray, record: TrialRecord, k: int) -> Combiner:
-        spec = self.spec
-        if spec.kind == "fd":
-            return self._identity
-        if spec.kind == "random":
-            return self._random
-        if spec.kind == "svd_pe":
-            comb = self._svd_or_fallback(prior, b_jac, record, k)
-        elif spec.kind == "qom":
-            comb = self._qom_or_fallback(prior, b_jac, record, k)
-        else:  # mo
-            init = self._mo_init(prior, b_jac, record, k)
-            comb, info = combiner_mo(init, prior, b_jac, self.noise_power, spec.mo_iters)
-            if not info.improved:
-                record.mo_stalled_steps.append(k)
-        self._previous = comb
-        return comb
-
-    @staticmethod
-    def _mark_fallback(record, k) -> None:
-        """Record step k as a fallback once, however many builders fell back."""
-        if record.fallback_steps[-1:] != [k]:
-            record.fallback_steps.append(k)
-
-    def _svd_or_fallback(self, prior, b_jac, record, k) -> Combiner:
-        try:
-            return combiner_svd_pe(b_jac, self.spec.n_rf)
-        except DegenerateJacobian:
-            self._mark_fallback(record, k)
-            if self._previous is not None:
-                return self._previous
-            rng = stream(self.cfg.seed, record.trial_index, 0, "combiner")
-            return combiner_random(rng, self.spec.n_rf, self.cfg.array.n_b)
-
-    def _qom_or_fallback(self, prior, b_jac, record, k) -> Combiner:
-        try:
-            return combiner_qom(prior.mean.pose, self.cfg.array, self.spec.n_rf)
-        except DegenerateGeometry:
-            self._mark_fallback(record, k)
-            if self._previous is not None:
-                return self._previous
-            return self._svd_or_fallback(prior, b_jac, record, k)
-
-    def _mo_init(self, prior, b_jac, record, k) -> Combiner:
-        if self.spec.mo_init == "random":
-            return self._random
-        if self.spec.mo_init == "svd_pe":
-            return self._svd_or_fallback(prior, b_jac, record, k)
-        return self._qom_or_fallback(prior, b_jac, record, k)
-
-
 class _SchemeFilter:
     """One scheme's predictive-combining EKF over a trial's shared truth."""
 
@@ -385,7 +295,9 @@ class _SchemeFilter:
                  h_true_sq: np.ndarray):
         k_steps = cfg.k_steps
         self.cfg = cfg
-        self.builder = _CombinerBuilder(cfg, trial_index)
+        self.builder = PredictionBuilder(
+            cfg.combiner, cfg.array, cfg.seed, trial_index, cfg.noise_power_watts
+        )
         self.belief = Belief(mean=cfg.initial_state, cov=cfg.initial_cov.copy())
         self.record = TrialRecord(
             trial_index=trial_index,
@@ -395,6 +307,8 @@ class _SchemeFilter:
             post_means=np.zeros((k_steps, 5)),
             post_covs=np.zeros((k_steps, 5, 5)),
             pilot_norm_sq=0.0,
+            fallback_steps=self.builder.fallback_steps,
+            mo_stalled_steps=self.builder.mo_stalled_steps,
             h_err_sq=np.zeros(k_steps),
             h_true_sq=h_true_sq,
         )
@@ -413,7 +327,7 @@ class _SchemeFilter:
             b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
             try:
                 # The MO builder and the update share prior.info, one inverse.
-                combiner = self.builder.build(prior, b_jac, record, k)
+                combiner = self.builder.build(k, prior.mean.pose, lambda: b_jac, prior)
                 self.belief = ekf_update(
                     prior, combiner.apply(y), combiner, pilot, cfg.array,
                     cfg.noise_power_watts, b_jac=b_jac, predicted_obs=b_pred,
@@ -425,6 +339,37 @@ class _SchemeFilter:
         record.post_covs[i] = self.belief.cov
         h_est = channel_matrix(Pose(*record.post_means[i, :3]), cfg.array)
         record.h_err_sq[i] = np.linalg.norm(h_est - h_true) ** 2
+
+
+def _draw_pilot(cfg: ScenarioConfig, trial_index: int, step: int) -> Pilot:
+    """The pilot of (trial, step); step 0 is the per-trial pilot."""
+    rng = stream(cfg.seed, trial_index, step, "pilot")
+    return generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
+
+
+def crb_policy(cfg: ScenarioConfig, token: str):
+    """The CRB combiner policy(pose, derivs) of a scheme token.
+
+    It is trial 0's PredictionBuilder, with trial 0's random combiner and
+    per-trial pilot, so the bound sees the combiner a tracking filter builds,
+    fallbacks included.  The observation Jacobian is formed from the step's
+    channel derivatives, only when the scheme asks for it.
+    """
+    builder = PredictionBuilder(
+        parse_scheme(token, cfg.combiner.n_rf, cfg.array.n_b), cfg.array, cfg.seed, 0,
+        cfg.noise_power_watts,
+    )
+    pilot = cache(lambda: _draw_pilot(cfg, 0, 0))
+    steps = itertools.count(1)
+
+    def jacobian(derivs) -> np.ndarray:
+        # The columns bit for bit as pilot_response builds them.
+        b = np.zeros((cfg.array.n_b, 5), dtype=complex)
+        for col, j in enumerate(derivs):
+            b[:, col] = j @ pilot().symbols
+        return b
+
+    return lambda pose, derivs: builder.build(next(steps), pose, lambda: jacobian(derivs), None)
 
 
 def run_trial(
@@ -444,14 +389,10 @@ def run_trial(
         for spec in schemes
     ]
 
-    def draw_pilot(step: int):
-        rng = stream(cfg.seed, trial_index, step, "pilot")
-        return generate_pilot(rng, cfg.p_m_watts, array.n_m)
-
-    pilot = draw_pilot(0) if cfg.pilot_policy == "per_trial" else None
+    pilot = _draw_pilot(cfg, trial_index, 0) if cfg.pilot_policy == "per_trial" else None
     for k in range(1, cfg.k_steps + 1):
         if cfg.pilot_policy == "per_step":
-            pilot = draw_pilot(k)
+            pilot = _draw_pilot(cfg, trial_index, k)
         h_true = channel_matrix(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(

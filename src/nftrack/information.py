@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .combiners import combiner_fd
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import AssumptionViolated
 from .estimation import Combiner, _symmetrize
@@ -56,6 +57,12 @@ def avg_fisher(
     else:
         norms_sq = [q.projection_norm_sq(j) for j in derivs]
     return AvgFisher(*(scale * v for v in norms_sq))
+
+
+def digital_avg_fisher(pose: Pose, cfg: ArrayConfig, p_m: float, noise_power: float) -> AvgFisher:
+    """avg_fisher of the fully digital receiver (identity combiner) at a pose."""
+    derivs = channel_derivatives(pose, cfg)
+    return avg_fisher(derivs, combiner_fd(cfg), p_m, noise_power, cfg.n_m)
 
 
 def expected_fim(

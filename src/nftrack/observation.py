@@ -1,4 +1,4 @@
-"""Uplink pilot, compressed observation, and the observation Jacobian.
+"""Uplink pilot, full-array snapshot, and the observation Jacobian.
 
 Observation noise is always drawn on the full BS array and compressed by the
 combiner afterwards.  This preserves the correlated compressed-noise
@@ -7,11 +7,9 @@ identical full-array noise realization.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .estimation import Combiner
 from .geometry import ArrayConfig, Pose, pilot_response
 
 
@@ -21,12 +19,6 @@ class Pilot:
 
     symbols: np.ndarray
     power: float  # W
-
-
-@dataclass(frozen=True)
-class Observation:
-    z: np.ndarray  # compressed snapshot, length = combiner rows
-    y_full: Optional[np.ndarray] = None  # uncompressed snapshot, diagnostics only
 
 
 def generate_pilot(rng: np.random.Generator, power_watts: float, n_m: int) -> Pilot:
@@ -49,21 +41,6 @@ def full_snapshot(
         scale = np.sqrt(noise_power / 2)
         y = y + scale * (rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b))
     return y
-
-
-def observe(
-    h: np.ndarray,
-    pilot: Pilot,
-    q: Combiner,
-    noise_power: float,
-    rng: np.random.Generator,
-    keep_full: bool = False,
-) -> Observation:
-    """z = Q (H x + n) with n ~ CN(0, noise_power * I) on the full array."""
-    if q.n_b != h.shape[0]:
-        raise ValueError(f"combiner has {q.n_b} columns, channel has {h.shape[0]} rows")
-    y = full_snapshot(h, pilot, noise_power, rng)
-    return Observation(z=q.apply(y), y_full=y if keep_full else None)
 
 
 def observation_jacobian(pose: Pose, cfg: ArrayConfig, pilot: Pilot) -> np.ndarray:

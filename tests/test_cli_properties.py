@@ -1,0 +1,59 @@
+"""Property test of the CLI on malformed scenario files: one leaf of
+configs/desk.json replaced by a bad value ends in exit 0, 2 or 3, never in an
+exception."""
+
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from nftrack.cli import main as cli_main
+
+DESK = json.loads((Path(__file__).resolve().parent.parent / "configs" / "desk.json").read_text())
+
+# Every run is one filter or CRB step (one trial), or a two-point Fisher sweep
+# over small arrays, in this process: no --threads, so no process pool starts.
+COMMANDS = (
+    ["track", "--steps", "1", "--trials", "1"],
+    ["crb", "--steps", "1"],
+    ["fisher", "--sweep", "nb:33:66:2"],
+)
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = list(_leaves(DESK))
+
+# Negative numbers stay small, so no antenna count or step count is ever huge.
+BAD_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, 0.0, "x", [1.0], None]),
+    st.integers(-1000, -1),
+    st.floats(-1e3, -1e-3),
+)
+
+
+def _replaced(path, value):
+    data = json.loads(json.dumps(DESK))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(LEAVES), BAD_VALUES, st.sampled_from(COMMANDS))
+def test_malformed_config_leaf_exits_cleanly(tmp_path_factory, path, value, command):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(_replaced(path, value)))
+    assert cli_main([*command, "--config", str(cfg), "--out", str(tmp / "out.csv")]) in (0, 2, 3)

@@ -2,7 +2,6 @@
 prediction-stage fallbacks on degenerate input."""
 
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from scipy.linalg import cho_factor
 
 from nftrack.combiners import (
     CombinerSpec,
+    PredictionBuilder,
     _fix_singular_vector_signs,
     _mo_objective,
     _rank_gate,
@@ -22,7 +22,7 @@ from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
 from nftrack.estimation import _RANK_RTOL, Combiner, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose
-from nftrack.harness import ScenarioConfig, _CombinerBuilder
+from nftrack.harness import ScenarioConfig
 from nftrack.observation import generate_pilot, observation_jacobian
 from nftrack.rng import stream
 
@@ -167,35 +167,35 @@ def _builder(kind, n_rf, pose=Pose(15, -15, 3 * np.pi / 8), seed=11):
         combiner=CombinerSpec(kind=kind, n_rf=n_rf),
         seed=seed,
     )
-    record = SimpleNamespace(trial_index=0, fallback_steps=[], mo_stalled_steps=[])
-    return _CombinerBuilder(cfg, 0), record, cfg
+    builder = PredictionBuilder(cfg.combiner, cfg.array, cfg.seed, 0, cfg.noise_power_watts)
+    return builder, cfg
 
 
-def _prior(pose):
-    return SimpleNamespace(mean=MsState(pose.x, pose.y, pose.psi, 10, 0.1))
+def _build(builder, k, pose, b):
+    return builder.build(k, pose, lambda: b, None)
 
 
 @PROPERTY
 @given(st.integers(1, 3), st.integers(0, 1000))
 def test_svd_pe_falls_back_on_zero_jacobian(n_rf, seed):
-    builder, record, cfg = _builder("svd_pe", n_rf, seed=seed)
+    builder, cfg = _builder("svd_pe", n_rf, seed=seed)
     pose = cfg.initial_state.pose
     zero = np.zeros((cfg.array.n_b, 5), dtype=complex)
     with pytest.raises(DegenerateJacobian):
         combiner_svd_pe(zero, n_rf)
 
     # First step: the trial's random combiner, drawn from its "combiner" stream.
-    first = builder.build(_prior(pose), zero, record, 1)
+    first = _build(builder, 1, pose, zero)
     rand = combiner_random(stream(seed, 0, 0, "combiner"), n_rf, cfg.array.n_b)
     assert first.q.tobytes() == rand.q.tobytes()
-    assert record.fallback_steps == [1]
+    assert builder.fallback_steps == [1]
 
     b = _jacobian(cfg.array.n_b)
-    second = builder.build(_prior(pose), b, record, 2)
+    second = _build(builder, 2, pose, b)
     assert second.q.tobytes() == combiner_svd_pe(b, n_rf).q.tobytes()
     # Later steps: the previous step's combiner.
-    assert builder.build(_prior(pose), zero, record, 3) is second
-    assert record.fallback_steps == [1, 3]
+    assert _build(builder, 3, pose, zero) is second
+    assert builder.fallback_steps == [1, 3]
 
 
 @st.composite
@@ -215,22 +215,22 @@ def degenerate_pose(draw):
 @PROPERTY
 @given(degenerate_pose(), st.integers(1, 3))
 def test_qom_falls_back_on_degenerate_pose(pose, n_rf):
-    builder, record, cfg = _builder("qom", n_rf)
+    builder, cfg = _builder("qom", n_rf)
     with pytest.raises(DegenerateGeometry):
         combiner_qom(pose, cfg.array, n_rf)
     b = _jacobian(cfg.array.n_b, pose=pose)
 
     # First step: the phase-extracted SVD combiner of the same Jacobian.
-    first = builder.build(_prior(pose), b, record, 1)
+    first = _build(builder, 1, pose, b)
     assert first.q.tobytes() == combiner_svd_pe(b, n_rf).q.tobytes()
-    assert record.fallback_steps == [1]
+    assert builder.fallback_steps == [1]
 
     good = cfg.initial_state.pose
-    second = builder.build(_prior(good), _jacobian(cfg.array.n_b), record, 2)
+    second = _build(builder, 2, good, _jacobian(cfg.array.n_b))
     assert second.q.tobytes() == combiner_qom(good, cfg.array, n_rf).q.tobytes()
     # Later steps: the previous step's combiner.
-    assert builder.build(_prior(pose), b, record, 3) is second
-    assert record.fallback_steps == [1, 3]
+    assert _build(builder, 3, pose, b) is second
+    assert builder.fallback_steps == [1, 3]
 
 
 @PROPERTY
@@ -238,11 +238,11 @@ def test_qom_falls_back_on_degenerate_pose(pose, n_rf):
 def test_qom_then_svd_pe_fallback_records_the_step_once(pose, n_rf, seed):
     # Degenerate qom geometry and a zero Jacobian for its svd_pe fallback:
     # both builders fall back at step 1, which is recorded once.
-    builder, record, cfg = _builder("qom", n_rf, seed=seed)
+    builder, cfg = _builder("qom", n_rf, seed=seed)
     zero = np.zeros((cfg.array.n_b, 5), dtype=complex)
-    first = builder.build(_prior(pose), zero, record, 1)
+    first = _build(builder, 1, pose, zero)
     rand = combiner_random(stream(seed, 0, 0, "combiner"), n_rf, cfg.array.n_b)
     assert first.q.tobytes() == rand.q.tobytes()
-    assert record.fallback_steps == [1]
-    assert builder.build(_prior(pose), zero, record, 2) is first
-    assert record.fallback_steps == [1, 2]
+    assert builder.fallback_steps == [1]
+    assert _build(builder, 2, pose, zero) is first
+    assert builder.fallback_steps == [1, 2]

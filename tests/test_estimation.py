@@ -17,11 +17,10 @@ from nftrack.estimation import (
     ekf_update,
     fim,
     psd_inverse,
-    row_space_projection,
     score,
 )
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
-from nftrack.observation import Pilot, generate_pilot, observation_jacobian, observe
+from nftrack.observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
 
 F28 = 28e9
 
@@ -41,19 +40,19 @@ def make_b_and_pred(cfg, pose, pilot):
 
 def test_projection_identity():
     q = combiner_fd(cfg_small())
-    np.testing.assert_allclose(row_space_projection(q), np.eye(17), atol=1e-12)
+    np.testing.assert_allclose(q.projection, np.eye(17), atol=1e-12)
 
 
 def test_projection_single_ones_row():
     n = 12
     q = Combiner(np.ones((1, n), dtype=complex), unit_modulus=True)
-    np.testing.assert_allclose(row_space_projection(q), np.full((n, n), 1 / n), atol=1e-12)
+    np.testing.assert_allclose(q.projection, np.full((n, n), 1 / n), atol=1e-12)
 
 
 def test_projection_laws_random_sign_combiner():
     rng = np.random.default_rng(0)
     q = combiner_random(rng, 3, 32)
-    p = row_space_projection(q)
+    p = q.projection
     np.testing.assert_allclose(p @ p, p, atol=1e-9)
     np.testing.assert_allclose(p.conj().T, p, atol=1e-9)
     assert np.real(np.trace(p)) == pytest.approx(3.0, abs=1e-9)
@@ -104,8 +103,8 @@ def test_score_velocity_components_always_zero():
     q = combiner_random(np.random.default_rng(3), 3, cfg.n_b)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        obs = observe(channel_matrix(pose, cfg), pilot, q, 1e-10, rng)
-        g = score(obs, q, b, pred, 1e-10)
+        z = q.apply(full_snapshot(channel_matrix(pose, cfg), pilot, 1e-10, rng))
+        g = score(z, q, b, pred, 1e-10)
         assert g[3] == 0.0 and g[4] == 0.0
 
 
@@ -121,8 +120,8 @@ def test_score_zero_mean_at_truth():
     n_draws = 10_000
     samples = np.zeros((n_draws, 5))
     for i in range(n_draws):
-        obs = observe(h, pilot, q, sigma2, rng)
-        samples[i] = score(obs, q, b, pred, sigma2)
+        z = q.apply(full_snapshot(h, pilot, sigma2, rng))
+        samples[i] = score(z, q, b, pred, sigma2)
     f = fim(b, q, sigma2)
     std_err = np.sqrt(np.diag(f) / n_draws)
     for j in range(3):
@@ -326,8 +325,9 @@ def test_update_with_zero_pilot_keeps_prior():
     pilot = Pilot(symbols=np.zeros(cfg.n_m, dtype=complex), power=1.0)
     prior = Belief(MsState(10, -5, 0.4, 8, 0.05), np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     q = combiner_fd(cfg)
-    obs = observe(channel_matrix(prior.mean.pose, cfg), pilot, q, 1e-10, np.random.default_rng(17))
-    post = ekf_update(prior, obs, q, pilot, cfg, 1e-10)
+    h = channel_matrix(prior.mean.pose, cfg)
+    z = q.apply(full_snapshot(h, pilot, 1e-10, np.random.default_rng(17)))
+    post = ekf_update(prior, z, q, pilot, cfg, 1e-10)
     np.testing.assert_allclose(post.mean.as_vector(), prior.mean.as_vector(), atol=1e-12)
     np.testing.assert_allclose(post.cov, prior.cov, rtol=1e-9)
 
@@ -339,8 +339,9 @@ def test_update_information_dominance_small_noise():
     true_pose = Pose(10, -5, 0.4)
     prior = Belief(MsState(10, -5, 0.4, 8, 0.05), np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     q = combiner_fd(cfg)
-    obs = observe(channel_matrix(true_pose, cfg), pilot, q, sigma2, np.random.default_rng(19))
-    post = ekf_update(prior, obs, q, pilot, cfg, sigma2)
+    h = channel_matrix(true_pose, cfg)
+    z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(19)))
+    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
     assert np.trace(post.cov[:3, :3]) < np.trace(prior.cov[:3, :3]) / 10
 
 
@@ -350,8 +351,9 @@ def test_update_loewner_order():
     pilot = generate_pilot(np.random.default_rng(20), 0.01, cfg.n_m)
     prior = Belief(MsState(12, -9, 1.0, 9, 0.1), np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     q = combiner_random(np.random.default_rng(21), 3, cfg.n_b)
-    obs = observe(channel_matrix(prior.mean.pose, cfg), pilot, q, sigma2, np.random.default_rng(22))
-    post = ekf_update(prior, obs, q, pilot, cfg, sigma2)
+    h = channel_matrix(prior.mean.pose, cfg)
+    z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(22)))
+    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
     assert np.all(np.linalg.eigvalsh(prior.cov - post.cov) >= -1e-10)
 
 
@@ -363,13 +365,14 @@ def test_update_against_scalar_reimplementation():
     true_pose = Pose(10.01, -5.02, 0.41)
     prior = Belief(MsState(10, -5, 0.4, 8, 0.05), np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     q = combiner_random(np.random.default_rng(24), 3, cfg.n_b)
-    obs = observe(channel_matrix(true_pose, cfg), pilot, q, sigma2, np.random.default_rng(25))
-    post = ekf_update(prior, obs, q, pilot, cfg, sigma2)
+    h = channel_matrix(true_pose, cfg)
+    z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(25)))
+    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
 
     qm = q.q
     b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
     gram_inv = np.linalg.pinv(qm @ qm.conj().T)
-    g_ref = (2 / sigma2) * np.real(b.conj().T @ qm.conj().T @ gram_inv @ (obs.z - qm @ pred))
+    g_ref = (2 / sigma2) * np.real(b.conj().T @ qm.conj().T @ gram_inv @ (z - qm @ pred))
     p_q = qm.conj().T @ gram_inv @ qm
     f_ref = (2 / sigma2) * np.real(b.conj().T @ p_q @ b)
     p_post_ref = np.linalg.inv(np.linalg.inv(prior.cov) + f_ref)

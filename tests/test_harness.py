@@ -13,7 +13,7 @@ import pytest
 
 import nftrack
 from nftrack.cli import main as cli_main
-from nftrack.combiners import CombinerSpec, combiner_svd_pe
+from nftrack.combiners import SCHEMES, CombinerSpec, combiner_svd_pe
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
@@ -227,7 +227,8 @@ def _record_bytes(rec):
         # psi == theta with no motion: the mode geometry is degenerate at
         # k=1, so qom and mo:qom log fallback steps
         ("degenerate", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:qom")),
-        # a NaN prior makes every update fail at k=1, so each trial diverges
+        # a noise power of 1e-320 W overflows the data information at k=1,
+        # so every update fails and each trial diverges
         ("diverged", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:svd_pe", "mo:qom")),
     ],
 )
@@ -235,7 +236,7 @@ def test_multi_scheme_trial_matches_single_scheme(case, tokens):
     if case == "degenerate":
         cfg = tiny_config(initial_state=MsState(10, 10, np.pi / 4, 0.0, 0.0), k_steps=5)
     else:
-        cfg = tiny_config(initial_cov=np.diag([np.nan, 0.05**2, 0.001**2, 1.0, 1e-4]), k_steps=4)
+        cfg = tiny_config(noise_power_dbm=-3170.0, k_steps=4)
     specs = [parse_scheme(tok, 3, cfg.array.n_b) for tok in tokens]
     together = run_trial(cfg, 1, specs)
     assert len(together) == len(specs)
@@ -332,6 +333,29 @@ def test_csv_output_determinism(tmp_path):
     assert manifest["seed"] == cfg.seed
 
 
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+
+def _desk_with(path, **changes):
+    """Write configs/desk.json with top-level entries replaced (dicts merged)."""
+    d = json.loads(DESK.read_text())
+    for key, value in changes.items():
+        d[key] = {**d[key], **value} if isinstance(value, dict) else value
+    path.write_text(json.dumps(d))
+    return path
+
+
+# Malformed configs: configs/desk.json with one field changed.
+BAD_DESK = {
+    "cov_neg": {"initial_cov_diag": [0.0025, 0.0025, -1e-6, 1.0, 1e-4]},
+    "cov_nan": {"initial_cov": np.diag([np.nan, 0.0025, 1e-6, 1.0, 1e-4]).tolist()},
+    "x_nan": {"initial_state": {"x_m": np.nan}},
+    "tau_nan": {"process_noise": {"tau_s": np.nan}},
+    "sigma_v_inf": {"process_noise": {"sigma_v_mps2": np.inf}},
+    "at_bs_center": {"initial_state": {"x_m": 0.0, "y_m": 0.0}},
+}
+
+
 def _write_cli_config(tmp_path):
     cfg = tiny_config(k_steps=4, n_trials=2)
     p = tmp_path / "scenario.json"
@@ -385,9 +409,24 @@ def test_cli_crb(tmp_path):
         ["fisher", "--config", "{config}", "--sweep", "nb:68:275:0"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "nan"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "inf"],
+        ["track", "--config", "{cov_neg}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{cov_neg}", "--steps", "1"],
+        ["track", "--config", "{cov_nan}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{cov_nan}", "--steps", "1"],
+        ["track", "--config", "{x_nan}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{x_nan}", "--steps", "1"],
+        ["track", "--config", "{tau_nan}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{tau_nan}", "--steps", "1"],
+        ["track", "--config", "{sigma_v_inf}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{sigma_v_inf}", "--steps", "1"],
+        ["fisher", "--config", "{sigma_v_inf}", "--sweep", "nb:33:66:2"],
+        ["fisher", "--config", "{at_bs_center}", "--sweep", "nb:33:66:2"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
-         "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf"],
+         "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
+         "track-cov-not-pd", "crb-cov-not-pd", "track-cov-nan", "crb-cov-nan",
+         "track-x-nan", "crb-x-nan", "track-tau-nan", "crb-tau-nan", "track-sigma-v-inf",
+         "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -395,6 +434,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys, argv):
         "config": _write_cli_config(tmp_path),
         "no_y": tmp_path / "no_y.json",
         "at_origin": tmp_path / "at_origin.json",
+        **{name: _desk_with(tmp_path / f"{name}.json", **changes)
+           for name, changes in BAD_DESK.items()},
     }
     paths["no_y"].write_text(json.dumps([{"x_m": 15.0, "psi_rad": 0.0}]))
     paths["at_origin"].write_text(json.dumps([{"x_m": 0.0, "y_m": 0.0, "psi_rad": 0.0}]))
@@ -485,15 +526,44 @@ def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatc
     argv = ["crb", "--config", str(p), "--policy", "svd_pe", "--steps", "8"]
     assert cli_main([*argv, "--out", str(tmp_path / "derivs.csv")]) == 0
 
-    def reference_policy(name, cfg):
+    def reference_policy(cfg, token):
         pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, cfg.array.n_m)
         return lambda pose, derivs: combiner_svd_pe(
             observation_jacobian(pose, cfg.array, pilot), cfg.combiner.n_rf
         )
 
-    monkeypatch.setattr(nftrack.cli, "_make_q_policy", reference_policy)
+    monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
     assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
     assert (tmp_path / "derivs.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_cli_crb_qom_falls_back_as_track_does(tmp_path):
+    # Static degenerate trajectory (psi == theta, no motion, no process
+    # noise): qom falls back to svd_pe at step 1 and then reuses that
+    # combiner at the same pose, so its bound equals svd_pe's byte for byte.
+    p = _desk_with(
+        tmp_path / "static.json",
+        initial_state={"x_m": 10.0, "y_m": 10.0, "psi_rad": np.pi / 4, "v_mps": 0.0,
+                       "omega_radps": 0.0},
+        process_noise={"sigma_v_mps2": 0.0, "sigma_omega_radps2": 0.0},
+    )
+    for policy in ("qom", "svd_pe"):
+        argv = ["crb", "--config", str(p), "--policy", policy, "--steps", "4"]
+        assert cli_main([*argv, "--out", str(tmp_path / f"{policy}.csv")]) == 0
+    assert (tmp_path / "qom.csv").read_bytes() == (tmp_path / "svd_pe.csv").read_bytes()
+
+
+@pytest.mark.parametrize("token", list(SCHEMES))
+def test_every_registry_scheme_tracks_and_bounds(tmp_path, token):
+    spec = parse_scheme(token, 3, 33)
+    assert scheme_label(spec) == token
+    cfg = tiny_config(k_steps=2, n_trials=1)
+    rec = run_trial(cfg, 0, [spec])[0]
+    assert rec.diverged_at is None
+    assert np.trace(rec.post_covs[-1, :3, :3]) < np.trace(rec.prior_covs[-1, :3, :3])
+    argv = ["crb", "--config", str(_write_cli_config(tmp_path)), "--out",
+            str(tmp_path / "crb.csv"), "--policy", token, "--steps", "2"]
+    assert cli_main(argv) == (0 if SCHEMES[token].crb else 2)
 
 
 @pytest.mark.parametrize("argv,builds", [

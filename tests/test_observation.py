@@ -6,7 +6,7 @@ import pytest
 from nftrack.combiners import combiner_fd
 from nftrack.estimation import Combiner
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
-from nftrack.observation import Pilot, generate_pilot, observation_jacobian, observe
+from nftrack.observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
 
 F28 = 28e9
 
@@ -39,8 +39,8 @@ def test_noiseless_full_observation():
     pose = Pose(12, -5, 0.3)
     h = channel_matrix(pose, cfg)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
-    obs = observe(h, pilot, combiner_fd(cfg), 0.0, np.random.default_rng(2))
-    np.testing.assert_allclose(obs.z, h @ pilot.symbols, rtol=1e-14)
+    z = combiner_fd(cfg).apply(full_snapshot(h, pilot, 0.0, np.random.default_rng(2)))
+    np.testing.assert_allclose(z, h @ pilot.symbols, rtol=1e-14)
 
 
 def test_noise_quadratic_form():
@@ -55,7 +55,7 @@ def test_noise_quadratic_form():
     signal = q.apply(h @ pilot.symbols)
     rng_noise = np.random.default_rng(5)
     sq = [
-        np.linalg.norm(observe(h, pilot, q, sigma2, rng_noise).z - signal) ** 2
+        np.linalg.norm(q.apply(full_snapshot(h, pilot, sigma2, rng_noise)) - signal) ** 2
         for _ in range(10_000)
     ]
     expected = sigma2 * np.real(np.trace(q.q @ q.q.conj().T))
@@ -69,7 +69,7 @@ def test_all_ones_row_noise_variance():
     pilot = Pilot(symbols=np.zeros(cfg.n_m, dtype=complex), power=1.0)
     q = Combiner(np.ones((1, cfg.n_b), dtype=complex), unit_modulus=True)
     rng = np.random.default_rng(6)
-    vals = np.array([observe(h, pilot, q, 1.0, rng).z[0] for _ in range(20_000)])
+    vals = np.array([q.apply(full_snapshot(h, pilot, 1.0, rng))[0] for _ in range(20_000)])
     assert np.var(vals) == pytest.approx(cfg.n_b, rel=0.05)
 
 
@@ -81,8 +81,8 @@ def test_observation_linearity_in_pilot():
     alpha = 2.0 - 1.5j
     scaled = Pilot(symbols=alpha * pilot.symbols, power=pilot.power)
     q = combiner_fd(cfg)
-    z1 = observe(h, pilot, q, 0.0, np.random.default_rng(0)).z
-    z2 = observe(h, scaled, q, 0.0, np.random.default_rng(0)).z
+    z1 = q.apply(full_snapshot(h, pilot, 0.0, np.random.default_rng(0)))
+    z2 = q.apply(full_snapshot(h, scaled, 0.0, np.random.default_rng(0)))
     np.testing.assert_allclose(z2, alpha * z1, rtol=1e-12)
 
 
@@ -96,21 +96,17 @@ def test_compression_consistency():
     rng_q = np.random.default_rng(9)
     q = Combiner((rng_q.integers(0, 2, (3, cfg.n_b)) * 2 - 1).astype(complex), unit_modulus=True)
     sigma2 = 1e-9
-    full = observe(h, pilot, combiner_fd(cfg), sigma2, np.random.default_rng(11))
-    compressed = observe(h, pilot, q, sigma2, np.random.default_rng(11))
-    np.testing.assert_allclose(compressed.z, q.apply(full.z), rtol=1e-12)
+    full = combiner_fd(cfg).apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(11)))
+    compressed = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(11)))
+    np.testing.assert_allclose(compressed, q.apply(full), rtol=1e-12)
 
 
-def test_observe_shape_mismatch():
+def test_full_snapshot_pilot_length_mismatch():
     cfg = cfg_small()
     h = channel_matrix(Pose(10, 2, 0), cfg)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m + 1)
     with pytest.raises(ValueError):
-        observe(h, pilot, combiner_fd(cfg), 0.0, np.random.default_rng(0))
-    q_wrong = Combiner(np.ones((2, cfg.n_b + 3), dtype=complex), unit_modulus=True)
-    pilot_ok = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
-    with pytest.raises(ValueError):
-        observe(h, pilot_ok, q_wrong, 0.0, np.random.default_rng(0))
+        full_snapshot(h, pilot, 0.0, np.random.default_rng(0))
 
 
 def test_jacobian_velocity_columns_zero():
