@@ -25,8 +25,9 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
-from .estimation import _RANK_RTOL, Belief, Combiner, _factor_screen, _rank_deficient, psd_inverse
+from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian
+from .errors import RankDeficientCombiner, SingularPriorCovariance
+from .estimation import _RANK_RTOL, Belief, Combiner, _factor_screen, _rank_deficient
 from .geometry import ArrayConfig, Pose, antenna_indices, pair_distance
 from .rng import stream
 
@@ -36,8 +37,10 @@ ORDERINGS = ("center_first", "edge_first", "mixed_edge_center")
 # aperture: the mode resolution is undefined and callers must fall back.
 _GEOMETRY_EPS = 1e-12
 
-# Line-search step factors 2^j: up to ten doublings, or ten halvings.
-_DOUBLINGS = 2.0 ** np.arange(1, 11)
+# Line-search step factors: the probe and its ten doublings, and ten halvings.
+_PROBE_AND_DOUBLINGS = 2.0 ** np.arange(11)
+_HALVINGS = 2.0 ** -np.arange(1, 11)
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -231,10 +234,6 @@ def _h(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.swapaxes(-1, -2))
-
-
 def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
     """Raise RankDeficientCombiner where smallest/largest singular value of Q
     is at most _RANK_RTOL, the gate of Combiner.
@@ -253,87 +252,70 @@ def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
             raise _rank_deficient(svals)
 
 
-def _pd_inverse(j: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix (or stack) by Cholesky.
-
-    A single matrix that is non-finite or not positive definite goes to
-    psd_inverse for its jitter retry or SingularPriorCovariance; a stack
-    raises LinAlgError instead.
+class _PoseObjective:
+    """MO's objective tr S(Q) on the pose blocks of the prior covariance P
+    (see combiner_mo).  Reading prior.info gates a non-PD prior with
+    SingularPriorCovariance; the update of the same step reuses that inverse.
     """
-    try:
-        if not np.isfinite(j).all():
-            raise np.linalg.LinAlgError("non-finite information matrix")
-        c_inv = np.linalg.inv(np.linalg.cholesky(j))
-    except np.linalg.LinAlgError:
-        if j.ndim > 2:
+
+    def __init__(self, prior: Belief, b_pred: np.ndarray, noise_power: float):
+        prior.info  # the positive-definiteness gate
+        self.p3, self.p33 = prior.cov[:, :3], prior.cov[:3, :3]
+        self.m = self.p3.T @ self.p3
+        self.tr_p = np.trace(prior.cov)
+        self.b3 = np.ascontiguousarray(b_pred[:, :3])
+        self.b3h = _h(self.b3)
+        self.scale = 2.0 / noise_power
+
+    def __call__(self, q: np.ndarray):
+        """(tr S, S[:, :3], Y = G^-1 W) of a combiner (n_rf, n_b) or of each in
+        a stack (m, n_rf, n_b).  A failing combiner raises as Combiner would:
+        RankDeficientCombiner, LinAlgError for a Gram that is not positive
+        definite, ValueError for a non-finite W; a non-finite or singular A
+        raises SingularPriorCovariance, as inverting the information would."""
+        gram = q @ _h(q)
+        # The rank gate runs only where the Gram factor cannot vouch for Q.
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            _rank_gate(q, gram)
             raise
-        return psd_inverse(j)
-    return _symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
+        if not _factor_screen(chol, gram).all():
+            _rank_gate(q, gram)
+        l_inv = np.linalg.inv(chol)
+        # One product for the whole stack: (m n_rf) x n_b times n_b x 3.
+        w = (q.reshape(-1, q.shape[-1]) @ self.b3).reshape(q.shape[:-1] + (3,))
+        v = l_inv @ w
+        f = self.scale * np.real(_h(v) @ v)
+        a = f @ self.p33 + _EYE3
+        if not np.isfinite(a).all():  # also where W is not finite
+            if not np.isfinite(w).all():
+                raise ValueError("array must not contain infs or NaNs")
+            raise SingularPriorCovariance("posterior information is not finite")
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularPriorCovariance(f"posterior information: {exc}") from None
+        # tr(A^-1 F M) with M symmetric.
+        trace = self.tr_p - ((a_inv @ f) * self.m).sum(axis=(-2, -1))
+        return trace, self.p3 @ a_inv, _h(l_inv) @ v
 
+    def candidates(self, qs: np.ndarray):
+        """Yield (Q, tr S, S[:, :3], Y) for each combiner of a stack, in order.
+        If the stack fails, its combiners are evaluated one at a time as the
+        caller consumes them, so only a candidate the walk reaches can raise."""
+        try:
+            results = self(qs)
+        except (RankDeficientCombiner, SingularPriorCovariance, np.linalg.LinAlgError, ValueError):
+            for q_t in qs:
+                yield (q_t, *self(q_t))
+            return
+        yield from zip(qs, *results)
 
-def _mo_objective(q: np.ndarray, prior_info: np.ndarray, b: np.ndarray, noise_power: float):
-    """Predicted posterior-covariance trace of a combiner, or of a stack.
-
-    With W = Q B, G = Q Q^H = L L^H and V = L^-1 W the data information is
-    F = (2/sigma^2) Re V^H V, and the posterior is (P^-1 + F)^-1.  q is
-    (n_rf, n_b) or (m, n_rf, n_b); returns (trace, posterior, L^-1) with the
-    same leading axes.  A failing combiner raises as Combiner and
-    psd_inverse would: RankDeficientCombiner, LinAlgError for a Gram that is
-    not positive definite, ValueError for a non-finite W, and
-    SingularPriorCovariance for an information matrix that stays singular.
-    """
-    gram = q @ _h(q)
-    # The rank gate runs only where the Gram factor cannot vouch for Q.
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        _rank_gate(q, gram)
-        raise
-    if not _factor_screen(chol, gram).all():
-        _rank_gate(q, gram)
-    l_inv = np.linalg.inv(chol)
-    # One product for the whole stack: (m n_rf) x n_b times n_b x 5.
-    w = (q.reshape(-1, q.shape[-1]) @ b).reshape(q.shape[:-1] + b.shape[1:])
-    if not np.isfinite(w).all():
-        raise ValueError("array must not contain infs or NaNs")
-    v = l_inv @ w
-    info = prior_info + (2.0 / noise_power) * np.real(_h(v) @ v)
-    post = _pd_inverse(_symmetrize(info))
-    return np.trace(post, axis1=-2, axis2=-1), post, l_inv
-
-
-def _mo_candidates(qs: np.ndarray, prior_info: np.ndarray, b: np.ndarray, noise_power: float):
-    """Yield (Q, objective, posterior, L^-1) for each combiner of a stack, in order.
-
-    The stack is evaluated at once.  If any candidate fails, they are
-    re-evaluated one at a time as the caller consumes them, so only a
-    candidate the line search actually reaches can raise.
-    """
-    try:
-        results = _mo_objective(qs, prior_info, b, noise_power)
-    except (RankDeficientCombiner, np.linalg.LinAlgError, ValueError):
-        for q_t in qs:
-            yield (q_t, *_mo_objective(q_t, prior_info, b, noise_power))
-        return
-    yield from zip(qs, *results)
-
-
-def _mo_euclidean_grad(
-    q: np.ndarray, post: np.ndarray, b: np.ndarray, noise_power: float, l_inv: np.ndarray
-) -> np.ndarray:
-    """Gradient of trace((P^-1 + F(Q))^-1) w.r.t. Q under Re{tr(G^H dQ)}.
-
-    With S the posterior covariance, M = Q Q^H = L L^H (l_inv = L^-1, as
-    returned by _mo_objective) and Y = M^-1 Q B, so that B^H P_Q = Y^H Q:
-      grad = -(4/sigma^2) Y S^2 (B^H - Y^H Q).
-    """
-    y = _h(l_inv) @ (l_inv @ (q @ b))  # n_rf x 5
-    return -(4.0 / noise_power) * (y @ (post @ post)) @ (b.conj().T - _h(y) @ q)
-
-
-def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Remove the per-entry radial component on the product-of-circles manifold."""
-    return grad - np.real(grad * np.conj(q)) * q
+    def grad(self, q: np.ndarray, s3: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """-(4/sigma^2) Y (S^2)33 (B3^H - Y^H Q), the gradient of tr S w.r.t. Q
+        under Re{tr(G^H dQ)}, from Q's own S[:, :3] and Y."""
+        return -2.0 * self.scale * (y @ (s3.T @ s3)) @ (self.b3h - _h(y) @ q)
 
 
 def _renormalize(q: np.ndarray) -> np.ndarray:
@@ -351,65 +333,75 @@ def combiner_mo(
 ) -> "tuple[Combiner, MoInfo]":
     """Projected Riemannian descent of the predicted MMSE objective.
 
+    The objective is tr S, S = (P^-1 + E F E^T)^-1 the predicted posterior
+    covariance, E = [I_3 0]^T.  The velocity columns of B are zero, so the
+    data information is the 3 x 3 F = (2/sigma^2) Re(W^H G^-1 W), W = Q B3,
+    B3 = B[:, :3], G = Q Q^H.  With A = I + F P33 and M = P[:, :3]^T P[:, :3]
+    the push-through (Woodbury) identity (Hager, SIAM Review 31(2), 1989)
+    gives tr S = tr P - tr(A^-1 F M) and S[:, :3] = P[:, :3] A^-1, so
+    (S^2)33 = A^-T M A^-1: one 3 x 3 inverse per candidate, none of P.
+
     Each iteration runs an Armijo-safeguarded forward-backward line search
-    (up to 10 doublings while the objective drops, up to 10 halvings
-    otherwise) and the best iterate by objective value is returned.  If no
-    step is ever accepted the initial combiner is returned with
-    improved=False.
+    from a probe step t: up to 10 doublings while the objective drops, up to
+    10 halvings otherwise.  The probe and its doublings t 2^j, j = 0..10, are
+    one stack of 11 candidates; the halvings t 2^-j, j = 1..10, a second
+    stack built only when the probe is rejected.  A candidate is d / |d|,
+    d = Q - t g: Q is unit-modulus and the Riemannian gradient g tangent,
+    g = i a Q for real a entrywise, so |d| = sqrt(1 + t^2 a^2) >= 1 needs no
+    zero guard.  The best iterate by objective value is returned; if no step
+    is ever accepted, the initial combiner with improved=False.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    prior_info = prior.info
+    objective = _PoseObjective(prior, b_pred, noise_power)
     q = _renormalize(np.asarray(init.q, dtype=complex).copy())
-    f_curr, post, l_inv = _mo_objective(q, prior_info, b_pred, noise_power)
+    f_curr, s3, y = objective(q)
     info = MoInfo(objectives=[f_curr])
     best_q, best_f = q, f_curr
 
     for _ in range(iters):
-        egrad = _mo_euclidean_grad(q, post, b_pred, noise_power, l_inv)
-        rgrad = _tangent_project(egrad, q)
+        # Riemannian gradient: drop each entry's radial component.
+        egrad = objective.grad(q, s3, y)
+        rgrad = egrad - np.real(egrad * np.conj(q)) * q
         gnorm = np.linalg.norm(rgrad)
         if gnorm < 1e-15:
             break
 
-        # Forward-backward line search from a conservative probe step: the
-        # step expands only while the objective keeps dropping, so a
-        # near-stationary initializer barely moves while a poor one can be
-        # restructured within the same iteration budget.  The ten doubled
-        # (or halved) steps are evaluated as one stack and walked in order.
+        # A conservative probe that expands only while the objective drops: a
+        # near-stationary initializer barely moves, a poor one can be rebuilt.
         step = 1e-2 * np.linalg.norm(q) / gnorm
 
-        def _trials(steps):
-            qs = _renormalize(q - steps[:, None, None] * rgrad)
-            return _mo_candidates(qs, prior_info, b_pred, noise_power)
+        def _trials(factors):
+            d = q - (step * factors)[:, None, None] * rgrad
+            mags = np.abs(d)
+            d.real /= mags  # real division: d / mags would divide in complex
+            d.imag /= mags
+            return objective.candidates(d)
 
-        new = next(_trials(np.array([step])))
+        walk = _trials(_PROBE_AND_DOUBLINGS)
+        new = next(walk)
         accepted = new[1] <= f_curr - 1e-4 * step * gnorm**2
         if accepted:
-            for cand in _trials(step * _DOUBLINGS):
+            for cand in walk:
                 if not cand[1] < new[1]:
                     break
-                step *= 2
                 new = cand
         else:
-            for cand in _trials(step / _DOUBLINGS):
+            for cand in _trials(_HALVINGS):
                 step *= 0.5
                 if cand[1] <= f_curr - 1e-4 * step * gnorm**2:
-                    accepted = True
-                    new = cand
+                    accepted, new = True, cand
                     break
         if not accepted:
             break
-        q, f_curr, post, l_inv = new
+        q, f_curr, s3, y = new
         info.objectives.append(f_curr)
         info.accepted_steps += 1
         if f_curr < best_f:
             best_q, best_f = q, f_curr
 
     info.improved = info.accepted_steps > 0
-    if not info.improved:
-        return init, info
-    return Combiner(best_q, unit_modulus=True), info
+    return (Combiner(best_q, unit_modulus=True) if info.improved else init), info
 
 
 class PredictionBuilder:

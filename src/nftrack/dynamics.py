@@ -68,6 +68,8 @@ class ProcessNoiseSpec:
             raise ValueError("noise standard deviations must be nonnegative")
         if self.tau <= 0:
             raise ValueError("sampling interval must be positive")
+        if self.tau * max(self.sigma_v, self.sigma_omega) >= np.sqrt(np.finfo(float).max):
+            raise ValueError("process noise covariance (tau sigma)^2 must be finite")
 
     def covariance(self) -> np.ndarray:
         n = np.zeros((5, 5))

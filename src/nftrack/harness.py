@@ -56,8 +56,13 @@ class ScenarioConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if not np.isfinite([self.p_m_dbm, self.noise_power_dbm]).all():
-            raise ConfigError("p_m_dbm and noise_power_dbm must be finite")
+        for name in ("p_m_dbm", "noise_power_dbm"):
+            try:  # the power and its inverse must be positive finite floats
+                ok = 0.0 < 1.0 / dbm_to_watts(getattr(self, name)) < np.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{name} must give a positive power with a finite inverse")
         if self.k_steps < 1 or self.n_trials < 1:
             raise ConfigError("k_steps and n_trials must be >= 1")
         if self.seed < 0:

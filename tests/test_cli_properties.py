@@ -57,3 +57,42 @@ def test_malformed_config_leaf_exits_cleanly(tmp_path_factory, path, value, comm
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps(_replaced(path, value)))
     assert cli_main([*command, "--config", str(cfg), "--out", str(tmp / "out.csv")]) in (0, 2, 3)
+
+
+# ------------------------------------------------------------- fuzzed argv
+
+# Each subcommand starts from a cheap run (one step, one trial, or a two-point
+# sweep) and appends fuzzed options; argparse keeps the last value of a flag,
+# so a fuzzed --steps or --trials replaces the cheap one.  Counts stay small:
+# at most 3 steps, 2 trials and 120 RF chains.  --threads is only ever 1, so
+# no process pool starts.
+BASE_ARGV = {
+    "track": ["track", "--steps", "1", "--trials", "1"],
+    "crb": ["crb", "--steps", "1"],
+    "fisher": ["fisher", "--sweep", "nb:33:66:2"],
+}
+
+FUZZED_OPTION = st.one_of(
+    st.tuples(st.just("--steps"), st.integers(-3, 3).map(str)),
+    st.tuples(st.just("--trials"), st.integers(-3, 2).map(str)),
+    st.tuples(st.just("--nrf"), st.integers(-3, 120).map(str)),
+    st.tuples(st.just("--seed"), st.sampled_from(["-1", "0", str(2**64), str(2**200), "1.5"])),
+    st.tuples(st.just("--threads"), st.just("1")),
+    # flags of another subcommand, unknown flags and malformed values
+    st.tuples(
+        st.sampled_from(["--sweep", "--policy", "--schemes", "--pm-dbm", "--bogus", "-x",
+                         "--steps", "--nrf"]),
+        st.sampled_from(["nb:33:66:2", "qom", "fd,mo:qom", "nope", "-1", "", "1e400"]),
+    ),
+    st.just(("--bogus",)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(BASE_ARGV)), st.lists(FUZZED_OPTION, max_size=4))
+def test_fuzzed_argv_exits_cleanly(tmp_path_factory, command, options):
+    tmp = tmp_path_factory.mktemp("argv")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(DESK))
+    argv = [*BASE_ARGV[command], *(tok for option in options for tok in option)]
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(tmp / "out.csv")]) in (0, 2, 3)

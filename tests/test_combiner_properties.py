@@ -1,5 +1,5 @@
-"""Property tests of the combiner rank screen, the svd_pe tie order and the
-prediction-stage fallbacks on degenerate input."""
+"""Property tests of the combiner rank screen, the pose-subspace MO objective,
+the svd_pe tie order and the prediction-stage fallbacks on degenerate input."""
 
 from functools import lru_cache
 
@@ -11,16 +11,22 @@ from scipy.linalg import cho_factor
 from nftrack.combiners import (
     CombinerSpec,
     PredictionBuilder,
+    _PoseObjective,
     _fix_singular_vector_signs,
-    _mo_objective,
     _rank_gate,
+    combiner_mo,
     combiner_qom,
     combiner_random,
     combiner_svd_pe,
 )
 from nftrack.dynamics import MsState, ProcessNoiseSpec
-from nftrack.errors import DegenerateGeometry, DegenerateJacobian, RankDeficientCombiner
-from nftrack.estimation import _RANK_RTOL, Combiner, psd_inverse
+from nftrack.errors import (
+    DegenerateGeometry,
+    DegenerateJacobian,
+    RankDeficientCombiner,
+    SingularPriorCovariance,
+)
+from nftrack.estimation import _RANK_RTOL, Belief, Combiner, ekf_predict, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose
 from nftrack.harness import ScenarioConfig
 from nftrack.observation import generate_pilot, observation_jacobian
@@ -29,7 +35,9 @@ from nftrack.rng import stream
 F28 = 28e9
 SIGMA2 = 1e-10
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
-PRIOR_INFO = psd_inverse(np.diag([0.05**2, 0.05**2, 0.001**2, 1.0, 1e-4]))
+PRIOR = Belief(MsState(15, -15, 3 * np.pi / 8, 10, 0.1),
+               np.diag([0.05**2, 0.05**2, 0.001**2, 1.0, 1e-4]))
+PRIOR_INFO = psd_inverse(PRIOR.cov)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +88,8 @@ def _reference_gram(q):
 
 
 def _reference_mo_objective(q, prior_info, b, noise_power):
-    """_mo_objective with the eigenvalue/SVD gate run before the Cholesky."""
+    """The MO objective in its dense form, (P^-1 + F)^-1, with the
+    eigenvalue/SVD gate run before the Cholesky."""
     gram = q @ q.conj().swapaxes(-1, -2)
     _rank_gate(q, gram)
     l_inv = np.linalg.inv(np.linalg.cholesky(gram))
@@ -102,7 +111,8 @@ def test_gram_screen_raises_exactly_when_the_gate_fires(q):
 @given(near_dependent_rows())
 def test_mo_objective_screen_raises_exactly_when_the_gate_fires(q):
     b = _jacobian(q.shape[1])
-    got = _outcome(_mo_objective, q, PRIOR_INFO, b, SIGMA2)
+    objective = _PoseObjective(PRIOR, b, SIGMA2)
+    got = _outcome(objective, q)
     assert (got is RankDeficientCombiner) == _gate_fires(q)
     ref = _outcome(_reference_mo_objective, q, PRIOR_INFO, b, SIGMA2)
     if isinstance(got, bytes):
@@ -112,8 +122,95 @@ def test_mo_objective_screen_raises_exactly_when_the_gate_fires(q):
         assert got is ref
     # In a stack behind a full-rank combiner the same combiner decides.
     good = np.exp(2j * np.pi * np.random.default_rng(1).random(q.shape))
-    stacked = _outcome(_mo_objective, np.stack([good, q]), PRIOR_INFO, b, SIGMA2)
+    stacked = _outcome(objective, np.stack([good, q]))
     assert (stacked is RankDeficientCombiner) == _gate_fires(q)
+
+
+# --------------------------------------------- pose-subspace MO objective
+
+
+def _predicted_prior(log_sd=(-1.3, -1.3, -3.0, 0.0, -2.0)):
+    """A prior from ekf_predict: its pose and velocity blocks are correlated."""
+    post = Belief(MsState(15, -15, 3 * np.pi / 8, 10, 0.1), np.diag(10.0 ** (2 * np.array(log_sd))))
+    return ekf_predict(post, ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02))
+
+
+def _dense_posterior(q, prior, b, noise_power):
+    """(P^-1 + E F E^T)^-1 by two dense 5 x 5 inverses."""
+    w = q @ b[:, :3]
+    info = np.linalg.inv(prior.cov)
+    info[:3, :3] += (2.0 / noise_power) * np.real(w.conj().T @ np.linalg.solve(q @ q.conj().T, w))
+    return np.linalg.inv(info)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([16, 17, 32, 33]),
+    st.integers(1, 6),
+    st.floats(-10.0, -6.0),
+    st.lists(st.floats(-3.0, 0.5), min_size=5, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_pose_objective_matches_dense_posterior(n_b, n_rf, log_sigma2, log_sd, seed):
+    # The dense reference inverts J = P^-1 + E F E^T, whose condition number
+    # stays under about 1e7 here, so it carries up to ~1e-9 relative error.
+    prior = _predicted_prior(log_sd)
+    b = _jacobian(n_b)
+    q = np.exp(2j * np.pi * np.random.default_rng(seed).random((n_rf, n_b)))
+    trace, s3, _ = _PoseObjective(prior, b, 10.0**log_sigma2)(q)
+    dense = _dense_posterior(q, prior, b, 10.0**log_sigma2)
+    assert trace == pytest.approx(np.trace(dense), rel=1e-9)
+    np.testing.assert_allclose(s3, dense[:, :3], rtol=0, atol=1e-9 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("noise_power", [1e-10, 1e-8])
+@pytest.mark.parametrize("n_rf", [1, 3])
+def test_pose_objective_gradient_matches_finite_differences(n_rf, noise_power):
+    # Central differences along random complex directions; at h = 1e-5 their
+    # error is under 1e-6 relative on these inputs.
+    objective = _PoseObjective(_predicted_prior(), _jacobian(33), noise_power)
+    rng = np.random.default_rng(5)
+    q = combiner_random(rng, n_rf, 33).q
+    _, s3, y = objective(q)
+    grad = objective.grad(q, s3, y)
+    h = 1e-5
+    for _ in range(5):
+        d = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+        fd = (objective(q + h * d)[0] - objective(q - h * d)[0]) / (2 * h)
+        assert fd == pytest.approx(np.real(np.vdot(grad, d)), rel=1e-4)
+
+
+def test_pose_objective_failures():
+    prior, b = _predicted_prior(), _jacobian(33)
+    init = combiner_random(np.random.default_rng(0), 3, 33)
+    # 2 / 1e-320 overflows: the information is not finite.
+    with pytest.raises(SingularPriorCovariance):
+        combiner_mo(init, prior, b, 1e-320)
+    b_nan = b.copy()
+    b_nan[4, 0] = np.nan
+    with pytest.raises(ValueError):
+        _PoseObjective(prior, b_nan, SIGMA2)(init.q)
+
+
+def test_mo_builds_one_stack_per_iteration_when_every_probe_is_accepted(monkeypatch):
+    # The initial combiner, then one stack of the probe and its ten doublings
+    # per iteration; a stack of ten halvings would mean a rejected probe.
+    sizes = []
+    real = _PoseObjective.__call__
+
+    def counting(self, q):
+        sizes.append(q.shape[0] if q.ndim == 3 else 1)
+        return real(self, q)
+
+    monkeypatch.setattr(_PoseObjective, "__call__", counting)
+    prior, b, iters = _predicted_prior(), _jacobian(33), 5
+    for seed in range(10):
+        sizes.clear()
+        init = combiner_random(np.random.default_rng(seed), 3, 33)
+        _, info = combiner_mo(init, prior, b, SIGMA2, iters)
+        assert info.improved
+        assert sizes[0] == 1 and set(sizes[1:]) == {11}
+        assert len(sizes) <= iters + 1
 
 
 # ------------------------------------------------------- svd_pe tie order

@@ -8,9 +8,7 @@ import pytest
 
 from nftrack.combiners import (
     CombinerSpec,
-    _mo_candidates,
-    _mo_euclidean_grad,
-    _mo_objective,
+    _PoseObjective,
     combiner_fd,
     combiner_from_plan,
     combiner_mo,
@@ -295,11 +293,11 @@ def mo_inputs(seed=0, n_b=101, n_m=25):
 def test_mo_gradient_matches_finite_differences():
     cfg, b, prior = mo_inputs()
     sigma2 = 1e-10
-    prior_info = psd_inverse(prior.cov)
+    objective = _PoseObjective(prior, b, sigma2)
     rng = np.random.default_rng(3)
     q = combiner_random(rng, 3, cfg.n_b).q.copy()
-    _, post, l_inv = _mo_objective(q, prior_info, b, sigma2)
-    grad = _mo_euclidean_grad(q, post, b, sigma2, l_inv)
+    _, s3, y = objective(q)
+    grad = objective.grad(q, s3, y)
     h = 1e-6
     for _ in range(10):
         i, j = rng.integers(0, 3), rng.integers(0, cfg.n_b)
@@ -308,8 +306,8 @@ def test_mo_gradient_matches_finite_differences():
             qp[i, j] += h * direction
             qm = q.copy()
             qm[i, j] -= h * direction
-            fp, _, _ = _mo_objective(qp, prior_info, b, sigma2)
-            fm, _, _ = _mo_objective(qm, prior_info, b, sigma2)
+            fp, _, _ = objective(qp)
+            fm, _, _ = objective(qm)
             fd_val = (fp - fm) / (2 * h)
             an_val = np.real(np.conj(grad[i, j]) * direction)
             assert fd_val == pytest.approx(an_val, rel=2e-3, abs=1e-12)
@@ -436,15 +434,15 @@ def test_mo_matches_sequential_reference(n_b, n_m, n_rf):
 
 def test_mo_stacked_objective_matches_single():
     cfg, b, prior = mo_inputs()
-    prior_info = psd_inverse(prior.cov)
+    objective = _PoseObjective(prior, b, 1e-10)
     rng = np.random.default_rng(7)
     stack = np.exp(2j * np.pi * rng.random((10, 3, cfg.n_b)))
-    f_all, post_all, l_inv_all = _mo_objective(stack, prior_info, b, 1e-10)
-    for q, f, post, l_inv in zip(stack, f_all, post_all, l_inv_all):
-        f_1, post_1, l_inv_1 = _mo_objective(q, prior_info, b, 1e-10)
+    f_all, s3_all, y_all = objective(stack)
+    for q, f, s3, y in zip(stack, f_all, s3_all, y_all):
+        f_1, s3_1, y_1 = objective(q)
         np.testing.assert_allclose(f, f_1, rtol=1e-12)
-        np.testing.assert_allclose(post, post_1, rtol=1e-12)
-        np.testing.assert_allclose(l_inv, l_inv_1, rtol=1e-12)
+        np.testing.assert_allclose(s3, s3_1, rtol=1e-12)
+        np.testing.assert_allclose(y, y_1, rtol=1e-12)
 
 
 def _near_duplicate_rows(rng, gap, n_b=101):
@@ -458,50 +456,52 @@ def _near_duplicate_rows(rng, gap, n_b=101):
 @pytest.mark.parametrize("gap", [0.0, 1e-10])
 def test_mo_rank_gate_rejects_dependent_rows(gap):
     cfg, b, prior = mo_inputs()
-    prior_info = psd_inverse(prior.cov)
+    objective = _PoseObjective(prior, b, 1e-10)
     rng = np.random.default_rng(11)
     for _ in range(20):
         q = _near_duplicate_rows(rng, gap)
         with pytest.raises(RankDeficientCombiner):
-            _mo_objective(q, prior_info, b, 1e-10)
+            objective(q)
         with pytest.raises(RankDeficientCombiner):
             combiner_mo(Combiner(q, unit_modulus=True), prior, b, 1e-10)
 
 
 def test_mo_rank_gate_passes_rows_1e7_apart():
     cfg, b, prior = mo_inputs()
-    prior_info = psd_inverse(prior.cov)
+    objective = _PoseObjective(prior, b, 1e-10)
     rng = np.random.default_rng(12)
     for _ in range(20):
         q = _near_duplicate_rows(rng, 1e-7)
-        f, _, _ = _mo_objective(q, prior_info, b, 1e-10)
+        f, _, _ = objective(q)
         assert np.isfinite(f)
         Combiner(q, unit_modulus=True).solve_gram(q @ b)  # the Combiner gate agrees
 
 
 def test_mo_candidates_raise_only_when_reached():
     cfg, b, prior = mo_inputs()
-    prior_info = psd_inverse(prior.cov)
+    objective = _PoseObjective(prior, b, 1e-10)
     rng = np.random.default_rng(13)
     good = np.exp(2j * np.pi * rng.random((2, 3, cfg.n_b)))
     stack = np.concatenate([good, _near_duplicate_rows(rng, 0.0)[None]])
-    reached = list(islice(_mo_candidates(stack, prior_info, b, 1e-10), 2))
+    reached = list(islice(objective.candidates(stack), 2))
     for (q, f, _, _), q_1 in zip(reached, good):
-        assert f == pytest.approx(_mo_objective(q_1, prior_info, b, 1e-10)[0], rel=1e-12)
+        assert f == pytest.approx(objective(q_1)[0], rel=1e-12)
         np.testing.assert_array_equal(q, q_1)
     with pytest.raises(RankDeficientCombiner):
-        list(_mo_candidates(stack, prior_info, b, 1e-10))
+        list(objective.candidates(stack))
 
 
-@pytest.mark.parametrize("prior_info", [-1e20 * np.eye(5), np.full((5, 5), np.nan)],
+# The objective reads the prior covariance; its information (the inverse)
+# is the positive-definiteness gate.  -1e-20 I is the inverse of -1e20 I.
+@pytest.mark.parametrize("cov", [-1e-20 * np.eye(5), np.full((5, 5), np.nan)],
                          ids=["not-pd", "nan"])
-def test_mo_objective_singular_information_raises(prior_info):
-    cfg, b, _ = mo_inputs()
+def test_mo_objective_singular_information_raises(cov):
+    cfg, b, prior = mo_inputs()
     q = combiner_random(np.random.default_rng(0), 3, cfg.n_b).q
     with pytest.raises(SingularPriorCovariance):
-        _mo_objective(q, prior_info, b, 1e-10)
+        _PoseObjective(Belief(prior.mean, cov), b, 1e-10)
     with pytest.raises(SingularPriorCovariance):
-        next(_mo_candidates(q[None], prior_info, b, 1e-10))
+        combiner_mo(Combiner(q, unit_modulus=True), Belief(prior.mean, cov), b, 1e-10)
 
 
 def test_combiner_spec_validation():

@@ -227,8 +227,8 @@ def _record_bytes(rec):
         # psi == theta with no motion: the mode geometry is degenerate at
         # k=1, so qom and mo:qom log fallback steps
         ("degenerate", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:qom")),
-        # a noise power of 1e-320 W overflows the data information at k=1,
-        # so every update fails and each trial diverges
+        # a pilot power of 3100 dBm (1e307 W) overflows the data information
+        # at k=1, so every update fails and each trial diverges
         ("diverged", ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:svd_pe", "mo:qom")),
     ],
 )
@@ -236,7 +236,7 @@ def test_multi_scheme_trial_matches_single_scheme(case, tokens):
     if case == "degenerate":
         cfg = tiny_config(initial_state=MsState(10, 10, np.pi / 4, 0.0, 0.0), k_steps=5)
     else:
-        cfg = tiny_config(noise_power_dbm=-3170.0, k_steps=4)
+        cfg = tiny_config(p_m_dbm=3100.0, k_steps=4)
     specs = [parse_scheme(tok, 3, cfg.array.n_b) for tok in tokens]
     together = run_trial(cfg, 1, specs)
     assert len(together) == len(specs)
@@ -353,6 +353,12 @@ BAD_DESK = {
     "tau_nan": {"process_noise": {"tau_s": np.nan}},
     "sigma_v_inf": {"process_noise": {"sigma_v_mps2": np.inf}},
     "at_bs_center": {"initial_state": {"x_m": 0.0, "y_m": 0.0}},
+    # Finite but extreme: 10^327 W overflows, 10^-333 W is 0, 10^-320 W has no
+    # finite inverse, and (tau sigma_v)^2 overflows.
+    "pm_3300": {"p_m_dbm": 3300.0},
+    "noise_m3300": {"noise_power_dbm": -3300.0},
+    "noise_m3170": {"noise_power_dbm": -3170.0},
+    "sigma_v_1e200": {"process_noise": {"sigma_v_mps2": 1e200}},
 }
 
 
@@ -421,12 +427,25 @@ def test_cli_crb(tmp_path):
         ["crb", "--config", "{sigma_v_inf}", "--steps", "1"],
         ["fisher", "--config", "{sigma_v_inf}", "--sweep", "nb:33:66:2"],
         ["fisher", "--config", "{at_bs_center}", "--sweep", "nb:33:66:2"],
+        ["track", "--config", "{pm_3300}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{pm_3300}", "--steps", "1"],
+        ["fisher", "--config", "{pm_3300}", "--sweep", "nb:33:66:2"],
+        ["track", "--config", "{noise_m3300}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{noise_m3300}", "--steps", "1"],
+        ["fisher", "--config", "{noise_m3300}", "--sweep", "nb:33:66:2"],
+        ["track", "--config", "{noise_m3170}", "--steps", "1", "--trials", "1"],
+        ["track", "--config", "{sigma_v_1e200}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{sigma_v_1e200}", "--steps", "1"],
+        ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "3300"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
          "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
          "track-cov-not-pd", "crb-cov-not-pd", "track-cov-nan", "crb-cov-nan",
          "track-x-nan", "crb-x-nan", "track-tau-nan", "crb-tau-nan", "track-sigma-v-inf",
-         "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center"],
+         "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center",
+         "track-pm-3300", "crb-pm-3300", "fisher-pm-3300", "track-noise-m3300",
+         "crb-noise-m3300", "fisher-noise-m3300", "track-noise-m3170",
+         "track-sigma-v-1e200", "crb-sigma-v-1e200", "crb-pm-dbm-flag-3300"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -594,8 +613,7 @@ def test_mo_step_inverts_the_prior_once(monkeypatch):
     cfg = tiny_config(combiner=CombinerSpec(kind="mo", n_rf=3, mo_init="qom"), k_steps=4)
     calls = []
     real = nftrack.estimation.psd_inverse
-    for module in (nftrack.estimation, nftrack.combiners):
-        monkeypatch.setattr(module, "psd_inverse", lambda m: calls.append(1) or real(m))
+    monkeypatch.setattr(nftrack.estimation, "psd_inverse", lambda m: calls.append(1) or real(m))
     rec = run_trial(cfg, 0, [cfg.combiner])[0]
     assert rec.diverged_at is None
     assert len(calls) == 2 * cfg.k_steps
