@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import Pose
+
 # |omega * tau| below this evaluates the u^-2-scaled helpers by series.
 _U_SERIES = 1e-3
 
@@ -41,9 +43,7 @@ class MsState:
         return cls(x, y, psi, v, omega)
 
     @property
-    def pose(self):
-        from .geometry import Pose
-
+    def pose(self) -> Pose:
         return Pose(self.x, self.y, self.psi)
 
 

@@ -7,6 +7,14 @@ free-space amplitude and phase; no far-field or uniform-amplitude shortcut is
 used anywhere in the simulator.  The asymptotic (scaled-channel) derivative
 forms exist only as a separate operation for validation.
 
+The channel error between two poses needs no complex channel: with entry
+amplitudes a = lambda/(4 pi r), the half-angle identity 1 - cos 2u = 2 sin^2 u
+gives
+
+    ||H(p) - H_ref||_F^2 = sum (a - a_ref)^2 + 4 a a_ref sin^2(pi (r - r_ref) / lambda),
+
+one real sine of a small argument per entry (``channel_error_sq``).
+
 All quantities are SI: meters, radians, Hz, Watts.
 """
 
@@ -30,6 +38,11 @@ def antenna_indices(n: int) -> np.ndarray:
         return np.arange(-half, half + 1)
     half = n // 2
     return np.arange(-half, half)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,22 @@ class ArrayConfig:
     @property
     def ms_indices(self) -> np.ndarray:
         return antenna_indices(self.n_m)
+
+    # Float index rows of the distance grid, built once per array.
+    @cached_property
+    def ms_index_row(self) -> np.ndarray:
+        """MS antenna indices as a (1, n_m) float row."""
+        return _frozen(self.ms_indices[None, :].astype(float))
+
+    @cached_property
+    def ms_lever(self) -> np.ndarray:
+        """(1, n_m) row of MS element offsets n d_m along the array axis, m."""
+        return _frozen(self.ms_index_row * self.d_m)
+
+    @cached_property
+    def bs_offsets(self) -> np.ndarray:
+        """(n_b, 1) column of BS element positions n d_b on the y-axis, m."""
+        return _frozen(self.bs_indices[:, None].astype(float) * self.d_b)
 
     @property
     def fresnel_distance(self) -> float:
@@ -159,7 +188,7 @@ class _ExactDerivatives(ChannelDerivatives):
     @cached_property
     def gram(self) -> np.ndarray:
         pose, cfg, lam = self.pose, self.cfg, self.cfg.wavelength
-        lever = cfg.ms_indices[None, :] * cfg.d_m
+        lever = cfg.ms_lever
         dx, dy, r = _pair_offsets(pose, cfg)
         dr_dx, dr_dy = dx / r, dy / r
         dr = (dr_dx, dr_dy, lever * (dr_dy * np.cos(pose.psi) - dr_dx * np.sin(pose.psi)))
@@ -199,17 +228,16 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
     """Offsets (dx, dy) from every BS antenna to every MS antenna, and their
     (n_b, n_m) distance grid r.  dx depends only on the MS antenna, so it is
     kept as a (1, n_m) row."""
-    nm = cfg.ms_indices[None, :].astype(float)
-    nb = cfg.bs_indices[:, None].astype(float)
-    dx = pose.x + nm * cfg.d_m * np.cos(pose.psi)
-    dy = pose.y + nm * cfg.d_m * np.sin(pose.psi) - nb * cfg.d_b
+    lever = cfg.ms_lever
+    dx = pose.x + lever * np.cos(pose.psi)
+    dy = pose.y + lever * np.sin(pose.psi) - cfg.bs_offsets
     return dx, dy, np.sqrt(dx**2 + dy**2)
 
 
 def _chain_terms(pose: Pose, cfg: ArrayConfig):
     """The shared kernel: r, the phase, dh/dr and dr/d(x, y, psi) on one grid."""
     lam = cfg.wavelength
-    nm = cfg.ms_indices[None, :].astype(float)
+    nm = cfg.ms_index_row
     cos_psi, sin_psi = np.cos(pose.psi), np.sin(pose.psi)
     dx, dy, r = _pair_offsets(pose, cfg)
     phase = np.exp(-2j * np.pi / lam * r)
@@ -220,11 +248,34 @@ def _chain_terms(pose: Pose, cfg: ArrayConfig):
     return r, phase, dh_dr, (dr_dx, dr_dy, dr_dpsi)
 
 
-def channel_matrix(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
-    """Exact LoS channel: entry = lambda/(4*pi*r_e) * exp(-j*2*pi*r_e/lambda)."""
+def channel_grid(pose: Pose, cfg: ArrayConfig):
+    """The distance grid r, the amplitudes a = lambda/(4*pi*r) and the channel
+    a * exp(-j*2*pi*r/lambda) of one pose, each (n_b, n_m)."""
     lam = cfg.wavelength
     r = _pair_offsets(pose, cfg)[2]
-    return lam / (4 * np.pi * r) * np.exp(-2j * np.pi / lam * r)
+    a = lam / (4 * np.pi * r)
+    return r, a, a * np.exp(-2j * np.pi / lam * r)
+
+
+def channel_matrix(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
+    """Exact LoS channel: entry = lambda/(4*pi*r_e) * exp(-j*2*pi*r_e/lambda)."""
+    return channel_grid(pose, cfg)[2]
+
+
+def channel_error_sq(pose: Pose, cfg: ArrayConfig, r_ref: np.ndarray, a_ref: np.ndarray) -> float:
+    """||H(pose) - H_ref||_F^2 by the half-angle identity, with no complex array.
+
+    r_ref and a_ref are the reference's distance grid and amplitudes, as
+    ``channel_grid`` returns them.  Exactly 0.0 at the reference pose, and
+    free of the rounding of the ~10^4 rad phases 2 pi r / lambda that the
+    complex difference carries.
+    """
+    lam = cfg.wavelength
+    r = _pair_offsets(pose, cfg)[2]
+    a = lam / (4 * np.pi * r)
+    s = np.sin(np.pi / lam * (r - r_ref))
+    da = a - a_ref
+    return float(np.vdot(da, da) + 4.0 * np.vdot(a * a_ref, s * s))
 
 
 def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
@@ -262,8 +313,7 @@ def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig) -> ChannelDeriv
     eta = -(1.0 / r + 2j * np.pi / cfg.wavelength)
     j_x = eta * (pose.x / r) * h
     j_y = eta * (pose.y / r) * h
-    col_scale = cfg.ms_indices[None, :].astype(float)
-    j_psi = eta * cfg.d_m * np.sin(pose.theta - pose.psi) * h * col_scale
+    j_psi = eta * cfg.d_m * np.sin(pose.theta - pose.psi) * h * cfg.ms_index_row
     return ChannelDerivatives(j_x, j_y, j_psi)
 
 

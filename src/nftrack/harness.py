@@ -6,6 +6,11 @@ pilot, the true channel and the full-array noisy snapshot are
 scheme-independent: a trial computes them once per step and hands each
 scheme only its compressed view.  Results are invariant to the degree of
 trial parallelism.
+
+Each scheme scores its posterior pose p against the true distance grid r_t
+and amplitudes a_t = lambda/(4 pi r_t), not the complex true channel: by the
+half-angle identity, ||H(p) - H_t||_F^2 = sum (a - a_t)^2
++ 4 a a_t sin^2(pi (r - r_t) / lambda) (``geometry.channel_error_sq``).
 """
 
 import csv
@@ -26,7 +31,7 @@ from .combiners import CombinerSpec, PredictionBuilder, parse_scheme, scheme_lab
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_transition, sample_process_noise
 from .errors import ConfigError, SingularPriorCovariance
 from .estimation import Belief, ekf_predict, ekf_update
-from .geometry import ArrayConfig, Pose, channel_matrix, pilot_response
+from .geometry import ArrayConfig, Pose, channel_error_sq, channel_grid, pilot_response
 from .observation import Pilot, full_snapshot, generate_pilot
 from .rng import stream
 
@@ -223,7 +228,9 @@ class TrialRecord:
     mo_stalled_steps: List[int] = field(default_factory=list)
     diverged_at: Optional[int] = None
     # Per-step NMSE terms ||H(posterior pose) - H_true||_F^2 and ||H_true||_F^2,
-    # filled by run_trial while the true channel is in hand.
+    # filled by run_trial while the true distance grid is in hand; the error
+    # is sum (a - a_t)^2 + 4 a a_t sin^2(pi (r - r_t) / lambda) (half-angle
+    # identity), with no complex channel at the posterior.
     h_err_sq: Optional[np.ndarray] = None
     h_true_sq: Optional[np.ndarray] = None
 
@@ -263,7 +270,10 @@ class CampaignResult:
                             f"{metrics.nmse_h[i]:.12e}",
                         ]
                     )
-        write_manifest(path, self.config, schemes=list(self.schemes.keys()))
+        write_manifest(
+            path, self.config, schemes=list(self.schemes.keys()),
+            n_diverged={label: m.n_diverged for label, m in self.schemes.items()},
+        )
 
 
 def write_manifest(out_path, cfg: ScenarioConfig, **extra) -> None:
@@ -318,8 +328,9 @@ class _SchemeFilter:
             h_true_sq=h_true_sq,
         )
 
-    def step(self, k: int, pilot, y: np.ndarray, h_true: np.ndarray) -> None:
-        """Predict, build the combiner, fold in Q y, and log step k."""
+    def step(self, k: int, pilot, y: np.ndarray, r_true: np.ndarray, a_true: np.ndarray) -> None:
+        """Predict, build the combiner, fold in Q y, and log step k against the
+        true distance grid r_true and its amplitudes a_true."""
         cfg, record, i = self.cfg, self.record, k - 1
         prior = ekf_predict(self.belief, cfg.noise)
         record.prior_means[i] = prior.mean.as_vector()
@@ -342,8 +353,9 @@ class _SchemeFilter:
                 self.belief = prior
         record.post_means[i] = self.belief.mean.as_vector()
         record.post_covs[i] = self.belief.cov
-        h_est = channel_matrix(Pose(*record.post_means[i, :3]), cfg.array)
-        record.h_err_sq[i] = np.linalg.norm(h_est - h_true) ** 2
+        record.h_err_sq[i] = channel_error_sq(
+            Pose(*record.post_means[i, :3]), cfg.array, r_true, a_true
+        )
 
 
 def _draw_pilot(cfg: ScenarioConfig, trial_index: int, step: int) -> Pilot:
@@ -382,9 +394,10 @@ def run_trial(
 ) -> List[TrialRecord]:
     """Simulate one truth and run every scheme's EKF over it, one record each.
 
-    Per step the truth state, pilot, true channel and full-array noisy
-    snapshot are computed once and shared; each scheme only compresses the
-    snapshot with its own combiner.
+    Per step the truth state, pilot, true distance grid, true channel and
+    full-array noisy snapshot are computed once and shared; each scheme only
+    compresses the snapshot with its own combiner, and scores its posterior
+    pose against the true grid.
     """
     array = cfg.array
     truth = simulate_truth(cfg, trial_index)
@@ -398,13 +411,13 @@ def run_trial(
     for k in range(1, cfg.k_steps + 1):
         if cfg.pilot_policy == "per_step":
             pilot = _draw_pilot(cfg, trial_index, k)
-        h_true = channel_matrix(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
+        r_true, a_true, h_true = channel_grid(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(
             h_true, pilot, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")
         )
         for f in filters:
-            f.step(k, pilot, y, h_true)
+            f.step(k, pilot, y, r_true, a_true)
 
     pilot_norm_sq = float(np.linalg.norm(pilot.symbols) ** 2)
     for f in filters:
@@ -430,9 +443,11 @@ def metrics_rmse(records: Sequence[TrialRecord], param: str, wrap_psi: bool = Tr
 
 
 def metrics_nmse(records: Sequence[TrialRecord], cfg: ScenarioConfig) -> np.ndarray:
-    """Per-step channel-reconstruction NMSE, channels rebuilt from poses.
+    """Per-step channel-reconstruction NMSE, rebuilt from the poses.
 
-    The post-hoc reference for the NMSE terms run_trial accumulates.
+    The post-hoc reference for the NMSE terms run_trial accumulates: the same
+    true grid and the same ``channel_error_sq`` kernel, summed in record
+    order, so the two agree byte for byte.
     """
     if not records:
         raise ValueError("no trial records")
@@ -441,11 +456,8 @@ def metrics_nmse(records: Sequence[TrialRecord], cfg: ScenarioConfig) -> np.ndar
     den = np.zeros(k_steps)
     for rec in records:
         for i in range(k_steps):
-            true_pose = Pose(*rec.true_states[i + 1, :3])
-            est_pose = Pose(*rec.post_means[i, :3])
-            h_true = channel_matrix(true_pose, cfg.array)
-            h_est = channel_matrix(est_pose, cfg.array)
-            num[i] += np.linalg.norm(h_est - h_true) ** 2
+            r_true, a_true, h_true = channel_grid(Pose(*rec.true_states[i + 1, :3]), cfg.array)
+            num[i] += channel_error_sq(Pose(*rec.post_means[i, :3]), cfg.array, r_true, a_true)
             den[i] += np.linalg.norm(h_true) ** 2
     return num / den
 

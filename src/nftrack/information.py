@@ -24,7 +24,7 @@ import numpy as np
 from .combiners import combiner_fd
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import AssumptionViolated
-from .estimation import Combiner, _symmetrize
+from .estimation import Combiner, _cho_factor, _cho_solve, _symmetrize
 from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives, geometry_summary
 
 
@@ -124,9 +124,7 @@ def fisher_scaling_bounds(
 def bayesian_fim_init(prior_cov0: np.ndarray) -> BayesianFimState:
     """Gaussian prior: initial Bayesian FIM is the inverse prior covariance."""
     cov = _symmetrize(np.asarray(prior_cov0, dtype=float))
-    chol = np.linalg.cholesky(cov)  # raises LinAlgError if not PD
-    inv = np.linalg.solve(cov, np.eye(5))
-    del chol
+    inv = _cho_solve(_cho_factor(cov), np.eye(5))  # LinAlgError if not PD
     return BayesianFimState(f_b=_symmetrize(inv), k=0)
 
 

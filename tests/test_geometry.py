@@ -10,6 +10,8 @@ from nftrack.geometry import (
     antenna_indices,
     channel_derivatives,
     channel_derivatives_asymptotic,
+    channel_error_sq,
+    channel_grid,
     channel_matrix,
     geometry_summary,
     pair_distance,
@@ -125,6 +127,11 @@ def test_pilot_response_is_bit_identical(n_b, n_m):
         x = rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m)
         h_ref, derivs_ref = _reference_channel_and_derivatives(pose, cfg)
         np.testing.assert_array_equal(channel_matrix(pose, cfg), h_ref)
+        r, a, h = channel_grid(pose, cfg)
+        grid = pair_distance(pose, cfg, cfg.bs_indices[:, None], cfg.ms_indices[None, :])
+        np.testing.assert_array_equal(r, grid)
+        np.testing.assert_array_equal(a, cfg.wavelength / (4 * np.pi * r))
+        np.testing.assert_array_equal(h, h_ref)
         for got, want in zip(channel_derivatives(pose, cfg), derivs_ref):
             np.testing.assert_array_equal(got, want)
 
@@ -152,6 +159,49 @@ def test_channel_matrix_against_scalar_loop():
             r = np.hypot(mx, my - bs[i] * cfg.d_b)
             expected = lam / (4 * np.pi * r) * np.exp(-1j * 2 * np.pi / lam * r)
             assert h[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+def _error_sq_oracle(r, r_ref, lam):
+    """||H - H_ref||_F^2 in long double from the float64 distance grids.
+
+    Uses the phase difference d = 2 pi (r - r_ref) / lambda in the form
+    (a cos d - a_ref)^2 + (a sin d)^2, not the half-angle identity of the
+    kernel under test.
+    """
+    ld = np.longdouble
+    r, r_ref, lam = r.astype(ld), r_ref.astype(ld), ld(lam)
+    pi = 4 * np.arctan(ld(1))
+    a, a_ref = lam / (4 * pi * r), lam / (4 * pi * r_ref)
+    d = 2 * pi / lam * (r - r_ref)
+    return np.sum((a * np.cos(d) - a_ref) ** 2 + (a * np.sin(d)) ** 2)
+
+
+def _pose_pairs(seed):
+    """Reference poses and posterior-like poses 1 um to 1 m away, heading
+    offsets scaled alike (1 rad per 10 m)."""
+    rng = np.random.default_rng(seed)
+    for ref in (Pose(15, -15, 3 * np.pi / 8), Pose(4.0, 7.5, -2.2), Pose(-9.0, 0.3, 0.0)):
+        for sep in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+            u = rng.standard_normal(3)
+            u *= sep / np.linalg.norm(u[:2])
+            yield ref, Pose(ref.x + u[0], ref.y + u[1], ref.psi + 0.1 * u[2])
+
+
+@pytest.mark.parametrize("n_b,n_m", [(101, 25), (275, 75), (64, 8), (32, 1)])
+def test_channel_error_sq_matches_long_double_oracle(n_b, n_m):
+    cfg = small_cfg(n_b, n_m)
+    for ref, pose in _pose_pairs(n_b * 100 + n_m):
+        r_ref, a_ref, h_ref = channel_grid(ref, cfg)
+        r = channel_grid(pose, cfg)[0]
+        want = _error_sq_oracle(r, r_ref, cfg.wavelength)
+        got = channel_error_sq(pose, cfg, r_ref, a_ref)
+        assert isinstance(got, float)
+        err = abs(np.longdouble(got) - want) / want
+        assert err <= 1e-12, (ref, pose, float(err))
+        # never less accurate than the complex difference it replaces
+        complex_form = np.linalg.norm(channel_matrix(pose, cfg) - h_ref) ** 2
+        assert err <= abs(np.longdouble(complex_form) - want) / want, (ref, pose)
+        assert channel_error_sq(ref, cfg, r_ref, a_ref) == 0.0
 
 
 # The heading step is larger than the position steps: the MS lever arm

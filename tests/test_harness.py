@@ -633,3 +633,48 @@ def test_qom_degenerate_geometry_fallback():
     rec = run_trial(cfg, 0, [cfg.combiner])[0]
     assert rec.fallback_steps, "expected the degenerate pose to be flagged"
     assert rec.diverged_at is None
+
+
+def test_run_trial_builds_one_true_channel_per_step(monkeypatch):
+    # Per step: one true channel with its distance grid, and per scheme one
+    # _chain_terms at the prior and one distance grid at the posterior for
+    # the NMSE term; no scheme builds a complex channel of its own.
+    counts = dict.fromkeys(("_chain_terms", "_pair_offsets", "channel_matrix", "channel_grid"), 0)
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_chain_terms", "_pair_offsets", "channel_matrix"):
+        count(nftrack.geometry, name)
+    count(nftrack.harness, "channel_grid")
+    cfg = tiny_config(k_steps=4)
+    tokens = ("fd", "rand", "svd_pe", "qom", "mo:rand")
+    records = run_trial(cfg, 0, [parse_scheme(tok, 3, cfg.array.n_b) for tok in tokens])
+    assert all(rec.diverged_at is None for rec in records)
+    s, k = len(tokens), cfg.k_steps
+    assert counts == {
+        "_chain_terms": s * k,
+        "_pair_offsets": k + 2 * s * k,
+        "channel_matrix": 0,
+        "channel_grid": k,
+    }
+
+
+@pytest.mark.parametrize("p_m_dbm,expected", [(3100.0, 2), (10.0, 0)])
+def test_track_manifest_counts_diverged_trials(tmp_path, p_m_dbm, expected):
+    # 3100 dBm (1e307 W) overflows the data information at the first update,
+    # so every trial of every scheme diverges; the CSV cannot show it.
+    config = _desk_with(tmp_path / "desk.json", p_m_dbm=p_m_dbm)
+    out = tmp_path / "out.csv"
+    rc = cli_main(["track", "--config", str(config), "--out", str(out), "--trials", "2",
+                   "--steps", "3", "--schemes", "fd,mo:rand"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["n_diverged"] == {"fd": expected, "mo:rand": expected}
+    assert out.read_text().splitlines()[0] == "scheme,k,rmse_x_m,rmse_y_m,rmse_psi_rad,nmse_h"

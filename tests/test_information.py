@@ -192,6 +192,9 @@ def test_bayesian_fim_init_diagonal():
 def test_bayesian_fim_init_rejects_singular():
     with pytest.raises(np.linalg.LinAlgError):
         bayesian_fim_init(np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))
+    # An indefinite covariance is invertible, so only the PD check rejects it.
+    with pytest.raises(np.linalg.LinAlgError):
+        bayesian_fim_init(np.diag([1.0, 1.0, -1.0, 1.0, 1.0]))
 
 
 def test_bayesian_step_pure_information_transport():
