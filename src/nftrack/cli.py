@@ -103,6 +103,9 @@ def _cmd_track(args) -> int:
     ]
     result = run_campaign(cfg, schemes, threads=max(1, args.threads))
     result.to_csv(args.out)
+    for label, m in result.schemes.items():
+        if m.n_diverged:
+            print(f"{label}: {m.n_diverged} of {cfg.n_trials} trials diverged", file=sys.stderr)
     return 0
 
 

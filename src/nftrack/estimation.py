@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import RankDeficientCombiner, SingularPriorCovariance
-from .geometry import pilot_response
 
 # Relative singular-value gate below which combiner rows count as dependent.
 _RANK_RTOL = 1e-8
@@ -84,9 +83,7 @@ class Combiner:
     The Gram matrix Q Q^H is Cholesky-factored once per instance by a direct
     LAPACK potrf call, and its rank is screened from that factor: the SVD
     rank gate runs only when the factorization fails or the screen cannot
-    vouch for the rows.  The full row-space projection Q^H (Q Q^H)^-1 Q is
-    materialized lazily (it is only needed by diagnostics; the filter path
-    uses Gram solves).
+    vouch for the rows.
     """
 
     def __init__(self, q: np.ndarray, unit_modulus: bool, is_identity: bool = False):
@@ -96,10 +93,8 @@ class Combiner:
         if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
             raise ValueError("unit-modulus combiner has entries away from the unit circle")
         self.q = q
-        self.unit_modulus = unit_modulus
         self.is_identity = is_identity
         self._gram_factor = None
-        self._projection = None
 
     @property
     def n_rf(self) -> int:
@@ -136,32 +131,7 @@ class Combiner:
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
         """(Q Q^H)^-1 rhs."""
-        if self.is_identity:
-            return np.array(rhs, copy=True)
         return _cho_solve(self._gram(), rhs)
-
-    def project(self, m: np.ndarray) -> np.ndarray:
-        """P_Q m without materializing the n_b x n_b projection."""
-        if self.is_identity:
-            return np.array(m, copy=True)
-        return self.q.conj().T @ self.solve_gram(self.q @ m)
-
-    def projection_norm_sq(self, m: np.ndarray) -> float:
-        """||P_Q m||_F^2 via the Gram Cholesky factor."""
-        w = self.q @ m
-        half = solve_triangular(self._gram(), w, lower=True)
-        return float(np.linalg.norm(half) ** 2)
-
-    @property
-    def projection(self) -> np.ndarray:
-        """Orthogonal projection onto the row space of Q (cached)."""
-        if self._projection is None:
-            if self.is_identity:
-                self._projection = np.eye(self.n_b, dtype=complex)
-            else:
-                half = solve_triangular(self._gram(), self.q, lower=True)
-                self._projection = half.conj().T @ half
-        return self._projection
 
 
 @dataclass(frozen=True)
@@ -213,12 +183,9 @@ def score(
     g = (2/sigma^2) Re{ B^H Q^H (Q Q^H)^-1 (z - Q b_pred) }.
     """
     residual = z - q.apply(predicted_obs)
-    weighted = q.solve_gram(residual)
-    if q.is_identity:
-        back = weighted
-    else:
-        back = q.q.conj().T @ weighted
-    return (2.0 / noise_power) * np.real(b.conj().T @ back)
+    if not q.is_identity:
+        residual = q.q.conj().T @ q.solve_gram(residual)
+    return (2.0 / noise_power) * np.real(b.conj().T @ residual)
 
 
 def fim(b: np.ndarray, q: Combiner, noise_power: float) -> np.ndarray:
@@ -242,25 +209,17 @@ def ekf_predict(posterior: Belief, spec: ProcessNoiseSpec) -> Belief:
 
 def ekf_update(
     prior: Belief,
-    z,
+    z: np.ndarray,
     q: Combiner,
-    pilot,
-    cfg,
+    b_jac: np.ndarray,
+    predicted_obs: np.ndarray,
     noise_power: float,
-    b_jac: np.ndarray = None,
-    predicted_obs: np.ndarray = None,
 ) -> Belief:
     """Information-form update linearized at the prior mean.
 
+    b_jac and predicted_obs are the observation Jacobian B and H(p) x at the prior mean.
     P_post = (P_prior^-1 + F)^-1 and mean_post = mean_prior + P_post g.
-    Callers that already evaluated the observation Jacobian / predicted
-    observation at the prior mean can pass them in to avoid recomputation.
     """
-    if b_jac is None or predicted_obs is None:
-        hx, b = pilot_response(prior.mean.pose, cfg, pilot.symbols)
-        b_jac = b if b_jac is None else b_jac
-        predicted_obs = hx if predicted_obs is None else predicted_obs
-
     f = fim(b_jac, q, noise_power)
     g = score(z, q, b_jac, predicted_obs, noise_power)
 

@@ -342,12 +342,13 @@ class _SchemeFilter:
         else:
             b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
             try:
-                # The MO builder and the update share prior.info, one inverse.
-                combiner = self.builder.build(k, prior.mean.pose, lambda: b_jac, prior)
-                self.belief = ekf_update(
-                    prior, combiner.apply(y), combiner, pilot, cfg.array,
-                    cfg.noise_power_watts, b_jac=b_jac, predicted_obs=b_pred,
-                )
+                # A diverging filter overflows; the finiteness checks report it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # The MO builder and the update share prior.info, one inverse.
+                    combiner = self.builder.build(k, prior.mean.pose, lambda: b_jac, prior)
+                    self.belief = ekf_update(
+                        prior, combiner.apply(y), combiner, b_jac, b_pred, cfg.noise_power_watts
+                    )
             except SingularPriorCovariance:
                 record.diverged_at = k
                 self.belief = prior

@@ -1,9 +1,9 @@
 """Fisher-information analysis and the Bayesian CRB recursion.
 
-The average Fisher information integrates the per-pilot information over the
-pilot distribution in closed form; the Bayesian bound combines information
-transported through the motion model with the expected data information of
-each new snapshot, evaluated at the nominal next pose.
+expected_fim integrates the per-pilot information over the pilot distribution
+in closed form, and avg_fisher is its pose diagonal.  The Bayesian bound
+combines information transported through the motion model with the expected
+data information of each new snapshot, evaluated at the nominal next pose.
 
 For the fully digital receiver (identity combiner) the phase cancels: every
 channel entry depends on the pose only through its distance r, so
@@ -13,7 +13,7 @@ J_mu = dh/dr * dr/dmu with dr/dmu real, and
     |dh/dr|^2 = (lambda / (4 pi r^2))^2 (1 + (2 pi r / lambda)^2).
 
 That pose Gram (``ChannelDerivatives.gram``) is real arithmetic on the
-distance grid, so the identity branches below build no complex matrix.
+distance grid, so the identity branch of expected_fim builds no complex matrix.
 """
 
 from dataclasses import dataclass
@@ -50,13 +50,8 @@ def avg_fisher(
     noise_power: float,
     n_m: int,
 ) -> AvgFisher:
-    """(2 P_m / (sigma^2 N_m)) * ||P_Q J_mu||_F^2 for mu in {x, y, psi}."""
-    scale = 2.0 * p_m / (noise_power * n_m)
-    if q.is_identity:
-        norms_sq = np.diagonal(derivs.gram).tolist()
-    else:
-        norms_sq = [q.projection_norm_sq(j) for j in derivs]
-    return AvgFisher(*(scale * v for v in norms_sq))
+    """The pose diagonal of expected_fim: (2 P_m / (sigma^2 N_m)) ||P_Q J_mu||_F^2."""
+    return AvgFisher(*np.diagonal(expected_fim(derivs, q, p_m, noise_power, n_m))[:3].tolist())
 
 
 def digital_avg_fisher(pose: Pose, cfg: ArrayConfig, p_m: float, noise_power: float) -> AvgFisher:

@@ -198,8 +198,9 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
     worst, worst_kind = 0.0, ""
     for kind, comb in combiners.items():
         af = avg_fisher(derivs, comb, P_M, SIGMA2, cfg.n_m)
+        p_q = np.linalg.pinv(comb.q) @ comb.q  # projection onto the row space of Q
         for j_mu, target in ((derivs.j_x, af.f_x), (derivs.j_y, af.f_y), (derivs.j_psi, af.f_psi)):
-            m = j_mu.conj().T @ comb.project(j_mu)
+            m = j_mu.conj().T @ p_q @ j_mu
             vals = np.real(np.einsum("ij,jk,ik->i", pilots.conj(), m, pilots))
             rel = abs((2 / SIGMA2) * vals.mean() - target) / target
             if rel > worst:

@@ -49,7 +49,7 @@ def desk_b_jac(seed=0, n_b=101, n_m=25):
 def test_fd_projection_and_fim():
     cfg = ArrayConfig(n_b=21, n_m=5, carrier_freq=F28)
     fd = combiner_fd(cfg)
-    np.testing.assert_allclose(fd.projection, np.eye(cfg.n_b), atol=1e-12)
+    np.testing.assert_allclose(fd.q.conj().T @ fd.solve_gram(fd.q), np.eye(cfg.n_b), atol=1e-12)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
     b = observation_jacobian(Pose(9, -3, 0.2), cfg, pilot)
     f = fim(b, fd, 1e-10)
@@ -67,7 +67,7 @@ def test_random_combiner_entries_and_determinism():
 def test_random_combiner_rank_gate_across_seeds():
     for seed in range(100):
         comb = combiner_random(np.random.default_rng(seed), 3, 64)
-        _ = comb.projection  # raises RankDeficientCombiner on failure
+        comb.solve_gram(comb.q)  # raises RankDeficientCombiner on failure
 
 
 # -------------------------------------------------------------------- svd_pe

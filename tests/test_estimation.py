@@ -1,4 +1,4 @@
-"""Information-form EKF: projections, score, FIM, predict and update."""
+"""Information-form EKF: Gram solves, score, FIM, predict and update."""
 
 import numpy as np
 import pytest
@@ -35,34 +35,48 @@ def make_b_and_pred(cfg, pose, pilot):
     return b, pred
 
 
-# ---------------------------------------------------------------- projection
+def gram_projection(q: Combiner) -> np.ndarray:
+    """The row-space projection Q^H (Q Q^H)^-1 Q through the Gram solve."""
+    return q.q.conj().T @ q.solve_gram(q.q)
+
+
+# ---------------------------------------------------------------- Gram solve
 
 
 def test_projection_identity():
     q = combiner_fd(cfg_small())
-    np.testing.assert_allclose(q.projection, np.eye(17), atol=1e-12)
+    np.testing.assert_allclose(gram_projection(q), np.eye(17), atol=1e-12)
 
 
 def test_projection_single_ones_row():
     n = 12
     q = Combiner(np.ones((1, n), dtype=complex), unit_modulus=True)
-    np.testing.assert_allclose(q.projection, np.full((n, n), 1 / n), atol=1e-12)
+    np.testing.assert_allclose(gram_projection(q), np.full((n, n), 1 / n), atol=1e-12)
+    cfg = ArrayConfig(n_b=n, n_m=5, carrier_freq=F28)
+    pilot = generate_pilot(np.random.default_rng(26), 0.01, cfg.n_m)
+    b, _ = make_b_and_pred(cfg, Pose(9, 2, 0.1), pilot)
+    s = b.sum(axis=0)  # n_rf = 1: F = (2/sigma^2) Re(s^H s) / n for s = 1^T B
+    f_ref = (2 / 1e-10) * np.real(np.outer(s.conj(), s)) / n
+    np.testing.assert_allclose(
+        fim(b, q, 1e-10), f_ref, rtol=1e-10, atol=1e-12 * np.abs(f_ref).max()
+    )
 
 
 def test_projection_laws_random_sign_combiner():
     rng = np.random.default_rng(0)
     q = combiner_random(rng, 3, 32)
-    p = q.projection
+    p = gram_projection(q)
     np.testing.assert_allclose(p @ p, p, atol=1e-9)
     np.testing.assert_allclose(p.conj().T, p, atol=1e-9)
     assert np.real(np.trace(p)) == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(p, np.linalg.pinv(q.q) @ q.q, atol=1e-12)
 
 
 def test_rank_gate():
     q = np.ones((2, 8), dtype=complex)  # duplicated rows
     comb = Combiner(q, unit_modulus=True)
     with pytest.raises(RankDeficientCombiner):
-        _ = comb.projection
+        comb.solve_gram(np.ones(2))
 
 
 @pytest.mark.parametrize(
@@ -327,7 +341,8 @@ def test_update_with_zero_pilot_keeps_prior():
     q = combiner_fd(cfg)
     h = channel_matrix(prior.mean.pose, cfg)
     z = q.apply(full_snapshot(h, pilot, 1e-10, np.random.default_rng(17)))
-    post = ekf_update(prior, z, q, pilot, cfg, 1e-10)
+    b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
+    post = ekf_update(prior, z, q, b, pred, 1e-10)
     np.testing.assert_allclose(post.mean.as_vector(), prior.mean.as_vector(), atol=1e-12)
     np.testing.assert_allclose(post.cov, prior.cov, rtol=1e-9)
 
@@ -341,7 +356,8 @@ def test_update_information_dominance_small_noise():
     q = combiner_fd(cfg)
     h = channel_matrix(true_pose, cfg)
     z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(19)))
-    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
+    b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
+    post = ekf_update(prior, z, q, b, pred, sigma2)
     assert np.trace(post.cov[:3, :3]) < np.trace(prior.cov[:3, :3]) / 10
 
 
@@ -353,7 +369,8 @@ def test_update_loewner_order():
     q = combiner_random(np.random.default_rng(21), 3, cfg.n_b)
     h = channel_matrix(prior.mean.pose, cfg)
     z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(22)))
-    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
+    b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
+    post = ekf_update(prior, z, q, b, pred, sigma2)
     assert np.all(np.linalg.eigvalsh(prior.cov - post.cov) >= -1e-10)
 
 
@@ -367,10 +384,10 @@ def test_update_against_scalar_reimplementation():
     q = combiner_random(np.random.default_rng(24), 3, cfg.n_b)
     h = channel_matrix(true_pose, cfg)
     z = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(25)))
-    post = ekf_update(prior, z, q, pilot, cfg, sigma2)
+    b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
+    post = ekf_update(prior, z, q, b, pred, sigma2)
 
     qm = q.q
-    b, pred = make_b_and_pred(cfg, prior.mean.pose, pilot)
     gram_inv = np.linalg.pinv(qm @ qm.conj().T)
     g_ref = (2 / sigma2) * np.real(b.conj().T @ qm.conj().T @ gram_inv @ (z - qm @ pred))
     p_q = qm.conj().T @ gram_inv @ qm

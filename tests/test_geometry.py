@@ -198,9 +198,12 @@ def test_channel_error_sq_matches_long_double_oracle(n_b, n_m):
         assert isinstance(got, float)
         err = abs(np.longdouble(got) - want) / want
         assert err <= 1e-12, (ref, pose, float(err))
-        # never less accurate than the complex difference it replaces
+        # Never less accurate than the complex difference it replaces, up to
+        # a few ulps: both errors can be rounding level, and the BLAS-summed
+        # squared norm's rounding depends on the BLAS thread count.
         complex_form = np.linalg.norm(channel_matrix(pose, cfg) - h_ref) ** 2
-        assert err <= abs(np.longdouble(complex_form) - want) / want, (ref, pose)
+        complex_err = abs(np.longdouble(complex_form) - want) / want
+        assert err <= max(complex_err, 4 * np.finfo(float).eps), (ref, pose)
         assert channel_error_sq(ref, cfg, r_ref, a_ref) == 0.0
 
 

@@ -1,9 +1,15 @@
-"""Golden campaign output: the desk scenario cut to 2 trials x 10 steps.
+"""Golden outputs on the desk scenario.
 
-The fixtures in tests/golden/ hold the campaign CSV for fd, rand, svd_pe and
-qom under each pilot policy.  Every cell must match: the scheme and step
-columns exactly, the metric columns at rtol 1e-9.  Regenerate the fixtures
-only for a deliberate change of the numerics, with
+The fixtures in tests/golden/ hold:
+
+- the campaign CSV for fd, rand, svd_pe and qom under each pilot policy,
+  with the scenario cut to 2 trials x 10 steps;
+- the `fisher` CSV of two array-size sweeps;
+- the `crb --steps 20` CSV of each CRB policy.
+
+Every cell must match: the key columns (scheme and step, sweep axis and
+value, CRB step) exactly, the other columns at rtol 1e-9.  Regenerate the
+fixtures only for a deliberate change of the numerics, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,19 +21,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nftrack.cli import main
 from nftrack.harness import load_config, parse_scheme, run_campaign
 
 ROOT = Path(__file__).resolve().parent.parent
+DESK = ROOT / "configs" / "desk.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TOKENS = ("fd", "rand", "svd_pe", "qom")
 POLICIES = ("per_trial", "per_step")
+FISHER_SWEEPS = ("nb:16:101:6", "nm:5:25:5")
 
 
 def _campaign_csv(policy: str, out: Path) -> None:
-    desk = load_config(ROOT / "configs" / "desk.json")
-    cfg = replace(desk, n_trials=2, k_steps=10, pilot_policy=policy)
+    cfg = replace(load_config(DESK), n_trials=2, k_steps=10, pilot_policy=policy)
     specs = [parse_scheme(tok, cfg.combiner.n_rf, cfg.array.n_b) for tok in TOKENS]
     run_campaign(cfg, specs).to_csv(out)
+
+
+def _fisher_csv(sweep: str, out: Path) -> None:
+    assert main(["fisher", "--config", str(DESK), "--out", str(out), "--sweep", sweep]) == 0
+
+
+def _crb_csv(policy: str, out: Path) -> None:
+    argv = ["crb", "--config", str(DESK), "--out", str(out), "--steps", "20", "--policy", policy]
+    assert main(argv) == 0
+
+
+def _fisher_name(sweep: str) -> str:
+    return f"desk_fisher_{sweep.replace(':', '_')}.csv"
 
 
 def _rows(path: Path):
@@ -35,24 +56,50 @@ def _rows(path: Path):
         return list(csv.reader(fh))
 
 
+def _assert_matches_golden(out: Path, name: str, n_keys: int):
+    """The CSV at out against fixture name: the first n_keys columns exactly,
+    the rest at rtol 1e-9.  Returns the fixture's row count."""
+    got, want = _rows(out), _rows(GOLDEN_DIR / name)
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        assert g[:n_keys] == w[:n_keys]
+        np.testing.assert_allclose(
+            np.array(g[n_keys:], dtype=float), np.array(w[n_keys:], dtype=float),
+            rtol=1e-9, atol=0.0, err_msg=f"{name}: row {w[:n_keys]}",
+        )
+    return len(want)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_desk_campaign_matches_golden(policy, tmp_path):
     out = tmp_path / "campaign.csv"
     _campaign_csv(policy, out)
-    got, want = _rows(out), _rows(GOLDEN_DIR / f"desk_{policy}.csv")
-    assert got[0] == want[0]
-    assert len(got) == len(want) == 1 + len(TOKENS) * 10
-    for g, w in zip(got[1:], want[1:]):
-        assert g[:2] == w[:2]
-        np.testing.assert_allclose(
-            np.array(g[2:], dtype=float), np.array(w[2:], dtype=float), rtol=1e-9, atol=0.0,
-            err_msg=f"scheme {w[0]} step {w[1]}",
-        )
+    assert _assert_matches_golden(out, f"desk_{policy}.csv", 2) == 1 + len(TOKENS) * 10
+
+
+@pytest.mark.parametrize("sweep", FISHER_SWEEPS)
+def test_desk_fisher_matches_golden(sweep, tmp_path):
+    out = tmp_path / "fisher.csv"
+    _fisher_csv(sweep, out)
+    assert _assert_matches_golden(out, _fisher_name(sweep), 2) == 1 + int(sweep.split(":")[-1])
+
+
+@pytest.mark.parametrize("policy", TOKENS)
+def test_desk_crb_matches_golden(policy, tmp_path):
+    out = tmp_path / "crb.csv"
+    _crb_csv(policy, out)
+    assert _assert_matches_golden(out, f"desk_crb_{policy}.csv", 1) == 1 + 20
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for policy in POLICIES:
-        path = GOLDEN_DIR / f"desk_{policy}.csv"
-        _campaign_csv(policy, path)
+    fixtures = (
+        [(f"desk_{p}.csv", _campaign_csv, p) for p in POLICIES]
+        + [(_fisher_name(s), _fisher_csv, s) for s in FISHER_SWEEPS]
+        + [(f"desk_crb_{p}.csv", _crb_csv, p) for p in TOKENS]
+    )
+    for name, write, arg in fixtures:
+        path = GOLDEN_DIR / name
+        write(arg, path)
         path.with_suffix(".csv.manifest.json").unlink()

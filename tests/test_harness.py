@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -667,14 +668,21 @@ def test_run_trial_builds_one_true_channel_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("p_m_dbm,expected", [(3100.0, 2), (10.0, 0)])
-def test_track_manifest_counts_diverged_trials(tmp_path, p_m_dbm, expected):
+def test_track_manifest_counts_diverged_trials(tmp_path, capsys, p_m_dbm, expected):
     # 3100 dBm (1e307 W) overflows the data information at the first update,
-    # so every trial of every scheme diverges; the CSV cannot show it.
+    # so every trial of every scheme diverges; the CSV cannot show it.  The
+    # overflow is reported as divergence, not as numpy RuntimeWarnings from
+    # inside the filter and the MO objective.
     config = _desk_with(tmp_path / "desk.json", p_m_dbm=p_m_dbm)
     out = tmp_path / "out.csv"
-    rc = cli_main(["track", "--config", str(config), "--out", str(out), "--trials", "2",
-                   "--steps", "3", "--schemes", "fd,mo:rand"])
+    tokens = ("fd", "rand", "svd_pe", "qom", "mo:rand")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["track", "--config", str(config), "--out", str(out), "--trials", "2",
+                       "--steps", "3", "--schemes", ",".join(tokens)])
     assert rc == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
-    assert manifest["n_diverged"] == {"fd": expected, "mo:rand": expected}
+    assert manifest["n_diverged"] == dict.fromkeys(tokens, expected)
     assert out.read_text().splitlines()[0] == "scheme,k,rmse_x_m,rmse_y_m,rmse_psi_rad,nmse_h"
+    report = "".join(f"{label}: 2 of 2 trials diverged\n" for label in tokens)
+    assert capsys.readouterr().err == (report if expected else "")
