@@ -86,10 +86,9 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             cfg = replace(cfg, **{name: value})
     if getattr(args, "nrf", None) is not None:
         try:
-            spec = replace(cfg.combiner, n_rf=args.nrf)
+            cfg = replace(cfg, combiner=replace(cfg.combiner, n_rf=args.nrf))
         except ValueError as exc:
             raise ConfigError(f"invalid --nrf {args.nrf}: {exc}") from exc
-        cfg = cfg.with_combiner(spec)
     return cfg
 
 
@@ -97,7 +96,7 @@ def _cmd_track(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     n_rf = cfg.combiner.n_rf
     schemes = [
-        parse_scheme(tok, n_rf, cfg.array.n_b, cfg.combiner.mo_iters)
+        parse_scheme(tok, n_rf, cfg.array.n_b)
         for tok in args.schemes.split(",")
         if tok.strip()
     ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometry, DegenerateJacobian
 from .errors import RankDeficientCombiner, SingularPriorCovariance
-from .estimation import _RANK_RTOL, Belief, Combiner, _factor_screen, _rank_deficient
+from .estimation import Belief, Combiner, _gated_factor
 from .geometry import ArrayConfig, Pose, antenna_indices, pair_distance
 from .rng import stream
 
@@ -50,15 +50,12 @@ class CombinerSpec:
     kind: str  # a kind of SCHEMES
     n_rf: int
     mo_init: Optional[str] = None  # initializer kind for kind == "mo"
-    mo_iters: int = 5
 
     def __post_init__(self):
         if scheme_label(self) is None:
             raise ValueError(f"no scheme of kind {self.kind!r} with mo_init {self.mo_init!r}")
         if self.n_rf < 1:
             raise ValueError("n_rf must be >= 1")
-        if self.kind == "mo" and self.mo_iters < 1:
-            raise ValueError("mo_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -234,24 +231,6 @@ def _h(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
-    """Raise RankDeficientCombiner where smallest/largest singular value of Q
-    is at most _RANK_RTOL, the gate of Combiner.
-
-    The Gram eigenvalues are the squared singular values, so squaring has
-    lost the digits the gate needs; they only screen: a ratio above 1e-12
-    passes for certain, anything else is settled by the SVD of that Q.
-    """
-    lam = np.linalg.eigvalsh(gram)
-    screened = lam[..., 0] > 1e-12 * lam[..., -1]
-    if screened.all():
-        return
-    for q_i in q.reshape(-1, *q.shape[-2:])[~screened.reshape(-1)]:
-        svals = np.linalg.svd(q_i, compute_uv=False)
-        if svals[-1] <= _RANK_RTOL * svals[0]:
-            raise _rank_deficient(svals)
-
-
 class _PoseObjective:
     """MO's objective tr S(Q) on the pose blocks of the prior covariance P
     (see combiner_mo).  Reading prior.info gates a non-PD prior with
@@ -273,21 +252,14 @@ class _PoseObjective:
         RankDeficientCombiner, LinAlgError for a Gram that is not positive
         definite, ValueError for a non-finite W; a non-finite or singular A
         raises SingularPriorCovariance, as inverting the information would."""
-        gram = q @ _h(q)
-        # The rank gate runs only where the Gram factor cannot vouch for Q.
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            _rank_gate(q, gram)
-            raise
-        if not _factor_screen(chol, gram).all():
-            _rank_gate(q, gram)
-        l_inv = np.linalg.inv(chol)
-        # One product for the whole stack: (m n_rf) x n_b times n_b x 3.
-        w = (q.reshape(-1, q.shape[-1]) @ self.b3).reshape(q.shape[:-1] + (3,))
-        v = l_inv @ w
-        f = self.scale * np.real(_h(v) @ v)
-        a = f @ self.p33 + _EYE3
+        l_inv = np.linalg.inv(_gated_factor(q, np.linalg.cholesky))
+        # A non-finite W or A raises below, without numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One product for the whole stack: (m n_rf) x n_b times n_b x 3.
+            w = (q.reshape(-1, q.shape[-1]) @ self.b3).reshape(q.shape[:-1] + (3,))
+            v = l_inv @ w
+            f = self.scale * np.real(_h(v) @ v)
+            a = f @ self.p33 + _EYE3
         if not np.isfinite(a).all():  # also where W is not finite
             if not np.isfinite(w).all():
                 raise ValueError("array must not contain infs or NaNs")
@@ -464,7 +436,7 @@ class PredictionBuilder:
 
     def _mo(self, k, pose, jacobian, prior) -> Combiner:
         init = SCHEMES[_label(self.spec.mo_init, None)].build(self, k, pose, jacobian, prior)
-        comb, info = combiner_mo(init, prior, jacobian(), self.noise_power, self.spec.mo_iters)
+        comb, info = combiner_mo(init, prior, jacobian(), self.noise_power)
         if not info.improved:
             self.mo_stalled_steps.append(k)
         return comb
@@ -505,10 +477,10 @@ def scheme_label(spec: CombinerSpec) -> Optional[str]:
     return _label(spec.kind, spec.mo_init if spec.kind == "mo" else None)
 
 
-def parse_scheme(token: str, n_rf: int, n_b: int, mo_iters: int = 5) -> CombinerSpec:
+def parse_scheme(token: str, n_rf: int, n_b: int) -> CombinerSpec:
     """Translate a SCHEMES token, also spelled with kind names (random, mo:random)."""
     token = token.strip().lower()
     for label, s in SCHEMES.items():
         if token in (label, s.kind if s.mo_init is None else f"mo:{s.mo_init}"):
-            return CombinerSpec(s.kind, n_b if s.kind == "fd" else n_rf, s.mo_init, mo_iters)
+            return CombinerSpec(s.kind, n_b if s.kind == "fd" else n_rf, s.mo_init)
     raise ConfigError(f"unknown scheme {token!r}")

@@ -70,21 +70,45 @@ def _factor_screen(l: np.ndarray, gram: np.ndarray):
     return (d * d).prod(-1) > 1e-12 * tr ** gram.shape[-1]
 
 
-def _rank_deficient(svals: np.ndarray) -> RankDeficientCombiner:
-    return RankDeficientCombiner(
-        f"smallest singular value {svals[-1]:.3e} under gate "
-        f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
-    )
+def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:
+    """Raise RankDeficientCombiner where smallest/largest singular value of Q
+    (or of each Q in a stack) is at most _RANK_RTOL.
+
+    The Gram eigenvalues are the squared singular values, so squaring has
+    lost the digits the gate needs; they only screen: a ratio above 1e-12
+    passes for certain, anything else is settled by the SVD of that Q.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    screened = lam[..., 0] > 1e-12 * lam[..., -1]
+    if screened.all():
+        return
+    for q_i in q.reshape(-1, *q.shape[-2:])[~screened.reshape(-1)]:
+        svals = np.linalg.svd(q_i, compute_uv=False)
+        if svals[-1] <= _RANK_RTOL * svals[0]:
+            raise RankDeficientCombiner(
+                f"smallest singular value {svals[-1]:.3e} under gate "
+                f"{_RANK_RTOL:.0e} x {svals[0]:.3e}"
+            )
+
+
+def _gated_factor(q: np.ndarray, factor) -> np.ndarray:
+    """Lower Cholesky factor factor(G) of G = Q Q^H, for a combiner or a stack.
+    The rank gate runs only where factor fails (re-raising if Q passes the
+    gate) or where _factor_screen cannot vouch for Q."""
+    gram = q @ q.conj().swapaxes(-1, -2)
+    try:
+        chol = factor(gram)
+    except (np.linalg.LinAlgError, ValueError):
+        _rank_gate(q, gram)
+        raise
+    if not _factor_screen(chol, gram).all():
+        _rank_gate(q, gram)
+    return chol
 
 
 class Combiner:
-    """Analog combining matrix with cached row-space factorizations.
-
-    The Gram matrix Q Q^H is Cholesky-factored once per instance by a direct
-    LAPACK potrf call, and its rank is screened from that factor: the SVD
-    rank gate runs only when the factorization fails or the screen cannot
-    vouch for the rows.
-    """
+    """Analog combining matrix; its Gram matrix Q Q^H is factored once per
+    instance by a direct LAPACK potrf call, behind the rank gate."""
 
     def __init__(self, q: np.ndarray, unit_modulus: bool, is_identity: bool = False):
         q = np.asarray(q, dtype=complex)
@@ -104,23 +128,10 @@ class Combiner:
     def n_b(self) -> int:
         return self.q.shape[1]
 
-    def _check_rank(self):
-        svals = np.linalg.svd(self.q, compute_uv=False)
-        if svals[-1] <= _RANK_RTOL * svals[0]:
-            raise _rank_deficient(svals)
-
     def _gram(self) -> np.ndarray:
         """Lower Cholesky factor of Q Q^H, behind the rank gate."""
         if self._gram_factor is None:
-            gram = self.q @ self.q.conj().T
-            try:
-                c = _cho_factor(gram)
-            except (np.linalg.LinAlgError, ValueError):
-                self._check_rank()
-                raise
-            if not _factor_screen(c, gram):
-                self._check_rank()
-            self._gram_factor = c
+            self._gram_factor = _gated_factor(self.q, _cho_factor)
         return self._gram_factor
 
     def apply(self, y: np.ndarray) -> np.ndarray:

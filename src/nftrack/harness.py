@@ -19,7 +19,7 @@ import itertools
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -42,6 +42,15 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _unknown_keys(given: dict, known: dict, prefix: str = ""):
+    """Dotted paths of the keys of given, at any depth, that known lacks."""
+    for key, value in given.items():
+        if key not in known:
+            yield f"{prefix}{key}"
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            yield from _unknown_keys(value, known[key], f"{prefix}{key}.")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one experiment."""
@@ -57,8 +66,6 @@ class ScenarioConfig:
     combiner: CombinerSpec
     seed: int
     pilot_policy: str = "per_trial"
-    wrap_psi_rmse: bool = True
-    burn_in: int = 0
 
     def __post_init__(self):
         for name in ("p_m_dbm", "noise_power_dbm"):
@@ -74,8 +81,6 @@ class ScenarioConfig:
             raise ConfigError("seed must be >= 0")
         if self.pilot_policy not in PILOT_POLICIES:
             raise ConfigError(f"pilot_policy must be one of {PILOT_POLICIES}")
-        if self.burn_in < 0 or self.burn_in >= self.k_steps:
-            raise ConfigError("burn_in must lie in [0, k_steps)")
         if not np.isfinite(self.initial_state.as_vector()).all():
             raise ConfigError("initial_state must be finite")
         if self.initial_state.x == 0.0 and self.initial_state.y == 0.0:
@@ -103,9 +108,6 @@ class ScenarioConfig:
     @property
     def noise_power_watts(self) -> float:
         return dbm_to_watts(self.noise_power_dbm)
-
-    def with_combiner(self, spec: CombinerSpec) -> "ScenarioConfig":
-        return replace(self, combiner=spec)
 
     def to_dict(self) -> dict:
         return {
@@ -137,12 +139,9 @@ class ScenarioConfig:
                 "kind": self.combiner.kind,
                 "n_rf": self.combiner.n_rf,
                 "mo_init": self.combiner.mo_init,
-                "mo_iters": self.combiner.mo_iters,
             },
             "seed": self.seed,
             "pilot_policy": self.pilot_policy,
-            "wrap_psi_rmse": self.wrap_psi_rmse,
-            "burn_in": self.burn_in,
         }
 
     @classmethod
@@ -179,9 +178,8 @@ class ScenarioConfig:
                 kind=comb["kind"],
                 n_rf=int(comb["n_rf"]),
                 mo_init=comb.get("mo_init"),
-                mo_iters=int(comb.get("mo_iters", 5)),
             )
-            return cls(
+            cfg = cls(
                 array=array,
                 initial_state=state,
                 initial_cov=cov,
@@ -193,11 +191,16 @@ class ScenarioConfig:
                 combiner=spec,
                 seed=int(d["seed"]),
                 pilot_policy=d.get("pilot_policy", "per_trial"),
-                wrap_psi_rmse=bool(d.get("wrap_psi_rmse", True)),
-                burn_in=int(d.get("burn_in", 0)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid scenario configuration: {exc}") from exc
+        known = cfg.to_dict()  # every key must be one that to_dict writes
+        if "initial_cov" not in d:  # or the diagonal in place of initial_cov
+            known["initial_cov_diag"] = known.pop("initial_cov")
+        unknown = ", ".join(_unknown_keys(d, known))
+        if unknown:
+            raise ConfigError(f"unknown configuration keys: {unknown}")
+        return cfg
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -219,11 +222,9 @@ class TrialRecord:
 
     trial_index: int
     true_states: np.ndarray  # (k_steps + 1, 5), row 0 = initial state
-    prior_means: np.ndarray  # (k_steps, 5)
     prior_covs: np.ndarray  # (k_steps, 5, 5)
     post_means: np.ndarray  # (k_steps, 5)
     post_covs: np.ndarray  # (k_steps, 5, 5)
-    pilot_norm_sq: float
     fallback_steps: List[int] = field(default_factory=list)
     mo_stalled_steps: List[int] = field(default_factory=list)
     diverged_at: Optional[int] = None
@@ -241,10 +242,6 @@ class SchemeMetrics:
     rmse_y: np.ndarray
     rmse_psi: np.ndarray  # rad
     nmse_h: np.ndarray
-    avg_rmse_x: float
-    avg_rmse_y: float
-    avg_rmse_psi: float
-    avg_nmse_h: float
     n_diverged: int
 
 
@@ -306,22 +303,20 @@ def simulate_truth(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
 class _SchemeFilter:
     """One scheme's predictive-combining EKF over a trial's shared truth."""
 
-    def __init__(self, cfg: ScenarioConfig, trial_index: int, truth: np.ndarray,
-                 h_true_sq: np.ndarray):
+    def __init__(self, cfg: ScenarioConfig, spec: CombinerSpec, trial_index: int,
+                 truth: np.ndarray, h_true_sq: np.ndarray):
         k_steps = cfg.k_steps
         self.cfg = cfg
         self.builder = PredictionBuilder(
-            cfg.combiner, cfg.array, cfg.seed, trial_index, cfg.noise_power_watts
+            spec, cfg.array, cfg.seed, trial_index, cfg.noise_power_watts
         )
         self.belief = Belief(mean=cfg.initial_state, cov=cfg.initial_cov.copy())
         self.record = TrialRecord(
             trial_index=trial_index,
             true_states=truth,
-            prior_means=np.zeros((k_steps, 5)),
             prior_covs=np.zeros((k_steps, 5, 5)),
             post_means=np.zeros((k_steps, 5)),
             post_covs=np.zeros((k_steps, 5, 5)),
-            pilot_norm_sq=0.0,
             fallback_steps=self.builder.fallback_steps,
             mo_stalled_steps=self.builder.mo_stalled_steps,
             h_err_sq=np.zeros(k_steps),
@@ -333,7 +328,6 @@ class _SchemeFilter:
         true distance grid r_true and its amplitudes a_true."""
         cfg, record, i = self.cfg, self.record, k - 1
         prior = ekf_predict(self.belief, cfg.noise)
-        record.prior_means[i] = prior.mean.as_vector()
         record.prior_covs[i] = prior.cov
 
         if record.diverged_at is not None:
@@ -403,10 +397,7 @@ def run_trial(
     array = cfg.array
     truth = simulate_truth(cfg, trial_index)
     h_true_sq = np.zeros(cfg.k_steps)
-    filters = [
-        _SchemeFilter(cfg.with_combiner(spec), trial_index, truth, h_true_sq)
-        for spec in schemes
-    ]
+    filters = [_SchemeFilter(cfg, spec, trial_index, truth, h_true_sq) for spec in schemes]
 
     pilot = _draw_pilot(cfg, trial_index, 0) if cfg.pilot_policy == "per_trial" else None
     for k in range(1, cfg.k_steps + 1):
@@ -419,10 +410,6 @@ def run_trial(
         )
         for f in filters:
             f.step(k, pilot, y, r_true, a_true)
-
-    pilot_norm_sq = float(np.linalg.norm(pilot.symbols) ** 2)
-    for f in filters:
-        f.record.pilot_norm_sq = pilot_norm_sq
     return [f.record for f in filters]
 
 
@@ -430,15 +417,16 @@ def _wrap_angle(e: np.ndarray) -> np.ndarray:
     return np.mod(e + np.pi, 2 * np.pi) - np.pi
 
 
-def metrics_rmse(records: Sequence[TrialRecord], param: str, wrap_psi: bool = True) -> np.ndarray:
-    """Per-step RMSE over trials for one state parameter."""
+def metrics_rmse(records: Sequence[TrialRecord], param: str) -> np.ndarray:
+    """Per-step RMSE over trials for one state parameter; psi errors are
+    wrapped to [-pi, pi)."""
     if not records:
         raise ValueError("no trial records")
     col = {"x": 0, "y": 1, "psi": 2, "v": 3, "omega": 4}[param]
     errors = np.stack(
         [rec.post_means[:, col] - rec.true_states[1:, col] for rec in records]
     )
-    if param == "psi" and wrap_psi:
+    if param == "psi":
         errors = _wrap_angle(errors)
     return np.sqrt(np.mean(errors**2, axis=0))
 
@@ -474,21 +462,12 @@ def _nmse_from_terms(records: Sequence[TrialRecord]) -> np.ndarray:
     return num / den
 
 
-def _metrics_for_records(records, cfg) -> SchemeMetrics:
-    rx = metrics_rmse(records, "x", cfg.wrap_psi_rmse)
-    ry = metrics_rmse(records, "y", cfg.wrap_psi_rmse)
-    rp = metrics_rmse(records, "psi", cfg.wrap_psi_rmse)
-    nm = _nmse_from_terms(records)
-    b = cfg.burn_in
+def _metrics_for_records(records) -> SchemeMetrics:
     return SchemeMetrics(
-        rmse_x=rx,
-        rmse_y=ry,
-        rmse_psi=rp,
-        nmse_h=nm,
-        avg_rmse_x=float(np.mean(rx[b:])),
-        avg_rmse_y=float(np.mean(ry[b:])),
-        avg_rmse_psi=float(np.mean(rp[b:])),
-        avg_nmse_h=float(np.mean(nm[b:])),
+        rmse_x=metrics_rmse(records, "x"),
+        rmse_y=metrics_rmse(records, "y"),
+        rmse_psi=metrics_rmse(records, "psi"),
+        nmse_h=_nmse_from_terms(records),
         n_diverged=sum(1 for r in records if r.diverged_at is not None),
     )
 
@@ -516,5 +495,5 @@ def run_campaign(
     results: Dict[str, SchemeMetrics] = {}
     for j, spec in enumerate(schemes):
         records = [trial_records[j] for trial_records in per_trial]
-        results[scheme_label(spec)] = _metrics_for_records(records, cfg.with_combiner(spec))
+        results[scheme_label(spec)] = _metrics_for_records(records)
     return CampaignResult(config=cfg, schemes=results)

@@ -1,13 +1,14 @@
-"""Property test of the CLI on malformed scenario files: one leaf of
+"""Property tests of the CLI on malformed scenario files: one leaf of
 configs/desk.json replaced by a bad value ends in exit 0, 2 or 3, never in an
-exception."""
+exception, and a key that the config does not know, at any level, in exit 2."""
 
 import json
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nftrack.cli import main as cli_main
+from nftrack.harness import ScenarioConfig
 
 DESK = json.loads((Path(__file__).resolve().parent.parent / "configs" / "desk.json").read_text())
 
@@ -31,7 +32,24 @@ def _leaves(node, path=()):
         yield path
 
 
+def _objects(node, path=()):
+    """Paths of every object of a JSON document, the root included."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from _objects(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 LEAVES = list(_leaves(DESK))
+OBJECTS = list(_objects(DESK))
+# The keys the loader knows: those that to_dict writes.
+KNOWN = ScenarioConfig.from_dict(DESK).to_dict()
 
 # Negative numbers stay small, so no antenna count or step count is ever huge.
 BAD_VALUES = st.one_of(
@@ -57,6 +75,24 @@ def test_malformed_config_leaf_exits_cleanly(tmp_path_factory, path, value, comm
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps(_replaced(path, value)))
     assert cli_main([*command, "--config", str(cfg), "--out", str(tmp / "out.csv")]) in (0, 2, 3)
+
+
+# Retired knobs and arbitrary names; any value, well-formed or not.
+UNKNOWN_KEYS = st.one_of(
+    st.sampled_from(["burn_in", "wrap_psi_rmse", "mo_iters", "N_B", "seed "]),
+    st.text(min_size=1, max_size=8),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(OBJECTS), UNKNOWN_KEYS, st.one_of(BAD_VALUES, st.just(1)),
+       st.sampled_from(COMMANDS))
+def test_unknown_config_key_exits_2(tmp_path_factory, path, key, value, command):
+    assume(key not in _at(DESK, path) and key not in _at(KNOWN, path))
+    tmp = tmp_path_factory.mktemp("unknown")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(_replaced(path + (key,), value)))
+    assert cli_main([*command, "--config", str(cfg), "--out", str(tmp / "out.csv")]) == 2
 
 
 # ------------------------------------------------------------- fuzzed argv

@@ -13,7 +13,6 @@ from nftrack.combiners import (
     PredictionBuilder,
     _PoseObjective,
     _fix_singular_vector_signs,
-    _rank_gate,
     combiner_mo,
     combiner_qom,
     combiner_random,
@@ -26,7 +25,7 @@ from nftrack.errors import (
     RankDeficientCombiner,
     SingularPriorCovariance,
 )
-from nftrack.estimation import _RANK_RTOL, Belief, Combiner, ekf_predict, psd_inverse
+from nftrack.estimation import _RANK_RTOL, Belief, Combiner, _rank_gate, ekf_predict, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose
 from nftrack.harness import ScenarioConfig
 from nftrack.observation import generate_pilot, observation_jacobian

@@ -20,6 +20,7 @@ from nftrack.errors import ConfigError
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
 from nftrack.harness import (
     ScenarioConfig,
+    SchemeMetrics,
     TrialRecord,
     load_config,
     metrics_nmse,
@@ -73,24 +74,31 @@ def test_trial_determinism():
     np.testing.assert_array_equal(a.true_states, b.true_states)
     np.testing.assert_array_equal(a.post_means, b.post_means)
     np.testing.assert_array_equal(a.post_covs, b.post_covs)
-    assert a.pilot_norm_sq == b.pilot_norm_sq
+    assert _record_bytes(a) == _record_bytes(b)
 
 
 def test_truth_shared_across_schemes():
     cfg = tiny_config()
-    t_a = simulate_truth(cfg.with_combiner(CombinerSpec(kind="fd", n_rf=33)), 2)
-    t_b = simulate_truth(cfg.with_combiner(CombinerSpec(kind="qom", n_rf=3)), 2)
+    t_a = simulate_truth(replace(cfg, combiner=CombinerSpec(kind="fd", n_rf=33)), 2)
+    t_b = simulate_truth(replace(cfg, combiner=CombinerSpec(kind="qom", n_rf=3)), 2)
     np.testing.assert_array_equal(t_a, t_b)
 
 
-def test_pilot_identical_across_schemes():
+def test_pilot_identical_across_schemes(monkeypatch):
+    # Each scheme, run alone, linearizes every step at the same pilot.
     cfg = tiny_config()
-    recs = {}
+    pilots = {}
+    real = nftrack.harness.pilot_response
+
+    def recording(pose, array, symbols):
+        pilots.setdefault(tok, set()).add(symbols.tobytes())
+        return real(pose, array, symbols)
+
+    monkeypatch.setattr(nftrack.harness, "pilot_response", recording)
     for tok in ("fd", "rand", "svd_pe", "qom"):
-        spec = parse_scheme(tok, 3, cfg.array.n_b)
-        recs[tok] = run_trial(cfg, 0, [spec])[0]
-    norms = {k: v.pilot_norm_sq for k, v in recs.items()}
-    assert len(set(norms.values())) == 1
+        run_trial(cfg, 0, [parse_scheme(tok, 3, cfg.array.n_b)])
+    assert len(pilots) == 4
+    assert len(set().union(*pilots.values())) == 1
 
 
 def test_monotone_information_per_step():
@@ -107,11 +115,9 @@ def test_metrics_rmse_trivial_cases():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_means=np.zeros((4, 5)),
         prior_covs=np.zeros((4, 5, 5)),
         post_means=truth[1:].copy(),
         post_covs=np.zeros((4, 5, 5)),
-        pilot_norm_sq=1.0,
     )
     np.testing.assert_array_equal(metrics_rmse([rec], "x"), np.zeros(4))
 
@@ -129,11 +135,9 @@ def replace_record(rec, **kw):
     fields = dict(
         trial_index=rec.trial_index,
         true_states=rec.true_states,
-        prior_means=rec.prior_means,
         prior_covs=rec.prior_covs,
         post_means=rec.post_means,
         post_covs=rec.post_covs,
-        pilot_norm_sq=rec.pilot_norm_sq,
     )
     fields.update(kw)
     return TrialRecord(**fields)
@@ -144,15 +148,11 @@ def test_metrics_rmse_psi_wrapping():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_means=np.zeros((2, 5)),
         prior_covs=np.zeros((2, 5, 5)),
         post_means=np.array([[0, 0, 2 * np.pi - 0.1, 0, 0], [0, 0, 2 * np.pi + 0.2, 0, 0]]),
         post_covs=np.zeros((2, 5, 5)),
-        pilot_norm_sq=1.0,
     )
     np.testing.assert_allclose(metrics_rmse([rec], "psi"), [0.1, 0.2], atol=1e-12)
-    unwrapped = metrics_rmse([rec], "psi", wrap_psi=False)
-    assert unwrapped[0] > 6.0
 
 
 def test_metrics_nmse():
@@ -165,11 +165,9 @@ def test_metrics_nmse():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_means=np.zeros((2, 5)),
         prior_covs=np.zeros((2, 5, 5)),
         post_means=est,
         post_covs=np.zeros((2, 5, 5)),
-        pilot_norm_sq=1.0,
     )
     nmse = metrics_nmse([rec], cfg)
     # scalar-loop channel oracle for the same poses
@@ -263,8 +261,13 @@ def test_in_trial_nmse_matches_metrics_nmse():
 
 def test_readme_library_imports():
     # Runs the README library snippet's imports and its Fisher example (the
-    # campaign lines in between are left out for time).
+    # campaign lines in between are left out for time), and checks that every
+    # m.<name> it reads is a SchemeMetrics field.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    snippet = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    assert snippet is not None, "README has no library snippet"
+    read = set(re.findall(r"\bm\.(\w+)", snippet.group(1)))
+    assert read and read <= {f.name for f in fields(SchemeMetrics)}
     line = re.search(r"^from nftrack import \(.*?\)$", readme, re.S | re.M)
     assert line is not None, "README library snippet has no nftrack import"
     fisher = re.search(r"^arr = .*?^info = avg_fisher\(.*?\)$", readme, re.S | re.M)
@@ -314,6 +317,10 @@ def test_config_validation_errors(tmp_path):
         tiny_config(pilot_policy="sometimes")
     with pytest.raises(ConfigError):
         tiny_config(combiner=CombinerSpec(kind="fd", n_rf=7))
+    # initial_cov_diag is read only in place of initial_cov, never beside it.
+    both = {**tiny_config().to_dict(), "initial_cov_diag": [1.0] * 5}
+    with pytest.raises(ConfigError, match="initial_cov_diag"):
+        ScenarioConfig.from_dict(both)
     bad = tmp_path / "bad.json"
     bad.write_text("{notjson")
     with pytest.raises(ConfigError):
@@ -360,6 +367,9 @@ BAD_DESK = {
     "noise_m3300": {"noise_power_dbm": -3300.0},
     "noise_m3170": {"noise_power_dbm": -3170.0},
     "sigma_v_1e200": {"process_noise": {"sigma_v_mps2": 1e200}},
+    # Retired knobs are unknown keys, not silently ignored ones.
+    "burn_in": {"burn_in": 3},
+    "mo_iters": {"combiner": {"mo_iters": 10}},
 }
 
 
@@ -438,6 +448,11 @@ def test_cli_crb(tmp_path):
         ["track", "--config", "{sigma_v_1e200}", "--steps", "1", "--trials", "1"],
         ["crb", "--config", "{sigma_v_1e200}", "--steps", "1"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "3300"],
+        # More steps than burn_in, so only the unknown key can fail.
+        ["track", "--config", "{burn_in}", "--steps", "4", "--trials", "1"],
+        ["crb", "--config", "{burn_in}", "--steps", "4"],
+        ["track", "--config", "{mo_iters}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{mo_iters}", "--steps", "1"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
          "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
@@ -446,7 +461,8 @@ def test_cli_crb(tmp_path):
          "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center",
          "track-pm-3300", "crb-pm-3300", "fisher-pm-3300", "track-noise-m3300",
          "crb-noise-m3300", "fisher-noise-m3300", "track-noise-m3170",
-         "track-sigma-v-1e200", "crb-sigma-v-1e200", "crb-pm-dbm-flag-3300"],
+         "track-sigma-v-1e200", "crb-sigma-v-1e200", "crb-pm-dbm-flag-3300",
+         "track-burn-in", "crb-burn-in", "track-mo-iters", "crb-mo-iters"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
