@@ -21,7 +21,7 @@ prediction-stage factory, fallbacks included, that tracking and the CRB use.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -43,17 +43,22 @@ _HALVINGS = 2.0 ** -np.arange(1, 11)
 _EYE3 = np.eye(3)
 
 
+# Other spellings of SCHEMES tokens, resolved wherever a scheme is named.
+_ALIASES = {"random": "rand", "mo:random": "mo:rand"}
+
+
 @dataclass(frozen=True)
 class CombinerSpec:
-    """Scheme selector carried by the scenario configuration."""
+    """A scheme, by its SCHEMES token (an alias resolves to it), and its RF
+    chain count."""
 
-    kind: str  # a kind of SCHEMES
+    kind: str
     n_rf: int
-    mo_init: Optional[str] = None  # initializer kind for kind == "mo"
 
     def __post_init__(self):
-        if scheme_label(self) is None:
-            raise ValueError(f"no scheme of kind {self.kind!r} with mo_init {self.mo_init!r}")
+        object.__setattr__(self, "kind", _ALIASES.get(self.kind, self.kind))
+        if self.kind not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.kind!r}")
         if self.n_rf < 1:
             raise ValueError("n_rf must be >= 1")
 
@@ -393,7 +398,7 @@ class PredictionBuilder:
         self.fallback_steps: List[int] = []
         self.mo_stalled_steps: List[int] = []
         self._seed, self._trial_index = seed, trial_index
-        self._chain = SCHEMES[scheme_label(spec)].build
+        self._chain = SCHEMES[spec.kind]
         self._previous = None
 
     def build(
@@ -435,52 +440,34 @@ class PredictionBuilder:
             return self._previous
 
     def _mo(self, k, pose, jacobian, prior) -> Combiner:
-        init = SCHEMES[_label(self.spec.mo_init, None)].build(self, k, pose, jacobian, prior)
+        init = SCHEMES[self.spec.kind.removeprefix("mo:")](self, k, pose, jacobian, prior)
         comb, info = combiner_mo(init, prior, jacobian(), self.noise_power)
         if not info.improved:
             self.mo_stalled_steps.append(k)
         return comb
 
 
-class Scheme(NamedTuple):
-    """A scheme: its CombinerSpec kind and mo initializer kind, whether
-    `crb --policy` takes it, and its PredictionBuilder chain."""
-
-    kind: str
-    mo_init: Optional[str]
-    crb: bool
-    build: Callable[..., Combiner]
-
-
-# Token (= CSV label) -> scheme.  Fallbacks: svd_pe takes the previous
-# combiner, else the trial's random one; qom the previous combiner, else the
-# svd_pe chain; mo starts from its initializer's chain.
+# Token (= CSV label) -> PredictionBuilder chain.  Fallbacks: svd_pe takes the
+# previous combiner, else the trial's random one; qom the previous combiner,
+# else the svd_pe chain; mo:<init> starts from the <init> chain.
 SCHEMES = {
-    "fd": Scheme("fd", None, True, lambda builder, *_: builder.identity),
-    "rand": Scheme("random", None, True, lambda builder, *_: builder.random),
-    "svd_pe": Scheme("svd_pe", None, True, PredictionBuilder._svd_pe),
-    "qom": Scheme("qom", None, True, PredictionBuilder._qom),
-    "mo:rand": Scheme("mo", "random", False, PredictionBuilder._mo),
-    "mo:svd_pe": Scheme("mo", "svd_pe", False, PredictionBuilder._mo),
-    "mo:qom": Scheme("mo", "qom", False, PredictionBuilder._mo),
+    "fd": lambda builder, *_: builder.identity,
+    "rand": lambda builder, *_: builder.random,
+    "svd_pe": PredictionBuilder._svd_pe,
+    "qom": PredictionBuilder._qom,
+    "mo:rand": PredictionBuilder._mo,
+    "mo:svd_pe": PredictionBuilder._mo,
+    "mo:qom": PredictionBuilder._mo,
 }
 
-CRB_POLICIES = tuple(label for label, s in SCHEMES.items() if s.crb)
-
-
-def _label(kind: str, mo_init: Optional[str]) -> Optional[str]:
-    return next((lb for lb, s in SCHEMES.items() if (s.kind, s.mo_init) == (kind, mo_init)), None)
-
-
-def scheme_label(spec: CombinerSpec) -> Optional[str]:
-    """The SCHEMES token of a spec (mo_init counts only for mo), or None."""
-    return _label(spec.kind, spec.mo_init if spec.kind == "mo" else None)
+# MO needs the predicted belief, which a CRB policy does not have.
+CRB_POLICIES = tuple(token for token in SCHEMES if not token.startswith("mo:"))
 
 
 def parse_scheme(token: str, n_rf: int, n_b: int) -> CombinerSpec:
-    """Translate a SCHEMES token, also spelled with kind names (random, mo:random)."""
+    """The spec of a scheme token with n_rf RF chains; fd takes all n_b."""
     token = token.strip().lower()
-    for label, s in SCHEMES.items():
-        if token in (label, s.kind if s.mo_init is None else f"mo:{s.mo_init}"):
-            return CombinerSpec(s.kind, n_b if s.kind == "fd" else n_rf, s.mo_init)
-    raise ConfigError(f"unknown scheme {token!r}")
+    try:
+        return CombinerSpec(token, n_b if token == "fd" else n_rf)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -114,19 +114,12 @@ class Combiner:
         q = np.asarray(q, dtype=complex)
         if q.ndim != 2:
             raise ValueError("combiner must be a 2-D matrix")
+        _check_finite(q)  # before any Gram product
         if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
             raise ValueError("unit-modulus combiner has entries away from the unit circle")
         self.q = q
         self.is_identity = is_identity
         self._gram_factor = None
-
-    @property
-    def n_rf(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_b(self) -> int:
-        return self.q.shape[1]
 
     def _gram(self) -> np.ndarray:
         """Lower Cholesky factor of Q Q^H, behind the rank gate."""
@@ -163,7 +156,7 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def psd_inverse(m: np.ndarray, exc=SingularPriorCovariance) -> np.ndarray:
+def psd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric PSD matrix by Cholesky; one jitter retry, then fail.
 
     The factor and solve are direct LAPACK potrf/potrs calls, the same
@@ -179,7 +172,7 @@ def psd_inverse(m: np.ndarray, exc=SingularPriorCovariance) -> np.ndarray:
             if attempt == 1:
                 break
             ms = ms + (1e-12 * np.trace(ms) / ms.shape[0]) * eye
-    raise exc("covariance not positive definite even after jitter")
+    raise SingularPriorCovariance("covariance not positive definite even after jitter")
 
 
 def score(

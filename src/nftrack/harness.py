@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .combiners import CombinerSpec, PredictionBuilder, parse_scheme, scheme_label
+from .combiners import CombinerSpec, PredictionBuilder, parse_scheme
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_transition, sample_process_noise
 from .errors import ConfigError, SingularPriorCovariance
 from .estimation import Belief, ekf_predict, ekf_update
@@ -135,11 +135,7 @@ class ScenarioConfig:
             "noise_power_dbm": self.noise_power_dbm,
             "k_steps": self.k_steps,
             "n_trials": self.n_trials,
-            "combiner": {
-                "kind": self.combiner.kind,
-                "n_rf": self.combiner.n_rf,
-                "mo_init": self.combiner.mo_init,
-            },
+            "combiner": {"kind": self.combiner.kind, "n_rf": self.combiner.n_rf},
             "seed": self.seed,
             "pilot_policy": self.pilot_policy,
         }
@@ -174,11 +170,7 @@ class ScenarioConfig:
                 tau=float(pn["tau_s"]),
             )
             comb = d.get("combiner", {"kind": "fd", "n_rf": int(arr["n_b"])})
-            spec = CombinerSpec(
-                kind=comb["kind"],
-                n_rf=int(comb["n_rf"]),
-                mo_init=comb.get("mo_init"),
-            )
+            spec = CombinerSpec(kind=comb["kind"], n_rf=int(comb["n_rf"]))
             cfg = cls(
                 array=array,
                 initial_state=state,
@@ -495,5 +487,5 @@ def run_campaign(
     results: Dict[str, SchemeMetrics] = {}
     for j, spec in enumerate(schemes):
         records = [trial_records[j] for trial_records in per_trial]
-        results[scheme_label(spec)] = _metrics_for_records(records)
+        results[spec.kind] = _metrics_for_records(records)
     return CampaignResult(config=cfg, schemes=results)

@@ -79,7 +79,7 @@ def test_malformed_config_leaf_exits_cleanly(tmp_path_factory, path, value, comm
 
 # Retired knobs and arbitrary names; any value, well-formed or not.
 UNKNOWN_KEYS = st.one_of(
-    st.sampled_from(["burn_in", "wrap_psi_rmse", "mo_iters", "N_B", "seed "]),
+    st.sampled_from(["burn_in", "wrap_psi_rmse", "mo_iters", "mo_init", "N_B", "seed "]),
     st.text(min_size=1, max_size=8),
 )
 

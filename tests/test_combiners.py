@@ -508,5 +508,5 @@ def test_combiner_spec_validation():
     with pytest.raises(ValueError):
         CombinerSpec(kind="nope", n_rf=3)
     with pytest.raises(ValueError):
-        CombinerSpec(kind="mo", n_rf=3, mo_init=None)
-    CombinerSpec(kind="mo", n_rf=3, mo_init="random")
+        CombinerSpec("mo", 3)
+    assert CombinerSpec("mo:random", 3) == CombinerSpec("mo:rand", 3)

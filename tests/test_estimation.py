@@ -91,7 +91,20 @@ def test_unit_modulus_check_tolerance(modulus, accepted):
     else:
         with pytest.raises(ValueError):
             Combiner(q, unit_modulus=True)
-    Combiner(q, unit_modulus=False)  # only the unit-modulus contract checks
+    if np.isnan(modulus):  # a non-finite entry fails either way
+        with pytest.raises(ValueError):
+            Combiner(q, unit_modulus=False)
+    else:
+        Combiner(q, unit_modulus=False)  # only the unit-modulus contract checks
+
+
+@pytest.mark.parametrize("unit_modulus", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_combiner_rejects_non_finite_entries(bad, unit_modulus):
+    # The constructor rejects it, before a Gram product can warn (inf) or the
+    # rank gate's SVD fail to converge (NaN).
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        Combiner(np.array([[bad, 1], [0, 1]]), unit_modulus=unit_modulus)
 
 
 # ---------------------------------------------------------------------- score

@@ -14,7 +14,7 @@ import pytest
 
 import nftrack
 from nftrack.cli import main as cli_main
-from nftrack.combiners import SCHEMES, CombinerSpec, combiner_svd_pe
+from nftrack.combiners import CRB_POLICIES, SCHEMES, CombinerSpec, combiner_svd_pe
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
@@ -28,7 +28,6 @@ from nftrack.harness import (
     parse_scheme,
     run_campaign,
     run_trial,
-    scheme_label,
     simulate_truth,
 )
 from nftrack.observation import generate_pilot, observation_jacobian
@@ -185,9 +184,8 @@ def test_campaign_single_trial_reduction():
     spec = parse_scheme("svd_pe", 3, cfg.array.n_b)
     result = run_campaign(cfg, [spec])
     rec = run_trial(cfg, 0, [spec])[0]
-    label = scheme_label(spec)
     np.testing.assert_allclose(
-        result.schemes[label].rmse_x,
+        result.schemes[spec.kind].rmse_x,
         np.abs(rec.post_means[:, 0] - rec.true_states[1:, 0]),
         rtol=1e-12,
     )
@@ -241,7 +239,7 @@ def test_multi_scheme_trial_matches_single_scheme(case, tokens):
     assert len(together) == len(specs)
     for spec, rec in zip(specs, together):
         alone = run_trial(cfg, 1, [spec])[0]
-        assert _record_bytes(rec) == _record_bytes(alone), scheme_label(spec)
+        assert _record_bytes(rec) == _record_bytes(alone), spec.kind
     if case == "degenerate":
         assert together[tokens.index("qom")].fallback_steps
         assert together[tokens.index("mo:qom")].fallback_steps
@@ -256,7 +254,7 @@ def test_in_trial_nmse_matches_metrics_nmse():
     result = run_campaign(cfg, specs)
     for j, spec in enumerate(specs):
         reference = metrics_nmse([trial[j] for trial in per_trial], cfg)
-        assert result.schemes[scheme_label(spec)].nmse_h.tobytes() == reference.tobytes()
+        assert result.schemes[spec.kind].nmse_h.tobytes() == reference.tobytes()
 
 
 def test_readme_library_imports():
@@ -279,17 +277,25 @@ def test_readme_library_imports():
     assert min(info.f_x, info.f_y, info.f_psi) > 0
 
 
+def test_readme_scheme_table_matches_registry():
+    # The README's scheme table lists exactly the SCHEMES tokens, in order,
+    # and its `crb --policy` column marks exactly the CRB policies.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (\S+) +\| +(yes|no) +\|", readme, re.M)
+    assert [token for token, _ in rows] == list(SCHEMES)
+    assert tuple(token for token, crb in rows if crb == "yes") == CRB_POLICIES
+
+
 def test_parse_scheme_tokens():
     assert parse_scheme("fd", 3, 33).kind == "fd"
     assert parse_scheme("fd", 3, 33).n_rf == 33
-    assert parse_scheme("rand", 3, 33).kind == "random"
-    mo = parse_scheme("mo:qom", 3, 33)
-    assert mo.kind == "mo" and mo.mo_init == "qom"
-    assert scheme_label(mo) == "mo:qom"
+    assert parse_scheme("rand", 3, 33).kind == "rand"
+    assert parse_scheme("mo:qom", 3, 33).kind == "mo:qom"
     for tok in ("fd", "rand", "svd_pe", "qom", "mo:rand", "mo:svd_pe", "mo:qom"):
-        assert scheme_label(parse_scheme(tok, 3, 33)) == tok
-    assert scheme_label(parse_scheme("mo:random", 3, 33)) == "mo:rand"
-    for bad in ("bogus", "mo:fd", "mo:bogus", "mo:"):
+        assert parse_scheme(tok, 3, 33).kind == tok
+    assert parse_scheme("random", 3, 33).kind == "rand"
+    assert parse_scheme("mo:random", 3, 33).kind == "mo:rand"
+    for bad in ("bogus", "mo", "mo:fd", "mo:bogus", "mo:"):
         with pytest.raises(ConfigError):
             parse_scheme(bad, 3, 33)
 
@@ -303,6 +309,30 @@ def test_config_roundtrip(tmp_path):
     assert loaded.config_hash() == cfg.config_hash()
     assert loaded.array.n_b == cfg.array.n_b
     assert loaded.combiner == cfg.combiner
+
+
+@pytest.mark.parametrize("combiner,kind", [({"kind": "mo:qom", "n_rf": 3}, "mo:qom"),
+                                           ({"kind": "random", "n_rf": 3}, "rand")])
+def test_config_combiner_token_roundtrip(combiner, kind):
+    # The combiner is named by its scheme token; an alias loads as the token.
+    cfg = ScenarioConfig.from_dict({**tiny_config().to_dict(), "combiner": combiner})
+    assert cfg.combiner == CombinerSpec(kind, 3)
+    assert cfg.to_dict()["combiner"] == {"kind": kind, "n_rf": 3}
+    again = ScenarioConfig.from_dict(cfg.to_dict())
+    assert again.combiner == cfg.combiner
+    assert again.config_hash() == cfg.config_hash()
+
+
+def test_track_scheme_aliases_write_the_same_csv(tmp_path):
+    p = _write_cli_config(tmp_path)
+    outs = []
+    for schemes in ("rand,mo:rand", "random,mo:random"):
+        outs.append(tmp_path / f"{schemes.replace(':', '_')}.csv")
+        argv = ["track", "--config", str(p), "--out", str(outs[-1]), "--schemes", schemes]
+        assert cli_main(argv) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    manifests = [Path(f"{out}.manifest.json").read_bytes() for out in outs]
+    assert manifests[0] == manifests[1]
 
 
 def test_config_validation_errors(tmp_path):
@@ -370,6 +400,9 @@ BAD_DESK = {
     # Retired knobs are unknown keys, not silently ignored ones.
     "burn_in": {"burn_in": 3},
     "mo_iters": {"combiner": {"mo_iters": 10}},
+    "mo_init": {"combiner": {"mo_init": "qom"}},
+    # MO is named by its token, mo:<init>; a bare mo names no scheme.
+    "kind_mo": {"combiner": {"kind": "mo"}},
 }
 
 
@@ -453,6 +486,11 @@ def test_cli_crb(tmp_path):
         ["crb", "--config", "{burn_in}", "--steps", "4"],
         ["track", "--config", "{mo_iters}", "--steps", "1", "--trials", "1"],
         ["crb", "--config", "{mo_iters}", "--steps", "1"],
+        ["track", "--config", "{mo_init}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{mo_init}", "--steps", "1"],
+        ["fisher", "--config", "{mo_init}", "--sweep", "nb:33:66:2"],
+        ["track", "--config", "{kind_mo}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{kind_mo}", "--steps", "1"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
          "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
@@ -462,7 +500,8 @@ def test_cli_crb(tmp_path):
          "track-pm-3300", "crb-pm-3300", "fisher-pm-3300", "track-noise-m3300",
          "crb-noise-m3300", "fisher-noise-m3300", "track-noise-m3170",
          "track-sigma-v-1e200", "crb-sigma-v-1e200", "crb-pm-dbm-flag-3300",
-         "track-burn-in", "crb-burn-in", "track-mo-iters", "crb-mo-iters"],
+         "track-burn-in", "crb-burn-in", "track-mo-iters", "crb-mo-iters",
+         "track-mo-init", "crb-mo-init", "fisher-mo-init", "track-kind-mo", "crb-kind-mo"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -592,14 +631,14 @@ def test_cli_crb_qom_falls_back_as_track_does(tmp_path):
 @pytest.mark.parametrize("token", list(SCHEMES))
 def test_every_registry_scheme_tracks_and_bounds(tmp_path, token):
     spec = parse_scheme(token, 3, 33)
-    assert scheme_label(spec) == token
+    assert spec.kind == token
     cfg = tiny_config(k_steps=2, n_trials=1)
     rec = run_trial(cfg, 0, [spec])[0]
     assert rec.diverged_at is None
     assert np.trace(rec.post_covs[-1, :3, :3]) < np.trace(rec.prior_covs[-1, :3, :3])
     argv = ["crb", "--config", str(_write_cli_config(tmp_path)), "--out",
             str(tmp_path / "crb.csv"), "--policy", token, "--steps", "2"]
-    assert cli_main(argv) == (0 if SCHEMES[token].crb else 2)
+    assert cli_main(argv) == (0 if token in CRB_POLICIES else 2)
 
 
 @pytest.mark.parametrize("argv,builds", [
@@ -627,7 +666,7 @@ def test_cli_channel_kernel_builds(tmp_path, monkeypatch, argv, builds):
 def test_mo_step_inverts_the_prior_once(monkeypatch):
     # One inverse for the prior information (shared by combiner_mo and the
     # update) and one for the posterior, per step.
-    cfg = tiny_config(combiner=CombinerSpec(kind="mo", n_rf=3, mo_init="qom"), k_steps=4)
+    cfg = tiny_config(combiner=CombinerSpec("mo:qom", 3), k_steps=4)
     calls = []
     real = nftrack.estimation.psd_inverse
     monkeypatch.setattr(nftrack.estimation, "psd_inverse", lambda m: calls.append(1) or real(m))
