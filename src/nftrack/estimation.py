@@ -4,13 +4,22 @@ The complex observation enters through a real score vector and Fisher
 information matrix; the posterior covariance is the inverse of prior
 information plus data information.  All covariance outputs are explicitly
 symmetrized to suppress drift over long runs.
+
+Every Cholesky factor and solve is a direct call of scipy's LAPACK potrf and
+potrs wrappers, the objects scipy.linalg.get_lapack_funcs returns, so results
+match scipy's cho_factor/cho_solve byte for byte.  The wrapper module is loaded
+from its file without importing scipy.linalg, which would double the import
+time of nftrack (see ``_load_flapack``).
 """
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import RankDeficientCombiner, SingularPriorCovariance
@@ -18,10 +27,39 @@ from .errors import RankDeficientCombiner, SingularPriorCovariance
 # Relative singular-value gate below which combiner rows count as dependent.
 _RANK_RTOL = 1e-8
 
+
+def _load_flapack():
+    """scipy's f2py LAPACK module scipy.linalg._flapack, loaded from its file.
+
+    It is a single-phase extension module, which CPython initializes once per
+    process and caches: whether scipy.linalg is imported before or after this
+    load, its routines are the very objects get_lapack_funcs returns.  The
+    module is left out of sys.modules unless scipy.linalg put it there, so a
+    later ``import scipy.linalg`` registers it in the usual way.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("nftrack requires scipy", name="scipy")
+    base = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    path = next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers not found: no {base}<suffix> for the "
+                          f"extension suffixes {EXTENSION_SUFFIXES}", name=name, path=base)
+    registered = name in sys.modules
+    loader = ExtensionFileLoader(name, path)
+    module = loader.create_module(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(name, None)
+    return module
+
+
 # Cholesky factor and solve by dtype, resolved once: psd_inverse works in
 # float64, Combiner Gram matrices are complex128.
-_POTRF = {np.dtype(t): get_lapack_funcs(("potrf",), dtype=t)[0] for t in (float, complex)}
-_POTRS = {np.dtype(t): get_lapack_funcs(("potrs",), dtype=t)[0] for t in (float, complex)}
+_flapack = _load_flapack()
+_POTRF = {np.dtype(float): _flapack.dpotrf, np.dtype(complex): _flapack.zpotrf}
+_POTRS = {np.dtype(float): _flapack.dpotrs, np.dtype(complex): _flapack.zpotrs}
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -33,8 +71,9 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a square matrix, upper triangle left as is.
 
     The same LAPACK potrf call as scipy.linalg.cho_factor(a, lower=True),
-    without its wrapper: ValueError for non-finite input, LinAlgError for a
-    matrix that is not positive definite.
+    through the same wrapper object (scipy's ``_flapack``, loaded without
+    scipy.linalg) but without cho_factor's Python layer: ValueError for
+    non-finite input, LinAlgError for a matrix that is not positive definite.
     """
     _check_finite(a)
     c, info = _POTRF[a.dtype](a, lower=True, overwrite_a=False, clean=False)

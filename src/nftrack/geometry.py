@@ -298,11 +298,20 @@ def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
     ``channel_derivatives`` applied to x.
     """
     r, phase, dh_dr, dr = _chain_terms(pose, cfg)
-    b = np.zeros((cfg.n_b, 5), dtype=complex)
-    for col, d in enumerate(dr):
-        b[:, col] = (dh_dr * d) @ x
+    b = pilot_jacobian((dh_dr * d for d in dr), x, cfg.n_b)
     h = cfg.wavelength / (4 * np.pi * r) * phase
     return h @ x, b
+
+
+def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:
+    """(n_b, 5) state Jacobian [J_x x, J_y x, J_psi x, 0, 0] of H(p) x from
+    the three channel derivative matrices, taken one at a time.  The filter
+    (``pilot_response``) and the CRB combiner policies share it, so both see
+    the same bits."""
+    b = np.zeros((n_b, 5), dtype=complex)
+    for col, j in enumerate(derivs):
+        b[:, col] = j @ x
+    return b
 
 
 def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:

@@ -17,8 +17,6 @@ import csv
 import hashlib
 import itertools
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -31,7 +29,14 @@ from .combiners import CombinerSpec, PredictionBuilder, parse_scheme
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_transition, sample_process_noise
 from .errors import ConfigError, SingularPriorCovariance
 from .estimation import Belief, ekf_predict, ekf_update
-from .geometry import ArrayConfig, Pose, channel_error_sq, channel_grid, pilot_response
+from .geometry import (
+    ArrayConfig,
+    Pose,
+    channel_error_sq,
+    channel_grid,
+    pilot_jacobian,
+    pilot_response,
+)
 from .observation import Pilot, full_snapshot, generate_pilot
 from .rng import stream
 
@@ -365,15 +370,9 @@ def crb_policy(cfg: ScenarioConfig, token: str):
     )
     pilot = cache(lambda: _draw_pilot(cfg, 0, 0))
     steps = itertools.count(1)
-
-    def jacobian(derivs) -> np.ndarray:
-        # The columns bit for bit as pilot_response builds them.
-        b = np.zeros((cfg.array.n_b, 5), dtype=complex)
-        for col, j in enumerate(derivs):
-            b[:, col] = j @ pilot().symbols
-        return b
-
-    return lambda pose, derivs: builder.build(next(steps), pose, lambda: jacobian(derivs), None)
+    return lambda pose, derivs: builder.build(
+        next(steps), pose, lambda: pilot_jacobian(derivs, pilot().symbols, cfg.array.n_b), None
+    )
 
 
 def run_trial(
@@ -476,8 +475,16 @@ def run_campaign(
     """
     if not schemes:
         raise ConfigError("at least one combiner scheme is required")
+    tokens = [spec.kind for spec in schemes]
+    repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"scheme given more than once: {', '.join(repeated)}")
     trials = range(cfg.n_trials)
     if threads > 1:
+        # Imported here: they cost ~25 ms of start-up that a serial run never needs.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=min(threads, cfg.n_trials), mp_context=ctx) as pool:
             futures = [pool.submit(run_trial, cfg, t, schemes) for t in trials]

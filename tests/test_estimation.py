@@ -1,5 +1,10 @@
 """Information-form EKF: Gram solves, score, FIM, predict and update."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -288,6 +293,48 @@ def test_cholesky_factor_rejects_non_positive_definite(dtype):
         _cho_factor(a)
     with pytest.raises(np.linalg.LinAlgError):
         _cho_factor(-np.eye(3, dtype=dtype))
+
+
+# Runs in a fresh interpreter, with scipy.linalg imported before nftrack.
+_SCIPY_FIRST = """
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from nftrack.estimation import _POTRF, _POTRS, _cho_factor, _cho_solve
+
+for t in (float, complex):
+    assert _POTRF[np.dtype(t)] is get_lapack_funcs(("potrf",), dtype=t)[0]
+    assert _POTRS[np.dtype(t)] is get_lapack_funcs(("potrs",), dtype=t)[0]
+rng = np.random.default_rng(7)
+for t in (float, complex):
+    a = rng.standard_normal((5, 5)) + (1j * rng.standard_normal((5, 5)) if t is complex else 0)
+    a = a @ a.conj().T + 0.1 * np.eye(5)
+    rhs = rng.standard_normal((5, 3))
+    c, c_ref = _cho_factor(a), cho_factor(a, lower=True)[0]
+    assert c.tobytes() == c_ref.tobytes()
+    assert _cho_solve(c, rhs).tobytes() == cho_solve((c_ref, True), rhs).tobytes()
+"""
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this process's nftrack."""
+    src = str(Path(estimation.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cholesky_helpers_match_scipy_bytes_when_scipy_linalg_comes_first():
+    proc = _fresh_python(_SCIPY_FIRST)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_start_imports_no_scipy_linalg_or_process_tools():
+    heavy = ("scipy.linalg", "multiprocessing", "concurrent.futures", "numpy.f2py")
+    proc = _fresh_python(
+        f"import sys, nftrack, nftrack.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

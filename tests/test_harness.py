@@ -335,6 +335,26 @@ def test_track_scheme_aliases_write_the_same_csv(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def test_campaign_rejects_a_scheme_given_twice(monkeypatch):
+    cfg = tiny_config(n_trials=1, k_steps=2)
+    ran = []
+    monkeypatch.setattr("nftrack.harness.run_trial", lambda *a: ran.append(a))
+    for tokens in (("rand", "random"), ("fd", "svd_pe", "fd")):
+        specs = [parse_scheme(t, 3, cfg.array.n_b) for t in tokens]
+        with pytest.raises(ConfigError, match="more than once"):
+            run_campaign(cfg, specs)
+    assert not ran
+
+
+def test_cli_track_rejects_a_scheme_given_twice(tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    argv = ["track", "--config", str(_write_cli_config(tmp_path)), "--out", str(out),
+            "--schemes", "rand,random"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         tiny_config(k_steps=0)
