@@ -4,24 +4,24 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
-import csv
 import json
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .combiners import CRB_POLICIES, SCHEMES, parse_scheme
+from .combiners import CRB_POLICIES, SCHEMES, combiner_fd, parse_scheme
 from .dynamics import ctrv_transition
 from .errors import ConfigError, NfTrackError
-from .geometry import ArrayConfig, Pose
-from .harness import ScenarioConfig, crb_policy, load_config, run_campaign, write_manifest
+from .geometry import ArrayConfig, Pose, channel_derivatives
+from .harness import ScenarioConfig, crb_policy, load_config, run_campaign, write_table
 from .information import (
+    avg_fisher,
     bayesian_fim_init,
     bayesian_fim_step,
     bcrb,
-    digital_avg_fisher,
     fisher_scaling_bounds,
 )
 
@@ -92,8 +92,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_track(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def _cmd_track(cfg: ScenarioConfig, args) -> int:
     n_rf = cfg.combiner.n_rf
     schemes = [
         parse_scheme(tok, n_rf, cfg.array.n_b)
@@ -108,8 +107,8 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _sweep_arrays(token: str, arr: ArrayConfig):
-    """(value, array) pairs of an nb:/nm:<start>:<stop>:<points> sweep."""
+def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
+    """(axis, value, array, pose) points of an nb:/nm:<start>:<stop>:<points> sweep."""
     axis = token[:2]
     try:
         _, start, stop, points = token.split(":")
@@ -117,11 +116,11 @@ def _sweep_arrays(token: str, arr: ArrayConfig):
             raise ValueError("a sweep needs at least one point")
         grid = np.floor(np.linspace(float(start), float(stop), int(points))).astype(int)
         return [
-            (val, ArrayConfig(
+            (axis, val, ArrayConfig(
                 n_b=val if axis == "nb" else arr.n_b,
                 n_m=val if axis == "nm" else arr.n_m,
                 carrier_freq=arr.carrier_freq,
-            ))
+            ), pose)
             for val in grid.tolist()
         ]
     except ValueError as exc:
@@ -140,50 +139,38 @@ def _load_pose_grid(path: str):
         raise ConfigError(f"invalid pose grid {path}: {exc}") from exc
 
 
-def _fisher_row(cfg: ScenarioConfig, array: ArrayConfig, pose: Pose):
-    bar = digital_avg_fisher(pose, array, cfg.p_m_watts, cfg.noise_power_watts)
+def _fisher_row(cfg: ScenarioConfig, axis: str, value: int, array: ArrayConfig, pose: Pose):
+    """The CSV row of a sweep point: the point, the average Fisher information
+    of the fully digital receiver (identity combiner) there, and the bounds."""
+    bar = avg_fisher(channel_derivatives(pose, array), combiner_fd(array),
+                     cfg.p_m_watts, cfg.noise_power_watts, array.n_m)
     try:
-        pos_bound, orient_bound = fisher_scaling_bounds(
-            pose, array, cfg.p_m_watts, cfg.noise_power_watts
-        )
+        bounds = fisher_scaling_bounds(pose, array, cfg.p_m_watts, cfg.noise_power_watts)
     except NfTrackError:
-        pos_bound, orient_bound = float("nan"), float("nan")
-    return bar, pos_bound, orient_bound
+        bounds = (float("nan"), float("nan"))
+    return [axis, value, pose.x, pose.y, pose.psi, bar.f_x, bar.f_y, bar.f_psi, *bounds]
 
 
-def _cmd_fisher(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    pose = cfg.initial_state.pose
+def _cmd_fisher(cfg: ScenarioConfig, args) -> int:
     sweep = args.sweep
-    rows = []
     if sweep[0].startswith("nb:") or sweep[0].startswith("nm:"):
-        axis = sweep[0][:2]
-        for val, array in _sweep_arrays(sweep[0], cfg.array):
-            bar, pb, ob = _fisher_row(cfg, array, pose)
-            rows.append([axis, val, pose.x, pose.y, pose.psi, bar.f_x, bar.f_y, bar.f_psi, pb, ob])
+        points = _sweep_points(sweep[0], cfg.array, cfg.initial_state.pose)
     elif sweep[0] == "pose-grid":
         if len(sweep) < 2:
             raise ConfigError("pose-grid sweep needs a file argument")
-        for p in _load_pose_grid(sweep[1]):
-            bar, pb, ob = _fisher_row(cfg, cfg.array, p)
-            rows.append(["pose", 0, p.x, p.y, p.psi, bar.f_x, bar.f_y, bar.f_psi, pb, ob])
+        points = [("pose", 0, cfg.array, p) for p in _load_pose_grid(sweep[1])]
     else:
         raise ConfigError(f"unknown sweep specification {sweep!r}")
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["axis", "value", "x_m", "y_m", "psi_rad",
-             "fbar_x", "fbar_y", "fbar_psi", "position_bound", "orientation_bound"]
-        )
-        for row in rows:
-            writer.writerow(row)
-    write_manifest(args.out, cfg)
+    write_table(
+        args.out, cfg,
+        ["axis", "value", "x_m", "y_m", "psi_rad",
+         "fbar_x", "fbar_y", "fbar_psi", "position_bound", "orientation_bound"],
+        [_fisher_row(cfg, *point) for point in points],
+    )
     return 0
 
 
-def _cmd_crb(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def _cmd_crb(cfg: ScenarioConfig, args) -> int:
     policy = crb_policy(cfg, args.policy)
     state = bayesian_fim_init(cfg.initial_cov)
     true_state = cfg.initial_state
@@ -198,20 +185,25 @@ def _cmd_crb(args) -> int:
             cfg.noise_power_watts,
             policy,
         )
-        bound = bcrb(state)
-        rows.append(
-            [k, bound[0, 0], bound[1, 1], bound[2, 2], bound[0, 0] + bound[1, 1],
-             float(np.trace(bound))]
-        )
+        b = bcrb(state)
+        cells = (b[0, 0], b[1, 1], b[2, 2], b[0, 0] + b[1, 1], np.trace(b))
+        rows.append([k, *(f"{v:.12e}" for v in cells)])
         true_state = ctrv_transition(true_state, cfg.noise.tau)
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "bcrb_x_m2", "bcrb_y_m2", "bcrb_psi_rad2", "bcrb_pos_trace_m2", "bcrb_trace"])
-        for row in rows:
-            writer.writerow([row[0]] + [f"{v:.12e}" for v in row[1:]])
-    write_manifest(args.out, cfg)
+    write_table(args.out, cfg,
+                ["k", "bcrb_x_m2", "bcrb_y_m2", "bcrb_psi_rad2", "bcrb_pos_trace_m2", "bcrb_trace"],
+                rows)
     return 0
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out that cannot be written, before any work runs."""
+    try:
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -221,13 +213,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "track":
-            return _cmd_track(args)
-        if args.command == "fisher":
-            return _cmd_fisher(args)
-        if args.command == "crb":
-            return _cmd_crb(args)
-        return 2
+        _check_out(args.out)
+        cfg = _apply_overrides(load_config(args.config), args)
+        run = {"track": _cmd_track, "fisher": _cmd_fisher, "crb": _cmd_crb}[args.command]
+        return run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

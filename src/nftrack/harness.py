@@ -248,37 +248,30 @@ class CampaignResult:
     schemes: Dict[str, SchemeMetrics]
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scheme", "k", "rmse_x_m", "rmse_y_m", "rmse_psi_rad", "nmse_h"])
-            for label, metrics in self.schemes.items():
-                for i in range(len(metrics.rmse_x)):
-                    writer.writerow(
-                        [
-                            label,
-                            i + 1,
-                            f"{metrics.rmse_x[i]:.12e}",
-                            f"{metrics.rmse_y[i]:.12e}",
-                            f"{metrics.rmse_psi[i]:.12e}",
-                            f"{metrics.nmse_h[i]:.12e}",
-                        ]
-                    )
-        write_manifest(
-            path, self.config, schemes=list(self.schemes.keys()),
+        write_table(
+            path, self.config, ["scheme", "k", "rmse_x_m", "rmse_y_m", "rmse_psi_rad", "nmse_h"],
+            ([label, i, *(f"{v:.12e}" for v in row)]
+             for label, m in self.schemes.items()
+             for i, row in enumerate(zip(m.rmse_x, m.rmse_y, m.rmse_psi, m.nmse_h), 1)),
+            schemes=list(self.schemes),
             n_diverged={label: m.n_diverged for label, m in self.schemes.items()},
         )
 
 
-def write_manifest(out_path, cfg: ScenarioConfig, **extra) -> None:
-    """Write the <out_path>.manifest.json sidecar: config hash, seed, code
-    version, and any extra fields."""
+def write_table(out_path, cfg: ScenarioConfig, header, rows, **manifest_extra) -> None:
+    """Write header and rows, as given, to the CSV at out_path, then its
+    <out_path>.manifest.json sidecar: config hash, seed, code version, and
+    the extra fields."""
     path = Path(out_path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
         "code_version": __version__,
-        **extra,
+        **manifest_extra,
     }
     with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

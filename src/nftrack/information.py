@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from .combiners import combiner_fd
 from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from .errors import AssumptionViolated
 from .estimation import Combiner, _cho_factor, _cho_solve, _symmetrize
@@ -52,12 +51,6 @@ def avg_fisher(
 ) -> AvgFisher:
     """The pose diagonal of expected_fim: (2 P_m / (sigma^2 N_m)) ||P_Q J_mu||_F^2."""
     return AvgFisher(*np.diagonal(expected_fim(derivs, q, p_m, noise_power, n_m))[:3].tolist())
-
-
-def digital_avg_fisher(pose: Pose, cfg: ArrayConfig, p_m: float, noise_power: float) -> AvgFisher:
-    """avg_fisher of the fully digital receiver (identity combiner) at a pose."""
-    derivs = channel_derivatives(pose, cfg)
-    return avg_fisher(derivs, combiner_fd(cfg), p_m, noise_power, cfg.n_m)
 
 
 def expected_fim(

@@ -1,10 +1,12 @@
 """Property tests of the CLI on malformed scenario files: one leaf of
 configs/desk.json replaced by a bad value ends in exit 0, 2 or 3, never in an
-exception, and a key that the config does not know, at any level, in exit 2."""
+exception, and a key that the config does not know, at any level, in exit 2.
+An --out that cannot be written is a configuration error too."""
 
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nftrack.cli import main as cli_main
@@ -132,3 +134,22 @@ def test_fuzzed_argv_exits_cleanly(tmp_path_factory, command, options):
     cfg.write_text(json.dumps(DESK))
     argv = [*BASE_ARGV[command], *(tok for option in options for tok in option)]
     assert cli_main([*argv, "--config", str(cfg), "--out", str(tmp / "out.csv")]) in (0, 2, 3)
+
+
+# ------------------------------------------------------------ unwritable --out
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_unwritable_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, command, where):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr("nftrack.harness.run_trial", no_trial)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DESK))
+    out = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    assert cli_main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write --out {out}: ")
+    assert not (tmp_path / "missing").exists()

@@ -4,7 +4,9 @@ The fixtures in tests/golden/ hold:
 
 - the campaign CSV for fd, rand, svd_pe and qom under each pilot policy,
   with the scenario cut to 2 trials x 10 steps;
-- the `fisher` CSV of two array-size sweeps;
+- the `fisher` CSV of two array-size sweeps, and of a 3-pose grid
+  (`desk_fisher_pose_grid.json`, one pose inside the Fresnel distance, so
+  its bounds are nan);
 - the `crb --steps 20` CSV of each CRB policy.
 
 Every cell must match: the key columns (scheme and step, sweep axis and
@@ -15,6 +17,7 @@ fixtures only for a deliberate change of the numerics, with
 """
 
 import csv
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +33,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TOKENS = ("fd", "rand", "svd_pe", "qom")
 POLICIES = ("per_trial", "per_step")
 FISHER_SWEEPS = ("nb:16:101:6", "nm:5:25:5")
+POSE_GRID = GOLDEN_DIR / "desk_fisher_pose_grid.json"
 
 
 def _campaign_csv(policy: str, out: Path) -> None:
@@ -39,7 +43,9 @@ def _campaign_csv(policy: str, out: Path) -> None:
 
 
 def _fisher_csv(sweep: str, out: Path) -> None:
-    assert main(["fisher", "--config", str(DESK), "--out", str(out), "--sweep", sweep]) == 0
+    """sweep is an nb:/nm: token, or pose-grid for the committed grid file."""
+    tokens = [sweep, str(POSE_GRID)] if sweep == "pose-grid" else [sweep]
+    assert main(["fisher", "--config", str(DESK), "--out", str(out), "--sweep", *tokens]) == 0
 
 
 def _crb_csv(policy: str, out: Path) -> None:
@@ -48,7 +54,7 @@ def _crb_csv(policy: str, out: Path) -> None:
 
 
 def _fisher_name(sweep: str) -> str:
-    return f"desk_fisher_{sweep.replace(':', '_')}.csv"
+    return f"desk_fisher_{sweep.replace(':', '_').replace('-', '_')}.csv"
 
 
 def _rows(path: Path):
@@ -85,6 +91,13 @@ def test_desk_fisher_matches_golden(sweep, tmp_path):
     assert _assert_matches_golden(out, _fisher_name(sweep), 2) == 1 + int(sweep.split(":")[-1])
 
 
+def test_desk_fisher_pose_grid_matches_golden(tmp_path):
+    out = tmp_path / "fisher.csv"
+    _fisher_csv("pose-grid", out)
+    n_poses = len(json.loads(POSE_GRID.read_text()))
+    assert _assert_matches_golden(out, _fisher_name("pose-grid"), 2) == 1 + n_poses
+
+
 @pytest.mark.parametrize("policy", TOKENS)
 def test_desk_crb_matches_golden(policy, tmp_path):
     out = tmp_path / "crb.csv"
@@ -96,7 +109,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     fixtures = (
         [(f"desk_{p}.csv", _campaign_csv, p) for p in POLICIES]
-        + [(_fisher_name(s), _fisher_csv, s) for s in FISHER_SWEEPS]
+        + [(_fisher_name(s), _fisher_csv, s) for s in (*FISHER_SWEEPS, "pose-grid")]
         + [(f"desk_crb_{p}.csv", _crb_csv, p) for p in TOKENS]
     )
     for name, write, arg in fixtures:

@@ -466,6 +466,26 @@ def test_cli_crb(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["track", "--schemes", "fd,qom"], {"schemes", "n_diverged"}),
+        (["crb"], set()),
+        (["fisher", "--sweep", "nb:33:66:2"], set()),
+    ],
+    ids=["track", "crb", "fisher"],
+)
+def test_cli_manifest_keys(tmp_path, argv, extra):
+    p = _write_cli_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert cli_main([*argv, "--config", str(p), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert set(manifest) == {"config_hash", "seed", "code_version"} | extra
+    cfg = load_config(p)
+    assert (manifest["config_hash"], manifest["seed"]) == (cfg.config_hash(), cfg.seed)
+    assert manifest["code_version"] == nftrack.__version__
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["track", "--config", "{missing}"],
