@@ -57,6 +57,7 @@ from .combiners import (
 from .observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
 from .harness import (
     CampaignResult,
+    RfChains,
     ScenarioConfig,
     TrialRecord,
     load_config,

@@ -16,7 +16,7 @@ from .combiners import CRB_POLICIES, SCHEMES, combiner_fd, parse_scheme
 from .dynamics import ctrv_transition
 from .errors import ConfigError, NfTrackError
 from .geometry import ArrayConfig, Pose, channel_derivatives
-from .harness import ScenarioConfig, crb_policy, load_config, run_campaign, write_table
+from .harness import RfChains, ScenarioConfig, crb_policy, load_config, run_campaign, write_table
 from .information import (
     avg_fisher,
     bayesian_fim_init,
@@ -85,10 +85,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         if value is not None:
             cfg = replace(cfg, **{name: value})
     if getattr(args, "nrf", None) is not None:
-        try:
-            cfg = replace(cfg, combiner=replace(cfg.combiner, n_rf=args.nrf))
-        except ValueError as exc:
-            raise ConfigError(f"invalid --nrf {args.nrf}: {exc}") from exc
+        cfg = replace(cfg, combiner=RfChains(args.nrf))
     return cfg
 
 
@@ -115,14 +112,8 @@ def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
         if int(points) < 1:
             raise ValueError("a sweep needs at least one point")
         grid = np.floor(np.linspace(float(start), float(stop), int(points))).astype(int)
-        return [
-            (axis, val, ArrayConfig(
-                n_b=val if axis == "nb" else arr.n_b,
-                n_m=val if axis == "nm" else arr.n_m,
-                carrier_freq=arr.carrier_freq,
-            ), pose)
-            for val in grid.tolist()
-        ]
+        field = {"nb": "n_b", "nm": "n_m"}[axis]
+        return [(axis, val, replace(arr, **{field: val}), pose) for val in grid.tolist()]
     except ValueError as exc:
         raise ConfigError(f"invalid sweep {token!r}: {exc}") from exc
 

@@ -101,12 +101,13 @@ def _factor_screen(l: np.ndarray, gram: np.ndarray):
 
     prod L_ii^2 = det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max,
     so det G > 1e-12 (tr G)^n implies lambda_min / lambda_max > 1e-12, i.e.
-    a singular-value ratio above 1e-6, far above _RANK_RTOL.  False settles
-    nothing: the caller must run the gate itself.
+    a singular-value ratio above 1e-6, far above _RANK_RTOL.  The test is
+    made scale-free, prod(L_ii^2 / tr G) > 1e-12, so that (tr G)^n cannot
+    overflow.  False settles nothing: the caller must run the gate itself.
     """
     d = l.diagonal(0, -2, -1).real
     tr = gram.diagonal(0, -2, -1).real.sum(-1)
-    return (d * d).prod(-1) > 1e-12 * tr ** gram.shape[-1]
+    return (d * d / tr[..., None]).prod(-1) > 1e-12
 
 
 def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:

@@ -64,13 +64,13 @@ class ArrayConfig:
         object.__setattr__(self, "carrier_freq", float(self.carrier_freq))
         if self.n_b < 1 or self.n_m < 1:
             raise ValueError("antenna counts must be >= 1")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier frequency must be positive")
+        if not 0 < self.carrier_freq < np.inf:
+            raise ValueError("carrier frequency must be positive and finite")
         lam = SPEED_OF_LIGHT / self.carrier_freq
         object.__setattr__(self, "d_b", lam / 2 if self.d_b is None else float(self.d_b))
         object.__setattr__(self, "d_m", lam / 2 if self.d_m is None else float(self.d_m))
-        if self.d_b <= 0 or self.d_m <= 0:
-            raise ValueError("antenna spacings must be positive")
+        if not (0 < self.d_b < np.inf and 0 < self.d_m < np.inf):
+            raise ValueError("antenna spacings must be positive and finite")
 
     @property
     def wavelength(self) -> float:

@@ -17,8 +17,9 @@ import csv
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -47,13 +48,58 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def _unknown_keys(given: dict, known: dict, prefix: str = ""):
-    """Dotted paths of the keys of given, at any depth, that known lacks."""
-    for key, value in given.items():
-        if key not in known:
-            yield f"{prefix}{key}"
-        elif isinstance(value, dict) and isinstance(known[key], dict):
-            yield from _unknown_keys(value, known[key], f"{prefix}{key}.")
+@dataclass(frozen=True)
+class RfChains:
+    """The RF chain count n_rf of every compressed scheme; fd takes all n_b."""
+
+    n_rf: int
+
+
+# The config format: JSON key path -> (the ScenarioConfig field it fills, its
+# type[, its scale]).  int takes a JSON integer, float an integer or a float
+# (times the scale), str a string and np.ndarray an array of numbers; a bool
+# is no number.  A key whose field has a default may be left out, and
+# initial_cov_diag, the diagonal alone, may stand in for initial_cov.
+CONFIG_FORMAT = {
+    "array.n_b": ("array.n_b", int),
+    "array.n_m": ("array.n_m", int),
+    "array.carrier_freq_ghz": ("array.carrier_freq", float, 1e9),
+    "array.d_b_m": ("array.d_b", float),
+    "array.d_m_m": ("array.d_m", float),
+    "initial_state.x_m": ("initial_state.x", float),
+    "initial_state.y_m": ("initial_state.y", float),
+    "initial_state.psi_rad": ("initial_state.psi", float),
+    "initial_state.v_mps": ("initial_state.v", float),
+    "initial_state.omega_radps": ("initial_state.omega", float),
+    "initial_cov": ("initial_cov", np.ndarray),
+    "process_noise.sigma_v_mps2": ("noise.sigma_v", float),
+    "process_noise.sigma_omega_radps2": ("noise.sigma_omega", float),
+    "process_noise.tau_s": ("noise.tau", float),
+    "p_m_dbm": ("p_m_dbm", float),
+    "noise_power_dbm": ("noise_power_dbm", float),
+    "k_steps": ("k_steps", int),
+    "n_trials": ("n_trials", int),
+    "combiner.n_rf": ("combiner.n_rf", int),
+    "seed": ("seed", int),
+    "pilot_policy": ("pilot_policy", str),
+}
+_BLOCKS = {path.split(".")[0] for path in CONFIG_FORMAT if "." in path}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", np.ndarray: "a number array"}
+
+
+def _parse(path: str, kind: type, value, scale: float = 1.0):
+    """The field value of the JSON value at path, which must be of kind."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        numbers = int if kind is int else (int, float)
+        entries = np.asarray(value, dtype=object).flat if kind is np.ndarray else [value]
+        ok = all(isinstance(v, numbers) and not isinstance(v, bool) for v in entries)
+    if not ok:
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}")
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=float)
+    return float(value) * scale if kind is float else value
 
 
 @dataclass(frozen=True)
@@ -68,7 +114,7 @@ class ScenarioConfig:
     noise_power_dbm: float
     k_steps: int
     n_trials: int
-    combiner: CombinerSpec
+    combiner: RfChains
     seed: int
     pilot_policy: str = "per_trial"
 
@@ -100,11 +146,8 @@ class ScenarioConfig:
         except np.linalg.LinAlgError as exc:
             raise ConfigError("initial_cov must be positive definite") from exc
         object.__setattr__(self, "initial_cov", cov)
-        if self.combiner.kind == "fd":
-            if self.combiner.n_rf != self.array.n_b:
-                raise ConfigError("fd combiner requires n_rf == n_b")
-        elif self.combiner.n_rf >= self.array.n_b:
-            raise ConfigError("compressed combiners require n_rf < n_b")
+        if not 1 <= self.combiner.n_rf < self.array.n_b:
+            raise ConfigError(f"n_rf must be in [1, n_b) = [1, {self.array.n_b})")
 
     @property
     def p_m_watts(self) -> float:
@@ -115,89 +158,55 @@ class ScenarioConfig:
         return dbm_to_watts(self.noise_power_dbm)
 
     def to_dict(self) -> dict:
-        return {
-            "array": {
-                "n_b": self.array.n_b,
-                "n_m": self.array.n_m,
-                "carrier_freq_ghz": self.array.carrier_freq / 1e9,
-                "d_b_m": self.array.d_b,
-                "d_m_m": self.array.d_m,
-            },
-            "initial_state": {
-                "x_m": self.initial_state.x,
-                "y_m": self.initial_state.y,
-                "psi_rad": self.initial_state.psi,
-                "v_mps": self.initial_state.v,
-                "omega_radps": self.initial_state.omega,
-            },
-            "initial_cov": np.asarray(self.initial_cov).tolist(),
-            "process_noise": {
-                "sigma_v_mps2": self.noise.sigma_v,
-                "sigma_omega_radps2": self.noise.sigma_omega,
-                "tau_s": self.noise.tau,
-            },
-            "p_m_dbm": self.p_m_dbm,
-            "noise_power_dbm": self.noise_power_dbm,
-            "k_steps": self.k_steps,
-            "n_trials": self.n_trials,
-            "combiner": {"kind": self.combiner.kind, "n_rf": self.combiner.n_rf},
-            "seed": self.seed,
-            "pilot_policy": self.pilot_policy,
-        }
+        """The config as a JSON object in CONFIG_FORMAT."""
+        out = {}
+        for path, (field_path, kind, *scale) in CONFIG_FORMAT.items():
+            value = attrgetter(field_path)(self)
+            if kind is np.ndarray:
+                value = value.tolist()
+            *block, name = path.split(".")
+            node = out.setdefault(block[0], {}) if block else out
+            node[name] = value / scale[0] if scale else value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        try:
-            arr = d["array"]
-            array = ArrayConfig(
-                n_b=int(arr["n_b"]),
-                n_m=int(arr["n_m"]),
-                carrier_freq=float(arr["carrier_freq_ghz"]) * 1e9,
-                d_b=arr.get("d_b_m"),
-                d_m=arr.get("d_m_m"),
-            )
-            st = d["initial_state"]
-            state = MsState(
-                x=float(st["x_m"]),
-                y=float(st["y_m"]),
-                psi=float(st["psi_rad"]),
-                v=float(st["v_mps"]),
-                omega=float(st["omega_radps"]),
-            )
-            if "initial_cov" in d:
-                cov = np.asarray(d["initial_cov"], dtype=float)
+        """The config of a JSON object in CONFIG_FORMAT.  An unknown key, a
+        value of the wrong JSON type or one the config's types reject, and a
+        missing required key are ConfigErrors."""
+        if not isinstance(d, dict):
+            raise ConfigError("a config must be a JSON object")
+        flat = {}
+        for key, value in d.items():
+            if key not in _BLOCKS:
+                flat[key] = value
+            elif isinstance(value, dict):
+                flat.update((f"{key}.{k}", v) for k, v in value.items())
             else:
-                cov = np.diag(np.asarray(d["initial_cov_diag"], dtype=float))
-            pn = d["process_noise"]
-            noise = ProcessNoiseSpec(
-                sigma_v=float(pn["sigma_v_mps2"]),
-                sigma_omega=float(pn["sigma_omega_radps2"]),
-                tau=float(pn["tau_s"]),
-            )
-            comb = d.get("combiner", {"kind": "fd", "n_rf": int(arr["n_b"])})
-            spec = CombinerSpec(kind=comb["kind"], n_rf=int(comb["n_rf"]))
-            cfg = cls(
-                array=array,
-                initial_state=state,
-                initial_cov=cov,
-                noise=noise,
-                p_m_dbm=float(d["p_m_dbm"]),
-                noise_power_dbm=float(d["noise_power_dbm"]),
-                k_steps=int(d["k_steps"]),
-                n_trials=int(d["n_trials"]),
-                combiner=spec,
-                seed=int(d["seed"]),
-                pilot_policy=d.get("pilot_policy", "per_trial"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key} must be a JSON object")
+        try:
+            if "initial_cov" not in flat and "initial_cov_diag" in flat:
+                diag = _parse("initial_cov_diag", np.ndarray, flat.pop("initial_cov_diag"))
+                flat["initial_cov"] = np.diag(diag).tolist()
+            unknown = ", ".join(path for path in flat if path not in CONFIG_FORMAT)
+            if unknown:
+                raise ConfigError(f"unknown configuration keys: {unknown}")
+            # ScenarioConfig's arguments, each block's first gathered under its field.
+            kwargs = {f.split(".")[0]: {} for f, *_ in CONFIG_FORMAT.values() if "." in f}
+            for path, value in flat.items():
+                field_path, kind, *scale = CONFIG_FORMAT[path]
+                top, _, sub = field_path.partition(".")
+                value = _parse(path, kind, value, *scale)
+                if sub:
+                    kwargs[top][sub] = value
+                else:
+                    kwargs[top] = value
+            for f in fields(cls):
+                if isinstance(kwargs.get(f.name), dict):
+                    kwargs[f.name] = f.type(**kwargs[f.name])
+            return cls(**kwargs)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid scenario configuration: {exc}") from exc
-        known = cfg.to_dict()  # every key must be one that to_dict writes
-        if "initial_cov" not in d:  # or the diagonal in place of initial_cov
-            known["initial_cov_diag"] = known.pop("initial_cov")
-        unknown = ", ".join(_unknown_keys(d, known))
-        if unknown:
-            raise ConfigError(f"unknown configuration keys: {unknown}")
-        return cfg
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -343,17 +352,25 @@ class _SchemeFilter:
         )
 
 
-def _draw_pilot(cfg: ScenarioConfig, trial_index: int, step: int) -> Pilot:
-    """The pilot of (trial, step); step 0 is the per-trial pilot."""
-    rng = stream(cfg.seed, trial_index, step, "pilot")
-    return generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
+def _pilots(cfg: ScenarioConfig, trial_index: int):
+    """k -> step k's pilot in a trial: under per_step, drawn from step k's
+    stream; under per_trial, the trial's one pilot, drawn once, on first use,
+    from step 0's."""
+    def draw(step: int) -> Pilot:
+        rng = stream(cfg.seed, trial_index, step, "pilot")
+        return generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
+
+    if cfg.pilot_policy == "per_step":
+        return draw
+    pilot = cache(lambda: draw(0))
+    return lambda k: pilot()
 
 
 def crb_policy(cfg: ScenarioConfig, token: str):
     """The CRB combiner policy(pose, derivs) of a scheme token.
 
     It is trial 0's PredictionBuilder, with trial 0's random combiner and
-    per-trial pilot, so the bound sees the combiner a tracking filter builds,
+    pilots, so the bound sees the combiner a tracking filter builds,
     fallbacks included.  The observation Jacobian is formed from the step's
     channel derivatives, only when the scheme asks for it.
     """
@@ -361,11 +378,16 @@ def crb_policy(cfg: ScenarioConfig, token: str):
         parse_scheme(token, cfg.combiner.n_rf, cfg.array.n_b), cfg.array, cfg.seed, 0,
         cfg.noise_power_watts,
     )
-    pilot = cache(lambda: _draw_pilot(cfg, 0, 0))
+    pilots = _pilots(cfg, 0)
     steps = itertools.count(1)
-    return lambda pose, derivs: builder.build(
-        next(steps), pose, lambda: pilot_jacobian(derivs, pilot().symbols, cfg.array.n_b), None
-    )
+
+    def policy(pose, derivs):
+        k = next(steps)
+        return builder.build(
+            k, pose, lambda: pilot_jacobian(derivs, pilots(k).symbols, cfg.array.n_b), None
+        )
+
+    return policy
 
 
 def run_trial(
@@ -383,10 +405,9 @@ def run_trial(
     h_true_sq = np.zeros(cfg.k_steps)
     filters = [_SchemeFilter(cfg, spec, trial_index, truth, h_true_sq) for spec in schemes]
 
-    pilot = _draw_pilot(cfg, trial_index, 0) if cfg.pilot_policy == "per_trial" else None
+    pilots = _pilots(cfg, trial_index)
     for k in range(1, cfg.k_steps + 1):
-        if cfg.pilot_policy == "per_step":
-            pilot = _draw_pilot(cfg, trial_index, k)
+        pilot = pilots(k)
         r_true, a_true, h_true = channel_grid(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(

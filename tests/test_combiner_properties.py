@@ -27,7 +27,7 @@ from nftrack.errors import (
 )
 from nftrack.estimation import _RANK_RTOL, Belief, Combiner, _rank_gate, ekf_predict, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose
-from nftrack.harness import ScenarioConfig
+from nftrack.harness import RfChains, ScenarioConfig
 from nftrack.observation import generate_pilot, observation_jacobian
 from nftrack.rng import stream
 
@@ -260,10 +260,11 @@ def _builder(kind, n_rf, pose=Pose(15, -15, 3 * np.pi / 8), seed=11):
         noise_power_dbm=-70.0,
         k_steps=3,
         n_trials=1,
-        combiner=CombinerSpec(kind=kind, n_rf=n_rf),
+        combiner=RfChains(n_rf),
         seed=seed,
     )
-    builder = PredictionBuilder(cfg.combiner, cfg.array, cfg.seed, 0, cfg.noise_power_watts)
+    spec = CombinerSpec(kind, n_rf)
+    builder = PredictionBuilder(spec, cfg.array, cfg.seed, 0, cfg.noise_power_watts)
     return builder, cfg
 
 

@@ -332,3 +332,15 @@ def test_pose_validation():
         Pose(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Pose(np.nan, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_array_validation(bad):
+    # A carrier or spacing that is not positive and finite is rejected; a NaN
+    # carrier used to pass and end in a traceback deep in the filter.
+    with pytest.raises(ValueError):
+        ArrayConfig(n_b=5, n_m=3, carrier_freq=bad)
+    with pytest.raises(ValueError):
+        ArrayConfig(n_b=5, n_m=3, carrier_freq=F28, d_b=bad)
+    with pytest.raises(ValueError):
+        ArrayConfig(n_b=5, n_m=3, carrier_freq=F28, d_m=bad)

@@ -19,6 +19,8 @@ from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix
 from nftrack.harness import (
+    CONFIG_FORMAT,
+    RfChains,
     ScenarioConfig,
     SchemeMetrics,
     TrialRecord,
@@ -34,6 +36,7 @@ from nftrack.observation import generate_pilot, observation_jacobian
 from nftrack.rng import stream
 
 F28 = 28e9
+SVD_PE = CombinerSpec("svd_pe", 3)
 
 
 def tiny_config(**overrides):
@@ -46,7 +49,7 @@ def tiny_config(**overrides):
         noise_power_dbm=-70.0,
         k_steps=10,
         n_trials=3,
-        combiner=CombinerSpec(kind="svd_pe", n_rf=3),
+        combiner=RfChains(3),
         seed=11,
     )
     base.update(overrides)
@@ -57,10 +60,9 @@ def test_noiseless_fd_trial_locks_exactly():
     cfg = tiny_config(
         noise=ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02),
         noise_power_dbm=-400.0,
-        combiner=CombinerSpec(kind="fd", n_rf=33),
         n_trials=1,
     )
-    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    rec = run_trial(cfg, 0, [CombinerSpec("fd", 33)])[0]
     err = np.abs(rec.post_means[:, :3] - rec.true_states[1:, :3])
     assert err.max() < 1e-6
     assert rec.diverged_at is None
@@ -68,8 +70,8 @@ def test_noiseless_fd_trial_locks_exactly():
 
 def test_trial_determinism():
     cfg = tiny_config()
-    a = run_trial(cfg, 1, [cfg.combiner])[0]
-    b = run_trial(cfg, 1, [cfg.combiner])[0]
+    a = run_trial(cfg, 1, [SVD_PE])[0]
+    b = run_trial(cfg, 1, [SVD_PE])[0]
     np.testing.assert_array_equal(a.true_states, b.true_states)
     np.testing.assert_array_equal(a.post_means, b.post_means)
     np.testing.assert_array_equal(a.post_covs, b.post_covs)
@@ -78,8 +80,8 @@ def test_trial_determinism():
 
 def test_truth_shared_across_schemes():
     cfg = tiny_config()
-    t_a = simulate_truth(replace(cfg, combiner=CombinerSpec(kind="fd", n_rf=33)), 2)
-    t_b = simulate_truth(replace(cfg, combiner=CombinerSpec(kind="qom", n_rf=3)), 2)
+    t_a = simulate_truth(replace(cfg, combiner=RfChains(1)), 2)
+    t_b = simulate_truth(replace(cfg, combiner=RfChains(32)), 2)
     np.testing.assert_array_equal(t_a, t_b)
 
 
@@ -102,7 +104,7 @@ def test_pilot_identical_across_schemes(monkeypatch):
 
 def test_monotone_information_per_step():
     cfg = tiny_config(k_steps=20, n_trials=1)
-    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    rec = run_trial(cfg, 0, [SVD_PE])[0]
     for i in range(cfg.k_steps):
         assert np.trace(rec.post_covs[i]) <= np.trace(rec.prior_covs[i]) + 1e-12
 
@@ -286,6 +288,25 @@ def test_readme_scheme_table_matches_registry():
     assert tuple(token for token, crb in rows if crb == "yes") == CRB_POLICIES
 
 
+def test_readme_config_table_matches_format():
+    # The README's config table names exactly the keys of CONFIG_FORMAT: a
+    # block row's value column lists its keys, any other row's key column
+    # names the key itself (initial_cov_diag stands in for initial_cov).
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.search(r"^\| key \| value \|\n(?:\|.*\n)+", readme, re.M)
+    assert table is not None, "README has no config table"
+    rows = re.findall(r"^\| (`.+?) \| (.+?) \|$", table.group(0), re.M)
+    blocks = {path.split(".")[0] for path in CONFIG_FORMAT if "." in path}
+    keys = set()
+    for key_cell, value_cell in rows:
+        names = re.findall(r"`(\w+)`", key_cell)
+        if names[0] in blocks:
+            keys.update(f"{names[0]}.{key}" for key in re.findall(r"`(\w+)`", value_cell))
+        else:
+            keys.update(names)
+    assert keys == set(CONFIG_FORMAT) | {"initial_cov_diag"}
+
+
 def test_parse_scheme_tokens():
     assert parse_scheme("fd", 3, 33).kind == "fd"
     assert parse_scheme("fd", 3, 33).n_rf == 33
@@ -314,10 +335,16 @@ def test_config_roundtrip(tmp_path):
 @pytest.mark.parametrize("combiner,kind", [({"kind": "mo:qom", "n_rf": 3}, "mo:qom"),
                                            ({"kind": "random", "n_rf": 3}, "rand")])
 def test_config_combiner_token_roundtrip(combiner, kind):
-    # The combiner is named by its scheme token; an alias loads as the token.
-    cfg = ScenarioConfig.from_dict({**tiny_config().to_dict(), "combiner": combiner})
-    assert cfg.combiner == CombinerSpec(kind, 3)
-    assert cfg.to_dict()["combiner"] == {"kind": kind, "n_rf": 3}
+    # The combiner block is the RF chain count alone: the scheme is the
+    # subcommand's choice, where an alias loads as its token, so a scheme
+    # named in the config is an unknown key.
+    with pytest.raises(ConfigError, match="unknown configuration keys: combiner.kind"):
+        ScenarioConfig.from_dict({**tiny_config().to_dict(), "combiner": combiner})
+    n_rf = {"n_rf": combiner["n_rf"]}
+    cfg = ScenarioConfig.from_dict({**tiny_config().to_dict(), "combiner": n_rf})
+    assert cfg.combiner == RfChains(3)
+    assert cfg.to_dict()["combiner"] == n_rf
+    assert parse_scheme(combiner["kind"], cfg.combiner.n_rf, cfg.array.n_b) == CombinerSpec(kind, 3)
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.combiner == cfg.combiner
     assert again.config_hash() == cfg.config_hash()
@@ -365,8 +392,9 @@ def test_config_validation_errors(tmp_path):
             tiny_config(noise_power_dbm=power)
     with pytest.raises(ConfigError):
         tiny_config(pilot_policy="sometimes")
-    with pytest.raises(ConfigError):
-        tiny_config(combiner=CombinerSpec(kind="fd", n_rf=7))
+    for n_rf in (0, 33):  # every scheme's n_rf is in [1, n_b)
+        with pytest.raises(ConfigError, match="n_rf"):
+            tiny_config(combiner=RfChains(n_rf))
     # initial_cov_diag is read only in place of initial_cov, never beside it.
     both = {**tiny_config().to_dict(), "initial_cov_diag": [1.0] * 5}
     with pytest.raises(ConfigError, match="initial_cov_diag"):
@@ -421,8 +449,19 @@ BAD_DESK = {
     "burn_in": {"burn_in": 3},
     "mo_iters": {"combiner": {"mo_iters": 10}},
     "mo_init": {"combiner": {"mo_init": "qom"}},
-    # MO is named by its token, mo:<init>; a bare mo names no scheme.
+    # The config names no scheme: a combiner kind is an unknown key, whether
+    # or not it is a scheme token.
     "kind_mo": {"combiner": {"kind": "mo"}},
+    "kind": {"combiner": {"kind": "svd_pe"}},
+    # An integer key takes a JSON integer, a number key an integer or a
+    # float; neither takes a bool or a string.
+    "trials_2_5": {"n_trials": 2.5},
+    "seed_11_9": {"seed": 11.9},
+    "steps_str": {"k_steps": "50"},
+    "n_m_str": {"array": {"n_m": "25"}},
+    "n_rf_true": {"combiner": {"n_rf": True}},
+    "pm_str": {"p_m_dbm": "10"},
+    "cov_diag_bool": {"initial_cov_diag": [True, 0.0025, 1e-6, 1.0, 1e-4]},
 }
 
 
@@ -531,6 +570,16 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["fisher", "--config", "{mo_init}", "--sweep", "nb:33:66:2"],
         ["track", "--config", "{kind_mo}", "--steps", "1", "--trials", "1"],
         ["crb", "--config", "{kind_mo}", "--steps", "1"],
+        ["track", "--config", "{kind}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{kind}", "--steps", "1"],
+        ["fisher", "--config", "{kind}", "--sweep", "nb:33:66:2"],
+        ["track", "--config", "{trials_2_5}", "--steps", "1"],
+        ["track", "--config", "{seed_11_9}", "--steps", "1", "--trials", "1"],
+        ["crb", "--config", "{steps_str}"],
+        ["fisher", "--config", "{n_m_str}", "--sweep", "nb:33:66:2"],
+        ["crb", "--config", "{n_rf_true}", "--steps", "1"],
+        ["fisher", "--config", "{pm_str}", "--sweep", "nb:33:66:2"],
+        ["crb", "--config", "{cov_diag_bool}", "--steps", "1"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
          "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
@@ -541,7 +590,10 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
          "crb-noise-m3300", "fisher-noise-m3300", "track-noise-m3170",
          "track-sigma-v-1e200", "crb-sigma-v-1e200", "crb-pm-dbm-flag-3300",
          "track-burn-in", "crb-burn-in", "track-mo-iters", "crb-mo-iters",
-         "track-mo-init", "crb-mo-init", "fisher-mo-init", "track-kind-mo", "crb-kind-mo"],
+         "track-mo-init", "crb-mo-init", "fisher-mo-init", "track-kind-mo", "crb-kind-mo",
+         "track-kind", "crb-kind", "fisher-kind", "track-trials-2.5", "track-seed-11.9",
+         "crb-steps-str", "fisher-n-m-str", "crb-n-rf-true", "fisher-pm-str",
+         "crb-cov-diag-bool"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -598,13 +650,13 @@ def test_cli_entry_point_runs(tmp_path):
 
 def test_per_step_pilot_policy():
     cfg = tiny_config(pilot_policy="per_step", k_steps=6, n_trials=1)
-    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    rec = run_trial(cfg, 0, [SVD_PE])[0]
     assert rec.diverged_at is None
     # per-trial policy uses one pilot; per-step redraws each step, so the two
     # runs part ways while staying deterministic
-    again = run_trial(cfg, 0, [cfg.combiner])[0]
+    again = run_trial(cfg, 0, [SVD_PE])[0]
     np.testing.assert_array_equal(rec.post_means, again.post_means)
-    fixed = run_trial(replace(cfg, pilot_policy="per_trial"), 0, [cfg.combiner])[0]
+    fixed = run_trial(replace(cfg, pilot_policy="per_trial"), 0, [SVD_PE])[0]
     assert not np.array_equal(rec.post_means, fixed.post_means)
 
 
@@ -650,6 +702,50 @@ def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatc
     monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
     assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
     assert (tmp_path / "derivs.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_cli_crb_per_step_uses_step_k_pilots(tmp_path, monkeypatch):
+    # Under pilot_policy per_step the svd_pe bound at step k is oriented by
+    # step k's pilot, as a per-step tracking filter is.
+    p = _desk_with(tmp_path / "per_step.json", pilot_policy="per_step")
+    argv = ["crb", "--config", str(p), "--policy", "svd_pe", "--steps", "5"]
+    assert cli_main([*argv, "--out", str(tmp_path / "crb.csv")]) == 0
+
+    def reference_policy(cfg, token):
+        steps = iter(range(1, cfg.k_steps + 1))
+
+        def policy(pose, derivs):
+            rng = stream(cfg.seed, 0, next(steps), "pilot")
+            pilot = generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
+            return combiner_svd_pe(observation_jacobian(pose, cfg.array, pilot), cfg.combiner.n_rf)
+
+        return policy
+
+    monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
+    assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
+    assert (tmp_path / "crb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_cli_crb_many_rf_chains_raises_no_overflow(tmp_path):
+    # 100 random rows of 101: (tr G)^n_rf overflows a float, which the rank
+    # gate's factor screen must not compute (RuntimeWarnings are errors here).
+    argv = ["crb", "--config", str(DESK), "--policy", "rand", "--nrf", "100", "--steps", "2"]
+    assert cli_main([*argv, "--out", str(tmp_path / "crb.csv")]) == 0
+
+
+def test_cli_fisher_array_sweep_keeps_configured_spacings(tmp_path):
+    # An nb:/nm: sweep point at the configured array size is the configured
+    # array: its row equals a pose grid's at the initial pose.
+    p = _desk_with(tmp_path / "spaced.json", array={"d_b_m": 0.02, "d_m_m": 0.02})
+    grid = tmp_path / "pose.json"
+    grid.write_text(json.dumps([{"x_m": 15.0, "y_m": -15.0, "psi_rad": 1.1780972450961724}]))
+    rows = {}
+    for sweep in (["nb:101:101:1"], ["nm:25:25:1"], ["pose-grid", str(grid)]):
+        out = tmp_path / f"{sweep[0][:2]}.csv"
+        assert cli_main(["fisher", "--config", str(p), "--out", str(out), "--sweep", *sweep]) == 0
+        rows[sweep[0][:2]] = out.read_text().splitlines()[1].split(",")[2:]
+    assert rows["nb"] == rows["po"]
+    assert rows["nm"] == rows["po"]
 
 
 def test_cli_crb_qom_falls_back_as_track_does(tmp_path):
@@ -706,11 +802,11 @@ def test_cli_channel_kernel_builds(tmp_path, monkeypatch, argv, builds):
 def test_mo_step_inverts_the_prior_once(monkeypatch):
     # One inverse for the prior information (shared by combiner_mo and the
     # update) and one for the posterior, per step.
-    cfg = tiny_config(combiner=CombinerSpec("mo:qom", 3), k_steps=4)
+    cfg = tiny_config(k_steps=4)
     calls = []
     real = nftrack.estimation.psd_inverse
     monkeypatch.setattr(nftrack.estimation, "psd_inverse", lambda m: calls.append(1) or real(m))
-    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    rec = run_trial(cfg, 0, [CombinerSpec("mo:qom", 3)])[0]
     assert rec.diverged_at is None
     assert len(calls) == 2 * cfg.k_steps
 
@@ -722,11 +818,10 @@ def test_qom_degenerate_geometry_fallback():
     cfg = tiny_config(
         initial_state=MsState(10, 10, np.pi / 4, 0.0, 0.0),
         noise=ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02),
-        combiner=CombinerSpec(kind="qom", n_rf=3),
         k_steps=3,
         n_trials=1,
     )
-    rec = run_trial(cfg, 0, [cfg.combiner])[0]
+    rec = run_trial(cfg, 0, [CombinerSpec("qom", 3)])[0]
     assert rec.fallback_steps, "expected the degenerate pose to be flagged"
     assert rec.diverged_at is None
 
