@@ -34,11 +34,8 @@ from .geometry import (
 )
 from .information import (
     AvgFisher,
-    BayesianFimState,
     avg_fisher,
-    bayesian_fim_init,
     bayesian_fim_step,
-    bcrb,
     expected_fim,
     fisher_scaling_bounds,
 )

@@ -13,17 +13,12 @@ import numpy as np
 
 from . import __version__
 from .combiners import CRB_POLICIES, SCHEMES, combiner_fd, parse_scheme
-from .dynamics import ctrv_transition
 from .errors import ConfigError, NfTrackError
+from .estimation import Belief
 from .geometry import ArrayConfig, Pose, channel_derivatives
-from .harness import RfChains, ScenarioConfig, crb_policy, load_config, run_campaign, write_table
-from .information import (
-    avg_fisher,
-    bayesian_fim_init,
-    bayesian_fim_step,
-    bcrb,
-    fisher_scaling_bounds,
-)
+from .harness import (RfChains, ScenarioConfig, crb_policy, load_config, parse_field, run_campaign,
+                      write_table)
+from .information import avg_fisher, bayesian_fim_step, fisher_scaling_bounds
 
 
 # Scenario overrides: flag -> (type, ScenarioConfig field), applied in this order.
@@ -119,13 +114,16 @@ def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
 
 
 def _load_pose_grid(path: str):
-    """Poses of a pose-grid file: a JSON list of {x_m, y_m, psi_rad} objects."""
+    """Poses of a pose-grid file: a JSON list of {x_m, y_m, psi_rad} objects
+    whose values are JSON numbers."""
     try:
         with open(path) as fh:
-            return [
-                Pose(float(entry["x_m"]), float(entry["y_m"]), float(entry["psi_rad"]))
-                for entry in json.load(fh)
-            ]
+            entries = json.load(fh)
+        return [
+            Pose(*(parse_field(f"{path} entry {i} {key}", float, entry[key])
+                   for key in ("x_m", "y_m", "psi_rad")))
+            for i, entry in enumerate(entries)
+        ]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid pose grid {path}: {exc}") from exc
 
@@ -163,23 +161,14 @@ def _cmd_fisher(cfg: ScenarioConfig, args) -> int:
 
 def _cmd_crb(cfg: ScenarioConfig, args) -> int:
     policy = crb_policy(cfg, args.policy)
-    state = bayesian_fim_init(cfg.initial_cov)
-    true_state = cfg.initial_state
+    bound = Belief(cfg.initial_state, cfg.initial_cov)
     rows = []
     for k in range(1, cfg.k_steps + 1):
-        state = bayesian_fim_step(
-            state,
-            true_state,
-            cfg.array,
-            cfg.noise,
-            cfg.p_m_watts,
-            cfg.noise_power_watts,
-            policy,
-        )
-        b = bcrb(state)
+        bound = bayesian_fim_step(bound, cfg.array, cfg.noise, cfg.p_m_watts,
+                                  cfg.noise_power_watts, policy)
+        b = bound.cov
         cells = (b[0, 0], b[1, 1], b[2, 2], b[0, 0] + b[1, 1], np.trace(b))
         rows.append([k, *(f"{v:.12e}" for v in cells)])
-        true_state = ctrv_transition(true_state, cfg.noise.tau)
     write_table(args.out, cfg,
                 ["k", "bcrb_x_m2", "bcrb_y_m2", "bcrb_psi_rad2", "bcrb_pos_trace_m2", "bcrb_trace"],
                 rows)

@@ -99,15 +99,21 @@ def _factor_screen(l: np.ndarray, gram: np.ndarray):
     """True where the Cholesky factor L of a Gram matrix G = Q Q^H (or of
     each in a stack) proves Q well above the rank gate.
 
-    prod L_ii^2 = det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max,
-    so det G > 1e-12 (tr G)^n implies lambda_min / lambda_max > 1e-12, i.e.
-    a singular-value ratio above 1e-6, far above _RANK_RTOL.  The test is
-    made scale-free, prod(L_ii^2 / tr G) > 1e-12, so that (tr G)^n cannot
-    overflow.  False settles nothing: the caller must run the gate itself.
+    By AM-GM on the other n - 1 eigenvalues, det G <= lambda_min
+    (tr G / (n-1))^(n-1), and tr G >= lambda_max, so
+
+        lambda_min / lambda_max >= det G (n-1)^(n-1) / (tr G)^n,
+
+    and a right side above 1e-12 means a singular-value ratio above 1e-6,
+    far above _RANK_RTOL.  With det G = prod L_ii^2 the right side is
+    prod(L_ii^2 m / tr G) / m for m = max(n-1, 1); each factor is near
+    1 - 1/n for a well-conditioned Q, so no n_rf < n_b overflows or
+    underflows.  False settles nothing: the caller must run the gate itself.
     """
+    m = max(gram.shape[-1] - 1, 1)
     d = l.diagonal(0, -2, -1).real
     tr = gram.diagonal(0, -2, -1).real.sum(-1)
-    return (d * d / tr[..., None]).prod(-1) > 1e-12
+    return (d * d * (m / tr)[..., None]).prod(-1) > 1e-12 * m
 
 
 def _rank_gate(q: np.ndarray, gram: np.ndarray) -> None:

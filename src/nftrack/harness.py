@@ -87,7 +87,7 @@ _BLOCKS = {path.split(".")[0] for path in CONFIG_FORMAT if "." in path}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", np.ndarray: "a number array"}
 
 
-def _parse(path: str, kind: type, value, scale: float = 1.0):
+def parse_field(path: str, kind: type, value, scale: float = 1.0):
     """The field value of the JSON value at path, which must be of kind."""
     if kind is str:
         ok = isinstance(value, str)
@@ -186,7 +186,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be a JSON object")
         try:
             if "initial_cov" not in flat and "initial_cov_diag" in flat:
-                diag = _parse("initial_cov_diag", np.ndarray, flat.pop("initial_cov_diag"))
+                diag = parse_field("initial_cov_diag", np.ndarray, flat.pop("initial_cov_diag"))
                 flat["initial_cov"] = np.diag(diag).tolist()
             unknown = ", ".join(path for path in flat if path not in CONFIG_FORMAT)
             if unknown:
@@ -196,7 +196,7 @@ class ScenarioConfig:
             for path, value in flat.items():
                 field_path, kind, *scale = CONFIG_FORMAT[path]
                 top, _, sub = field_path.partition(".")
-                value = _parse(path, kind, value, *scale)
+                value = parse_field(path, kind, value, *scale)
                 if sub:
                     kwargs[top][sub] = value
                 else:

@@ -1,9 +1,21 @@
 """Fisher-information analysis and the Bayesian CRB recursion.
 
 expected_fim integrates the per-pilot information over the pilot distribution
-in closed form, and avg_fisher is its pose diagonal.  The Bayesian bound
-combines information transported through the motion model with the expected
-data information of each new snapshot, evaluated at the nominal next pose.
+in closed form, and avg_fisher is its pose diagonal.
+
+The Bayesian CRB along the nominal trajectory (Tichavsky, Muravchik &
+Nehorai, IEEE TSP 1998) is, with A the CTRV Jacobian at the nominal state,
+
+    J_k = (A J_{k-1}^-1 A^T + Q)^-1 + E[F_d(p_k)].
+
+In covariance form P_k = J_k^-1 this is the filter's own recursion: the
+predicted covariance A P_{k-1} A^T + Q of ekf_predict, then the update
+(P^-1 + F)^-1 with the expected data FIM at the nominal next pose in place
+of the observed one.  So bayesian_fim_step runs on the filter's predict and
+psd_inverse.  The process noise drives only v and omega, so Q is singular,
+and the textbook form D11 = E[A^T Q^-1 A] does not exist; the covariance
+form never inverts Q, only A P A^T + Q, which is positive definite whenever
+P is (A is unit upper triangular).
 
 For the fully digital receiver (identity combiner) the phase cancels: every
 channel entry depends on the pose only through its distance r, so
@@ -21,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
+from .dynamics import ProcessNoiseSpec
 from .errors import AssumptionViolated
-from .estimation import Combiner, _cho_factor, _cho_solve, _symmetrize
+from .estimation import Belief, Combiner, ekf_predict, psd_inverse
 from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives, geometry_summary
 
 
@@ -34,12 +46,6 @@ class AvgFisher:
     f_x: float  # 1/m^2
     f_y: float  # 1/m^2
     f_psi: float  # 1/rad^2
-
-
-@dataclass(frozen=True)
-class BayesianFimState:
-    f_b: np.ndarray  # 5x5 Bayesian Fisher information
-    k: int
 
 
 def avg_fisher(
@@ -109,43 +115,27 @@ def fisher_scaling_bounds(
     return position, orientation
 
 
-def bayesian_fim_init(prior_cov0: np.ndarray) -> BayesianFimState:
-    """Gaussian prior: initial Bayesian FIM is the inverse prior covariance."""
-    cov = _symmetrize(np.asarray(prior_cov0, dtype=float))
-    inv = _cho_solve(_cho_factor(cov), np.eye(5))  # LinAlgError if not PD
-    return BayesianFimState(f_b=_symmetrize(inv), k=0)
-
-
 def bayesian_fim_step(
-    state: BayesianFimState,
-    true_state_prev: MsState,
+    bound: Belief,
     cfg: ArrayConfig,
     spec: ProcessNoiseSpec,
     pilot_power: float,
     noise_power: float,
     q_policy: Callable[[Pose, ChannelDerivatives], Combiner],
-) -> BayesianFimState:
-    """One recursion step: transported prior information plus the expected
-    data information at the nominal next pose.
+) -> Belief:
+    """One step of the Bayesian CRB along the nominal trajectory.
 
-    Process noise perturbs only v and omega, so every next state the motion
-    model can reach from true_state_prev shares the nominal pose, and the
-    expectation of the data information over the next state is its value
-    there.  q_policy(pose, derivs) receives the channel derivatives of that
-    pose, which the data information then reuses.
+    bound.mean is the nominal true state and bound.cov the bound at it.  The
+    bound is predicted as the filter predicts its covariance, then updated
+    with the expected data information at the nominal next pose.  Process
+    noise perturbs only v and omega, so every next state the motion model
+    can reach shares that pose, and the expectation of the data information
+    over the next state is its value there.  q_policy(pose, derivs) receives
+    the channel derivatives of that pose, which the data information then
+    reuses.
     """
-    a = ctrv_jacobian(true_state_prev, spec.tau)
-    f_prev_inv = np.linalg.solve(_symmetrize(state.f_b), np.eye(5))
-    f_p = np.linalg.solve(
-        _symmetrize(a @ f_prev_inv @ a.T + spec.covariance()), np.eye(5)
-    )
-    pose = ctrv_transition(true_state_prev, spec.tau).pose
+    prior = ekf_predict(bound, spec)
+    pose = prior.mean.pose
     derivs = channel_derivatives(pose, cfg)
     f_d = expected_fim(derivs, q_policy(pose, derivs), pilot_power, noise_power, cfg.n_m)
-    return BayesianFimState(f_b=_symmetrize(f_p + f_d), k=state.k + 1)
-
-
-def bcrb(state: BayesianFimState) -> np.ndarray:
-    """Inverse Bayesian FIM: lower bound on the tracking error covariance."""
-    inv = np.linalg.solve(_symmetrize(state.f_b), np.eye(5))
-    return _symmetrize(inv)
+    return Belief(prior.mean, psd_inverse(prior.info + f_d))

@@ -19,7 +19,7 @@ from nftrack.combiners import (
     qom_plan,
 )
 from nftrack.dynamics import MsState, ctrv_jacobian, ctrv_transition
-from nftrack.estimation import fim
+from nftrack.estimation import Belief, fim
 from nftrack.geometry import (
     ArrayConfig,
     Pose,
@@ -29,7 +29,7 @@ from nftrack.geometry import (
     geometry_summary,
 )
 from nftrack.harness import load_config, metrics_rmse, parse_scheme, run_campaign, run_trial
-from nftrack.information import avg_fisher, bayesian_fim_init, bayesian_fim_step, bcrb
+from nftrack.information import avg_fisher, bayesian_fim_step
 from nftrack.observation import generate_pilot, observation_jacobian
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -443,17 +443,13 @@ def test_criterion_10_bcrb_lower_bounds_tracking_mse():
     # information; a Gaussian prior at the published covariance would exceed
     # the realized error at k=1, where the exact initialization still
     # dominates.
-    state = bayesian_fim_init(np.eye(5) * 1e-12)
-    true_state = cfg.initial_state
+    bound = Belief(cfg.initial_state, np.eye(5) * 1e-12)
     bounds = []
     for k in range(1, cfg.k_steps + 1):
-        state = bayesian_fim_step(
-            state, true_state, cfg.array, cfg.noise, P_M, SIGMA2,
-            lambda pose, derivs: fd,
+        bound = bayesian_fim_step(
+            bound, cfg.array, cfg.noise, P_M, SIGMA2, lambda pose, derivs: fd,
         )
-        v = bcrb(state)
-        bounds.append(v[0, 0] + v[1, 1])
-        true_state = ctrv_transition(true_state, cfg.noise.tau)
+        bounds.append(bound.cov[0, 0] + bound.cov[1, 1])
     bounds = np.array(bounds)
 
     records = desk_records("fd")

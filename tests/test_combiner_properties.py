@@ -55,7 +55,7 @@ def near_dependent_rows(draw):
     by phases of size gap (n_rf = 1 has no earlier row and keeps full rank).
     Gaps up to 1e-6 sit at or under the gate; 1e-3 and 1 are clear of it."""
     n_b = draw(st.sampled_from([16, 33, 101]))
-    n_rf = draw(st.sampled_from(range(1, 7)))
+    n_rf = draw(st.sampled_from(range(1, 21)))
     gap = draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = np.exp(2j * np.pi * rng.random((n_rf, n_b)))

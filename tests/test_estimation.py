@@ -18,6 +18,7 @@ from nftrack.estimation import (
     Combiner,
     _cho_factor,
     _cho_solve,
+    _factor_screen,
     ekf_predict,
     ekf_update,
     fim,
@@ -82,6 +83,29 @@ def test_rank_gate():
     comb = Combiner(q, unit_modulus=True)
     with pytest.raises(RankDeficientCombiner):
         comb.solve_gram(np.ones(2))
+
+
+def _sign_rows(n_rf):
+    """+-1 rows of 101 columns: G is near 101 I."""
+    return np.random.default_rng(n_rf).choice([-1.0, 1.0], size=(n_rf, 101)).astype(complex)
+
+
+def _dft_rows(n_rf):
+    """Orthogonal DFT rows of 275 columns: G = 275 I, where a
+    det G / (tr G)^n form would underflow to 0."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(n_rf), np.arange(275)) / 275)
+
+
+@pytest.mark.parametrize(
+    "rows, n_rf",
+    [(_sign_rows, n) for n in (1, 3, 11, 12, 20)] + [(_dft_rows, n) for n in (100, 274)],
+)
+def test_factor_screen_vouches_for_well_conditioned_combiners(rows, n_rf):
+    # Far above the rank gate at every size, so the screen spares the
+    # eigenvalue gate.
+    q = rows(n_rf)
+    gram = q @ q.conj().T
+    assert _factor_screen(_cho_factor(gram), gram)
 
 
 @pytest.mark.parametrize(

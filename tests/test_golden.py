@@ -1,24 +1,32 @@
-"""Golden outputs on the desk scenario.
+"""Golden outputs on the desk and full-scale scenarios.
 
 The fixtures in tests/golden/ hold:
 
-- the campaign CSV for fd, rand, svd_pe and qom under each pilot policy,
-  with the scenario cut to 2 trials x 10 steps;
-- the `fisher` CSV of two array-size sweeps, and of a 3-pose grid
+- the desk campaign CSV for fd, rand, svd_pe and qom under each pilot
+  policy, with the scenario cut to 2 trials x 10 steps;
+- the `fisher` CSV of two desk array-size sweeps, and of a 3-pose grid
   (`desk_fisher_pose_grid.json`, one pose inside the Fresnel distance, so
   its bounds are nan);
-- the `crb --steps 20` CSV of each CRB policy.
+- the desk `crb --steps 20` CSV of each CRB policy;
+- the full-scale (`configs/paper_full.json`) campaign CSV for the same four
+  schemes, cut to 1 trial x 10 steps, and its `crb --steps 10` CSV of each
+  CRB policy.
 
 Every cell must match: the key columns (scheme and step, sweep axis and
-value, CRB step) exactly, the other columns at rtol 1e-9.  Regenerate the
+value, CRB step) exactly, the other columns at rtol 1e-9.  Regenerate
 fixtures only for a deliberate change of the numerics, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [fixture.csv ...]
+
+which rewrites the fixtures named on the command line, or every fixture
+when none is named.
 """
 
 import csv
 import json
+import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +37,7 @@ from nftrack.harness import load_config, parse_scheme, run_campaign
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ROOT / "configs" / "desk.json"
+FULL = ROOT / "configs" / "paper_full.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TOKENS = ("fd", "rand", "svd_pe", "qom")
 POLICIES = ("per_trial", "per_step")
@@ -36,8 +45,9 @@ FISHER_SWEEPS = ("nb:16:101:6", "nm:5:25:5")
 POSE_GRID = GOLDEN_DIR / "desk_fisher_pose_grid.json"
 
 
-def _campaign_csv(policy: str, out: Path) -> None:
-    cfg = replace(load_config(DESK), n_trials=2, k_steps=10, pilot_policy=policy)
+def _campaign_csv(config: Path, n_trials: int, out: Path, **changes) -> None:
+    """TOKENS' campaign CSV over n_trials x 10 steps of config."""
+    cfg = replace(load_config(config), n_trials=n_trials, k_steps=10, **changes)
     specs = [parse_scheme(tok, cfg.combiner.n_rf, cfg.array.n_b) for tok in TOKENS]
     run_campaign(cfg, specs).to_csv(out)
 
@@ -48,8 +58,9 @@ def _fisher_csv(sweep: str, out: Path) -> None:
     assert main(["fisher", "--config", str(DESK), "--out", str(out), "--sweep", *tokens]) == 0
 
 
-def _crb_csv(policy: str, out: Path) -> None:
-    argv = ["crb", "--config", str(DESK), "--out", str(out), "--steps", "20", "--policy", policy]
+def _crb_csv(config: Path, steps: int, policy: str, out: Path) -> None:
+    argv = ["crb", "--config", str(config), "--out", str(out), "--steps", str(steps),
+            "--policy", policy]
     assert main(argv) == 0
 
 
@@ -57,14 +68,26 @@ def _fisher_name(sweep: str) -> str:
     return f"desk_fisher_{sweep.replace(':', '_').replace('-', '_')}.csv"
 
 
+# Fixture name -> writer(out).
+FIXTURES = {
+    **{f"desk_{p}.csv": partial(_campaign_csv, DESK, 2, pilot_policy=p) for p in POLICIES},
+    **{_fisher_name(s): partial(_fisher_csv, s) for s in (*FISHER_SWEEPS, "pose-grid")},
+    **{f"desk_crb_{p}.csv": partial(_crb_csv, DESK, 20, p) for p in TOKENS},
+    "full_track.csv": partial(_campaign_csv, FULL, 1),
+    **{f"full_crb_{p}.csv": partial(_crb_csv, FULL, 10, p) for p in TOKENS},
+}
+
+
 def _rows(path: Path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
 
 
-def _assert_matches_golden(out: Path, name: str, n_keys: int):
-    """The CSV at out against fixture name: the first n_keys columns exactly,
-    the rest at rtol 1e-9.  Returns the fixture's row count."""
+def _assert_matches_golden(tmp_path: Path, name: str, n_keys: int):
+    """Fixture name's writer output against the fixture: the first n_keys
+    columns exactly, the rest at rtol 1e-9.  Returns the fixture's row count."""
+    out = tmp_path / name
+    FIXTURES[name](out)
     got, want = _rows(out), _rows(GOLDEN_DIR / name)
     assert got[0] == want[0]
     assert len(got) == len(want)
@@ -79,40 +102,41 @@ def _assert_matches_golden(out: Path, name: str, n_keys: int):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_desk_campaign_matches_golden(policy, tmp_path):
-    out = tmp_path / "campaign.csv"
-    _campaign_csv(policy, out)
-    assert _assert_matches_golden(out, f"desk_{policy}.csv", 2) == 1 + len(TOKENS) * 10
+    assert _assert_matches_golden(tmp_path, f"desk_{policy}.csv", 2) == 1 + len(TOKENS) * 10
 
 
 @pytest.mark.parametrize("sweep", FISHER_SWEEPS)
 def test_desk_fisher_matches_golden(sweep, tmp_path):
-    out = tmp_path / "fisher.csv"
-    _fisher_csv(sweep, out)
-    assert _assert_matches_golden(out, _fisher_name(sweep), 2) == 1 + int(sweep.split(":")[-1])
+    n_rows = _assert_matches_golden(tmp_path, _fisher_name(sweep), 2)
+    assert n_rows == 1 + int(sweep.split(":")[-1])
 
 
 def test_desk_fisher_pose_grid_matches_golden(tmp_path):
-    out = tmp_path / "fisher.csv"
-    _fisher_csv("pose-grid", out)
     n_poses = len(json.loads(POSE_GRID.read_text()))
-    assert _assert_matches_golden(out, _fisher_name("pose-grid"), 2) == 1 + n_poses
+    assert _assert_matches_golden(tmp_path, _fisher_name("pose-grid"), 2) == 1 + n_poses
 
 
 @pytest.mark.parametrize("policy", TOKENS)
 def test_desk_crb_matches_golden(policy, tmp_path):
-    out = tmp_path / "crb.csv"
-    _crb_csv(policy, out)
-    assert _assert_matches_golden(out, f"desk_crb_{policy}.csv", 1) == 1 + 20
+    assert _assert_matches_golden(tmp_path, f"desk_crb_{policy}.csv", 1) == 1 + 20
+
+
+def test_full_campaign_matches_golden(tmp_path):
+    assert _assert_matches_golden(tmp_path, "full_track.csv", 2) == 1 + len(TOKENS) * 10
+
+
+@pytest.mark.parametrize("policy", TOKENS)
+def test_full_crb_matches_golden(policy, tmp_path):
+    assert _assert_matches_golden(tmp_path, f"full_crb_{policy}.csv", 1) == 1 + 10
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(FIXTURES)
+    unknown = [name for name in names if name not in FIXTURES]
+    if unknown:
+        sys.exit(f"unknown fixtures: {', '.join(unknown)}; known: {', '.join(FIXTURES)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    fixtures = (
-        [(f"desk_{p}.csv", _campaign_csv, p) for p in POLICIES]
-        + [(_fisher_name(s), _fisher_csv, s) for s in (*FISHER_SWEEPS, "pose-grid")]
-        + [(f"desk_crb_{p}.csv", _crb_csv, p) for p in TOKENS]
-    )
-    for name, write, arg in fixtures:
+    for name in names:
         path = GOLDEN_DIR / name
-        write(arg, path)
+        FIXTURES[name](path)
         path.with_suffix(".csv.manifest.json").unlink()

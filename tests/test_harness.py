@@ -431,6 +431,16 @@ def _desk_with(path, **changes):
     return path
 
 
+# Malformed pose-grid entries: a missing key, a pose at the BS center, and
+# values that are not JSON numbers.
+BAD_GRIDS = {
+    "no_y": {"x_m": 15.0, "psi_rad": 0.0},
+    "at_origin": {"x_m": 0.0, "y_m": 0.0, "psi_rad": 0.0},
+    "x_str": {"x_m": "15", "y_m": -15.0, "psi_rad": 0.5},
+    "y_bool": {"x_m": 15.0, "y_m": True, "psi_rad": 0.5},
+    "psi_null": {"x_m": 15.0, "y_m": -15.0, "psi_rad": None},
+}
+
 # Malformed configs: configs/desk.json with one field changed.
 BAD_DESK = {
     "cov_neg": {"initial_cov_diag": [0.0025, 0.0025, -1e-6, 1.0, 1e-4]},
@@ -535,6 +545,9 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{missing}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{no_y}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{at_origin}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{x_str}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{y_bool}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{psi_null}"],
         ["fisher", "--config", "{config}", "--sweep", "nb:68:275:0"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "nan"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "inf"],
@@ -582,7 +595,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["crb", "--config", "{cov_diag_bool}", "--steps", "1"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
-         "grid-no-y", "grid-origin", "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
+         "grid-no-y", "grid-origin", "grid-x-str", "grid-y-bool", "grid-psi-null",
+         "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
          "track-cov-not-pd", "crb-cov-not-pd", "track-cov-nan", "crb-cov-nan",
          "track-x-nan", "crb-x-nan", "track-tau-nan", "crb-tau-nan", "track-sigma-v-inf",
          "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center",
@@ -599,13 +613,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
         "missing": tmp_path / "missing.json",
         "config": _write_cli_config(tmp_path),
-        "no_y": tmp_path / "no_y.json",
-        "at_origin": tmp_path / "at_origin.json",
+        **{name: tmp_path / f"{name}.json" for name in BAD_GRIDS},
         **{name: _desk_with(tmp_path / f"{name}.json", **changes)
            for name, changes in BAD_DESK.items()},
     }
-    paths["no_y"].write_text(json.dumps([{"x_m": 15.0, "psi_rad": 0.0}]))
-    paths["at_origin"].write_text(json.dumps([{"x_m": 0.0, "y_m": 0.0, "psi_rad": 0.0}]))
+    for name, entry in BAD_GRIDS.items():
+        paths[name].write_text(json.dumps([entry]))
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "x.csv")]
     rc = cli_main(argv)
     assert rc == 2

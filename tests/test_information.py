@@ -11,17 +11,10 @@ from nftrack.dynamics import (
     ctrv_transition,
     sample_process_noise,
 )
-from nftrack.errors import AssumptionViolated
-from nftrack.estimation import Combiner
+from nftrack.errors import AssumptionViolated, SingularPriorCovariance
+from nftrack.estimation import Belief, Combiner, ekf_predict, psd_inverse
 from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, geometry_summary
-from nftrack.information import (
-    avg_fisher,
-    bayesian_fim_init,
-    bayesian_fim_step,
-    bcrb,
-    expected_fim,
-    fisher_scaling_bounds,
-)
+from nftrack.information import avg_fisher, bayesian_fim_step, expected_fim, fisher_scaling_bounds
 from nftrack.observation import generate_pilot, observation_jacobian
 
 F28 = 28e9
@@ -192,59 +185,53 @@ def test_orientation_info_vanishes_with_effective_aperture():
 # ---------------------------------------------------------------------- BCRB
 
 
-def test_bayesian_fim_init_diagonal():
-    cov = np.diag([0.0025, 0.0025, 1e-6, 1.0, 1e-4])
-    state = bayesian_fim_init(cov)
-    np.testing.assert_allclose(np.diag(state.f_b), 1 / np.diag(cov), rtol=1e-10)
-    assert state.k == 0
-
-
-def test_bayesian_fim_init_rejects_singular():
-    with pytest.raises(np.linalg.LinAlgError):
-        bayesian_fim_init(np.diag([1.0, 1.0, 0.0, 1.0, 1.0]))
-    # An indefinite covariance is invertible, so only the PD check rejects it.
-    with pytest.raises(np.linalg.LinAlgError):
-        bayesian_fim_init(np.diag([1.0, 1.0, -1.0, 1.0, 1.0]))
+PRIOR_COV = np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4])
+PREV = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
 
 
 def test_bayesian_step_pure_information_transport():
-    # no process noise and no transmit power: F_b = (A F^-1 A^T)^-1
+    # no process noise and no transmit power: J_1 = (A J_0^-1 A^T)^-1 = (A P_0 A^T)^-1
     cfg = desk_array(n_b=17, n_m=5)
     spec = ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02)
-    state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
-    prev = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
     fd = combiner_fd(cfg)
-    state1 = bayesian_fim_step(
-        state0, prev, cfg, spec, 0.0, SIGMA2, lambda pose, derivs: fd
+    bound1 = bayesian_fim_step(
+        Belief(PREV, PRIOR_COV), cfg, spec, 0.0, SIGMA2, lambda pose, derivs: fd
     )
-    a = ctrv_jacobian(prev, spec.tau)
-    expected = np.linalg.inv(a @ np.linalg.inv(state0.f_b) @ a.T)
+    a = ctrv_jacobian(PREV, spec.tau)
+    expected = np.linalg.inv(a @ PRIOR_COV @ a.T)
     np.testing.assert_allclose(
-        state1.f_b, expected, rtol=1e-8, atol=1e-10 * np.abs(expected).max()
+        bound1.info, expected, rtol=1e-8, atol=1e-10 * np.abs(expected).max()
     )
-    assert state1.k == 1
+    assert bound1.mean == ctrv_transition(PREV, spec.tau)
+
+
+def test_bayesian_step_rejects_a_bound_that_is_not_pd():
+    # The predicted bound is inverted as the filter's prior is: one jitter
+    # retry, then SingularPriorCovariance (exit 3 from the CLI).
+    cfg = desk_array(n_b=17, n_m=5)
+    fd = combiner_fd(cfg)
+    still = ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02)
+    for cov in (np.zeros((5, 5)), np.diag([1.0, 1.0, -1.0, 1.0, 1.0])):
+        with pytest.raises(SingularPriorCovariance):
+            bayesian_fim_step(Belief(PREV, cov), cfg, still, P_M, SIGMA2, lambda pose, derivs: fd)
 
 
 def test_bayesian_step_deterministic_given_seed():
     cfg = desk_array(n_b=17, n_m=5)
     spec = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
-    state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
-    prev = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
     fd = combiner_fd(cfg)
     runs = []
     for _ in range(2):
         s = bayesian_fim_step(
-            state0, prev, cfg, spec, P_M, SIGMA2, lambda pose, derivs: fd
+            Belief(PREV, PRIOR_COV), cfg, spec, P_M, SIGMA2, lambda pose, derivs: fd
         )
-        runs.append(s.f_b)
+        runs.append(s.cov)
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_bayesian_step_policies_run():
     cfg = desk_array(n_b=33, n_m=9)
     spec = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
-    state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
-    prev = MsState(15, -15, 3 * np.pi / 8, 10, 0.1)
     pilot = generate_pilot(np.random.default_rng(0), P_M, cfg.n_m)
     rand = combiner_random(np.random.default_rng(1), 3, cfg.n_b)
     policies = {
@@ -255,27 +242,18 @@ def test_bayesian_step_policies_run():
     }
     traces = {}
     for name, pol in policies.items():
-        s = bayesian_fim_step(
-            state0, prev, cfg, spec, P_M, SIGMA2, pol
-        )
-        v = bcrb(s)
+        v = bayesian_fim_step(Belief(PREV, PRIOR_COV), cfg, spec, P_M, SIGMA2, pol).cov
         traces[name] = v[0, 0] + v[1, 1]
         assert np.all(np.diag(v) >= 0)
     # the uncompressed receiver is at least as informative as any combiner
     assert traces["fd"] <= min(traces.values()) * (1 + 1e-9)
 
 
-def _sym(m):
-    return 0.5 * (m + m.T)
-
-
-def _sampled_bayesian_fim_step(state, prev, cfg, spec, p_m, sigma2, q_policy, n_samples, rng):
-    """Reference: the recursion with the data FIM averaged over antithetic
-    next-state draws, every draw evaluated at its own sampled pose."""
-    a = ctrv_jacobian(prev, spec.tau)
-    f_prev_inv = np.linalg.solve(_sym(state.f_b), np.eye(5))
-    f_p = np.linalg.solve(_sym(a @ f_prev_inv @ a.T + spec.covariance()), np.eye(5))
-    nominal_vec = ctrv_transition(prev, spec.tau).as_vector()
+def _sampled_bayesian_fim_step(bound, cfg, spec, p_m, sigma2, q_policy, n_samples, rng):
+    """Reference: the recursion's information with the data FIM averaged over
+    antithetic next-state draws, every draw evaluated at its own sampled pose."""
+    prior = ekf_predict(bound, spec)
+    nominal_vec = prior.mean.as_vector()
     samples = []
     while len(samples) < n_samples:
         noise = sample_process_noise(spec, rng)
@@ -287,7 +265,7 @@ def _sampled_bayesian_fim_step(state, prev, cfg, spec, p_m, sigma2, q_policy, n_
         pose = Pose(*vec[:3])
         derivs = channel_derivatives(pose, cfg)
         f_d += expected_fim(derivs, q_policy(pose, derivs), p_m, sigma2, cfg.n_m)
-    return _sym(f_p + f_d / len(samples))
+    return prior.info + f_d / len(samples)
 
 
 def test_sampled_next_state_reduces_to_nominal_pose():
@@ -301,7 +279,6 @@ def test_sampled_next_state_reduces_to_nominal_pose():
         assert np.all(sample_process_noise(spec, rng)[:3] == 0.0)
 
     cfg = desk_array(n_b=17, n_m=5)
-    state0 = bayesian_fim_init(np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     policies = {
         "fd": lambda pose, derivs: combiner_fd(cfg),
         "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
@@ -311,18 +288,19 @@ def test_sampled_next_state_reduces_to_nominal_pose():
             sigma_v=rng.uniform(0, 10), sigma_omega=rng.uniform(0, 2), tau=rng.uniform(1e-3, 0.1)
         )
         prev = MsState(15, -15, rng.uniform(-np.pi, np.pi), rng.uniform(0, 20), rng.uniform(-1, 1))
+        bound0 = Belief(prev, PRIOR_COV)
         for name, pol in policies.items():
             sampled = _sampled_bayesian_fim_step(
-                state0, prev, cfg, spec, P_M, SIGMA2, pol, n_samples, np.random.default_rng(n_samples)
+                bound0, cfg, spec, P_M, SIGMA2, pol, n_samples, np.random.default_rng(n_samples)
             )
-            nominal = bayesian_fim_step(state0, prev, cfg, spec, P_M, SIGMA2, pol)
-            np.testing.assert_allclose(nominal.f_b, sampled, rtol=1e-12, err_msg=name)
-
-
-def test_bcrb_diagonal_inverse():
-    state = bayesian_fim_init(np.diag([4.0, 9.0, 16.0, 25.0, 36.0]))
-    v = bcrb(state)
-    np.testing.assert_allclose(np.diag(v), [4, 9, 16, 25, 36], rtol=1e-10)
+            nominal = bayesian_fim_step(bound0, cfg, spec, P_M, SIGMA2, pol)
+            # The step's bound is the inverse of this information, bit for bit.
+            pose = nominal.mean.pose
+            derivs = channel_derivatives(pose, cfg)
+            info = ekf_predict(bound0, spec).info + expected_fim(
+                derivs, pol(pose, derivs), P_M, SIGMA2, cfg.n_m)
+            np.testing.assert_array_equal(nominal.cov, psd_inverse(info), err_msg=name)
+            np.testing.assert_allclose(info, sampled, rtol=1e-12, err_msg=name)
 
 
 def test_bcrb_tightens_with_data():

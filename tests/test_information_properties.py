@@ -1,12 +1,15 @@
-"""Property tests of the information layer over random near-field geometries."""
+"""Property tests of the information layer over random near-field geometries,
+and of the Bayesian CRB recursion against its information form."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nftrack.combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_pe
+from nftrack.dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from nftrack.errors import DegenerateGeometry
+from nftrack.estimation import Belief
 from nftrack.geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives
-from nftrack.information import avg_fisher, expected_fim
+from nftrack.information import avg_fisher, bayesian_fim_step, expected_fim
 from nftrack.observation import generate_pilot, observation_jacobian
 
 P_M = 0.01  # 10 dBm
@@ -116,3 +119,47 @@ def test_fd_information_matches_complex_reference(scenario):
     assert not f[3:].any() and not f[:, 3:].any()
     af = avg_fisher(channel_derivatives(pose, cfg), fd, P_M, SIGMA2, cfg.n_m)
     assert np.abs([af.f_x, af.f_y, af.f_psi] - np.diagonal(ref)).max() <= tol
+
+
+@st.composite
+def crb_run(draw):
+    """A Bayesian CRB run: desk or a 33 x 9 array, an fd or rand policy, a
+    nominal start 10-30 m in front of the array, process noise with
+    sigma_v and sigma_omega down to 0, a positive definite prior with
+    random correlations, and 1-30 steps."""
+    cfg = draw(st.sampled_from([ArrayConfig(n_b=101, n_m=25, carrier_freq=28e9),
+                                ArrayConfig(n_b=33, n_m=9, carrier_freq=28e9)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.sampled_from([combiner_fd(cfg), combiner_random(rng, 3, cfg.n_b)]))
+    r, theta = draw(st.floats(10.0, 30.0)), draw(st.floats(-1.2, 1.2))
+    start = MsState(r * np.cos(theta), r * np.sin(theta), draw(st.floats(-np.pi, np.pi)),
+                    draw(st.floats(0.0, 10.0)), draw(st.floats(-1.0, 1.0)))
+    spec = ProcessNoiseSpec(sigma_v=draw(st.floats(0.0, 5.0)),
+                            sigma_omega=draw(st.floats(0.0, 0.5)), tau=0.02)
+    m = rng.standard_normal((5, 5))
+    corr = m @ m.T + 5.0 * np.eye(5)
+    sd = np.sqrt(10.0 ** rng.uniform([-4, -4, -7, -2, -5], [-1, -1, -3, 1, -2]))
+    prior = corr / np.sqrt(np.outer(np.diag(corr), np.diag(corr))) * np.outer(sd, sd)
+    return cfg, q, start, spec, prior, draw(st.integers(1, 30))
+
+
+@PROPERTY
+@given(crb_run())
+def test_bayesian_step_matches_information_form(run):
+    # Reference: J_k = (A J_{k-1}^-1 A^T + Q)^-1 + F_d(p_k) along the nominal
+    # trajectory, by general LU inverses, from J_0 = P_0^-1.
+    cfg, q, start, spec, prior, steps = run
+    bound = Belief(start, prior)
+    info, state = np.linalg.inv(prior), start
+    for _ in range(steps):
+        bound = bayesian_fim_step(bound, cfg, spec, P_M, SIGMA2, lambda pose, derivs: q)
+        a = ctrv_jacobian(state, spec.tau)
+        state = ctrv_transition(state, spec.tau)
+        f_d = _data_fim(channel_derivatives(state.pose, cfg), q, cfg)
+        info = np.linalg.inv(a @ np.linalg.inv(info) @ a.T + spec.covariance()) + f_d
+    want = np.linalg.inv(info)
+    assert bound.mean == state
+    np.testing.assert_allclose(np.diag(bound.cov), np.diag(want), rtol=1e-9, atol=0.0)
+    # Every entry, on the scale of its standard deviations.
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    np.testing.assert_allclose(bound.cov / scale, want / scale, rtol=0.0, atol=1e-9)
