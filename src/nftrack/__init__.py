@@ -23,12 +23,10 @@ from .estimation import Belief, Combiner, ekf_predict, ekf_update, fim, score
 from .geometry import (
     ArrayConfig,
     ChannelDerivatives,
-    GeometrySummary,
     Pose,
     channel_derivatives,
     channel_derivatives_asymptotic,
     channel_matrix,
-    geometry_summary,
     pair_distance,
     pilot_response,
 )
@@ -51,14 +49,13 @@ from .combiners import (
     qom_resolution,
     qom_vector,
 )
-from .observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
+from .observation import Pilot, full_snapshot, generate_pilot
 from .harness import (
     CampaignResult,
     RfChains,
     ScenarioConfig,
     TrialRecord,
     load_config,
-    metrics_nmse,
     metrics_rmse,
     parse_scheme,
     run_campaign,

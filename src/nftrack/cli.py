@@ -104,9 +104,12 @@ def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
     axis = token[:2]
     try:
         _, start, stop, points = token.split(":")
+        bounds = [float(start), float(stop)]
+        if not np.isfinite(bounds).all():
+            raise ValueError("start and stop must be finite")
         if int(points) < 1:
             raise ValueError("a sweep needs at least one point")
-        grid = np.floor(np.linspace(float(start), float(stop), int(points))).astype(int)
+        grid = np.floor(np.linspace(*bounds, int(points))).astype(int)
         field = {"nb": "n_b", "nm": "n_m"}[axis]
         return [(axis, val, replace(arr, **{field: val}), pose) for val in grid.tolist()]
     except ValueError as exc:
@@ -114,16 +117,21 @@ def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
 
 
 def _load_pose_grid(path: str):
-    """Poses of a pose-grid file: a JSON list of {x_m, y_m, psi_rad} objects
-    whose values are JSON numbers."""
+    """Poses of a pose-grid file: a JSON list of objects with exactly the keys
+    x_m, y_m and psi_rad, whose values are JSON numbers."""
+    keys = ("x_m", "y_m", "psi_rad")
     try:
         with open(path) as fh:
             entries = json.load(fh)
-        return [
-            Pose(*(parse_field(f"{path} entry {i} {key}", float, entry[key])
-                   for key in ("x_m", "y_m", "psi_rad")))
-            for i, entry in enumerate(entries)
-        ]
+        poses = []
+        for i, entry in enumerate(entries):
+            unknown = ", ".join(k for k in dict(entry) if k not in keys)
+            if unknown:
+                raise ConfigError(
+                    f"invalid pose grid {path}: entry {i} has unknown keys: {unknown}")
+            poses.append(Pose(*(parse_field(f"{path} entry {i} {key}", float, entry[key])
+                                for key in keys)))
+        return poses
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid pose grid {path}: {exc}") from exc
 
@@ -141,15 +149,14 @@ def _fisher_row(cfg: ScenarioConfig, axis: str, value: int, array: ArrayConfig, 
 
 
 def _cmd_fisher(cfg: ScenarioConfig, args) -> int:
-    sweep = args.sweep
-    if sweep[0].startswith("nb:") or sweep[0].startswith("nm:"):
-        points = _sweep_points(sweep[0], cfg.array, cfg.initial_state.pose)
-    elif sweep[0] == "pose-grid":
-        if len(sweep) < 2:
-            raise ConfigError("pose-grid sweep needs a file argument")
-        points = [("pose", 0, cfg.array, p) for p in _load_pose_grid(sweep[1])]
+    kind, *rest = args.sweep
+    if kind[:3] in ("nb:", "nm:") and not rest:
+        points = _sweep_points(kind, cfg.array, cfg.initial_state.pose)
+    elif kind == "pose-grid" and len(rest) == 1:
+        points = [("pose", 0, cfg.array, p) for p in _load_pose_grid(rest[0])]
     else:
-        raise ConfigError(f"unknown sweep specification {sweep!r}")
+        raise ConfigError(f"invalid sweep {' '.join(args.sweep)!r}: expected one "
+                          "nb:/nm:<start>:<stop>:<points> token or pose-grid <file>")
     write_table(
         args.out, cfg,
         ["axis", "value", "x_m", "y_m", "psi_rad",

@@ -204,6 +204,7 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 def psd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric PSD matrix by Cholesky; one jitter retry, then fail.
+    A non-finite matrix fails at once: no jitter can make it finite.
 
     The factor and solve are direct LAPACK potrf/potrs calls, the same
     routines and arguments as scipy's cho_factor/cho_solve.
@@ -215,10 +216,10 @@ def psd_inverse(m: np.ndarray) -> np.ndarray:
             return _symmetrize(_cho_solve(_cho_factor(ms), eye))
         except (np.linalg.LinAlgError, ValueError):
             # ValueError covers NaN/inf contamination after divergence.
-            if attempt == 1:
+            if attempt == 1 or not np.isfinite(ms).all():
                 break
             ms = ms + (1e-12 * np.trace(ms) / ms.shape[0]) * eye
-    raise SingularPriorCovariance("covariance not positive definite even after jitter")
+    raise SingularPriorCovariance("covariance not finite, or not positive definite after jitter")
 
 
 def score(

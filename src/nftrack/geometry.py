@@ -187,11 +187,8 @@ class _ExactDerivatives(ChannelDerivatives):
 
     @cached_property
     def gram(self) -> np.ndarray:
-        pose, cfg, lam = self.pose, self.cfg, self.cfg.wavelength
-        lever = cfg.ms_lever
-        dx, dy, r = _pair_offsets(pose, cfg)
-        dr_dx, dr_dy = dx / r, dy / r
-        dr = (dr_dx, dr_dy, lever * (dr_dy * np.cos(pose.psi) - dr_dx * np.sin(pose.psi)))
+        lam = self.cfg.wavelength
+        r, dr = _distance_terms(self.pose, self.cfg)
         dh_dr_sq = (lam / (4 * np.pi * r**2)) ** 2 * (1 + (2 * np.pi / lam * r) ** 2)
         g = np.empty((3, 3))
         for i in range(3):
@@ -199,15 +196,6 @@ class _ExactDerivatives(ChannelDerivatives):
             for j in range(i, 3):
                 g[i, j] = g[j, i] = np.vdot(weighted, dr[j])
         return g
-
-
-@dataclass(frozen=True)
-class GeometrySummary:
-    r: float  # MS-BS distance, m
-    theta: float  # polar angle of the MS, rad
-    eta: complex  # -(1/r + j*2*pi/lambda), 1/m
-    d_m_eff: float  # MS aperture projected orthogonal to the MS-BS line, m
-    d_fresnel: float  # m
 
 
 def pair_distance(pose: Pose, cfg: ArrayConfig, n_b_idx, n_m_idx):
@@ -234,18 +222,25 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
     return dx, dy, np.sqrt(dx**2 + dy**2)
 
 
+def _distance_terms(pose: Pose, cfg: ArrayConfig):
+    """The distance grid r and its real derivatives dr/d(x, y, psi), each
+    (n_b, n_m): the one pose-derivative formula of the filter and the pose
+    Gram."""
+    nm = cfg.ms_index_row
+    dx, dy, r = _pair_offsets(pose, cfg)
+    dr_dx = dx / r
+    dr_dy = dy / r
+    dr_dpsi = -dr_dx * nm * cfg.d_m * np.sin(pose.psi) + dr_dy * nm * cfg.d_m * np.cos(pose.psi)
+    return r, (dr_dx, dr_dy, dr_dpsi)
+
+
 def _chain_terms(pose: Pose, cfg: ArrayConfig):
     """The shared kernel: r, the phase, dh/dr and dr/d(x, y, psi) on one grid."""
     lam = cfg.wavelength
-    nm = cfg.ms_index_row
-    cos_psi, sin_psi = np.cos(pose.psi), np.sin(pose.psi)
-    dx, dy, r = _pair_offsets(pose, cfg)
+    r, dr = _distance_terms(pose, cfg)
     phase = np.exp(-2j * np.pi / lam * r)
     dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
-    dr_dx = dx / r
-    dr_dy = dy / r
-    dr_dpsi = -dr_dx * nm * cfg.d_m * sin_psi + dr_dy * nm * cfg.d_m * cos_psi
-    return r, phase, dh_dr, (dr_dx, dr_dy, dr_dpsi)
+    return r, phase, dh_dr, dr
 
 
 def channel_grid(pose: Pose, cfg: ArrayConfig):
@@ -325,12 +320,3 @@ def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig) -> ChannelDeriv
     j_psi = eta * cfg.d_m * np.sin(pose.theta - pose.psi) * h * cfg.ms_index_row
     return ChannelDerivatives(j_x, j_y, j_psi)
 
-
-def geometry_summary(pose: Pose, cfg: ArrayConfig) -> GeometrySummary:
-    r = pose.r
-    theta = pose.theta
-    eta = -(1.0 / r + 2j * np.pi / cfg.wavelength)
-    d_m_eff = cfg.aperture_m * abs(np.sin(theta - pose.psi))
-    return GeometrySummary(
-        r=r, theta=theta, eta=eta, d_m_eff=d_m_eff, d_fresnel=cfg.fresnel_distance
-    )

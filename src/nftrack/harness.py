@@ -228,7 +228,6 @@ class TrialRecord:
 
     trial_index: int
     true_states: np.ndarray  # (k_steps + 1, 5), row 0 = initial state
-    prior_covs: np.ndarray  # (k_steps, 5, 5)
     post_means: np.ndarray  # (k_steps, 5)
     post_covs: np.ndarray  # (k_steps, 5, 5)
     fallback_steps: List[int] = field(default_factory=list)
@@ -313,7 +312,6 @@ class _SchemeFilter:
         self.record = TrialRecord(
             trial_index=trial_index,
             true_states=truth,
-            prior_covs=np.zeros((k_steps, 5, 5)),
             post_means=np.zeros((k_steps, 5)),
             post_covs=np.zeros((k_steps, 5, 5)),
             fallback_steps=self.builder.fallback_steps,
@@ -327,7 +325,6 @@ class _SchemeFilter:
         true distance grid r_true and its amplitudes a_true."""
         cfg, record, i = self.cfg, self.record, k - 1
         prior = ekf_predict(self.belief, cfg.noise)
-        record.prior_covs[i] = prior.cov
 
         if record.diverged_at is not None:
             # Filter is dead; coast on the prediction for the remaining steps.
@@ -436,29 +433,9 @@ def metrics_rmse(records: Sequence[TrialRecord], param: str) -> np.ndarray:
     return np.sqrt(np.mean(errors**2, axis=0))
 
 
-def metrics_nmse(records: Sequence[TrialRecord], cfg: ScenarioConfig) -> np.ndarray:
-    """Per-step channel-reconstruction NMSE, rebuilt from the poses.
-
-    The post-hoc reference for the NMSE terms run_trial accumulates: the same
-    true grid and the same ``channel_error_sq`` kernel, summed in record
-    order, so the two agree byte for byte.
-    """
-    if not records:
-        raise ValueError("no trial records")
-    k_steps = records[0].post_means.shape[0]
-    num = np.zeros(k_steps)
-    den = np.zeros(k_steps)
-    for rec in records:
-        for i in range(k_steps):
-            r_true, a_true, h_true = channel_grid(Pose(*rec.true_states[i + 1, :3]), cfg.array)
-            num[i] += channel_error_sq(Pose(*rec.post_means[i, :3]), cfg.array, r_true, a_true)
-            den[i] += np.linalg.norm(h_true) ** 2
-    return num / den
-
-
 def _nmse_from_terms(records: Sequence[TrialRecord]) -> np.ndarray:
-    """Per-step NMSE from run_trial's terms, summed in record order as
-    metrics_nmse sums, so the two agree byte for byte."""
+    """Per-step channel-reconstruction NMSE from run_trial's terms: the error
+    and true-channel energies, each summed over the records in order."""
     num = np.zeros(len(records[0].h_err_sq))
     den = np.zeros_like(num)
     for rec in records:

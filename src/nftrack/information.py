@@ -36,7 +36,7 @@ import numpy as np
 from .dynamics import ProcessNoiseSpec
 from .errors import AssumptionViolated
 from .estimation import Belief, Combiner, ekf_predict, psd_inverse
-from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives, geometry_summary
+from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,16 @@ def fisher_scaling_bounds(
     orientation: P_m * n_b * (D_m_eff)^2 / (24 sigma^2 r^2) * (1 + 2/(n_m - 1))
     Valid only beyond the Fresnel distance of the BS array.
     """
-    geom = geometry_summary(pose, cfg)
-    if geom.r <= geom.d_fresnel:
-        raise AssumptionViolated(
-            f"r = {geom.r:.2f} m is inside the Fresnel distance {geom.d_fresnel:.2f} m"
-        )
-    position = p_m * cfg.n_b / (2.0 * noise_power * geom.r**2)
+    r, d_fresnel = pose.r, cfg.fresnel_distance
+    if r <= d_fresnel:
+        raise AssumptionViolated(f"r = {r:.2f} m is inside the Fresnel distance {d_fresnel:.2f} m")
+    position = p_m * cfg.n_b / (2.0 * noise_power * r**2)
     if cfg.n_m == 1:
         return position, 0.0
+    # The MS aperture projected orthogonal to the MS-BS line.
+    d_m_eff = cfg.aperture_m * abs(np.sin(pose.theta - pose.psi))
     orientation = (
-        p_m
-        * cfg.n_b
-        * geom.d_m_eff**2
-        / (24.0 * noise_power * geom.r**2)
-        * (1.0 + 2.0 / (cfg.n_m - 1))
+        p_m * cfg.n_b * d_m_eff**2 / (24.0 * noise_power * r**2) * (1.0 + 2.0 / (cfg.n_m - 1))
     )
     return position, orientation
 

@@ -1,16 +1,15 @@
-"""Uplink pilot, full-array snapshot, and the observation Jacobian.
+"""Uplink pilot and full-array snapshot.
 
 Observation noise is always drawn on the full BS array and compressed by the
 combiner afterwards.  This preserves the correlated compressed-noise
 covariance Q N Q^H and lets every combiner scheme in a campaign consume the
-identical full-array noise realization.
+identical full-array noise realization.  The noiseless response H(p) x and
+its state Jacobian come from ``geometry.pilot_response``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import ArrayConfig, Pose, pilot_response
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,3 @@ def full_snapshot(
         y = y + scale * (rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b))
     return y
 
-
-def observation_jacobian(pose: Pose, cfg: ArrayConfig, pilot: Pilot) -> np.ndarray:
-    """(n_b, 5) Jacobian of H(p) x w.r.t. the state (see ``pilot_response``)."""
-    return pilot_response(pose, cfg, pilot.symbols)[1]

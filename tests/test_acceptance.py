@@ -26,11 +26,11 @@ from nftrack.geometry import (
     channel_derivatives,
     channel_derivatives_asymptotic,
     channel_matrix,
-    geometry_summary,
+    pilot_response,
 )
 from nftrack.harness import load_config, metrics_rmse, parse_scheme, run_campaign, run_trial
 from nftrack.information import avg_fisher, bayesian_fim_step
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 DESK = load_config(CONFIG_PATH)
@@ -121,7 +121,7 @@ def test_criterion_1_derivative_correctness():
             jac_fd[:, j] = (fp - fm) / 2e-6
         worst_ctrv = max(worst_ctrv, np.abs(jac - jac_fd).max() / np.abs(jac).max())
 
-        b_jac = observation_jacobian(pose, cfg, pilot)
+        b_jac = pilot_response(pose, cfg, pilot.symbols)[1]
 
         def bfun(x, y, psi):
             return channel_matrix(Pose(x, y, psi), cfg) @ pilot.symbols
@@ -153,7 +153,7 @@ def test_criterion_2_score_covariance_matches_fim():
     cfg = DESK.array
     pilot = generate_pilot(np.random.default_rng(7), P_M, cfg.n_m)
     pose = PAPER_POSE
-    b = observation_jacobian(pose, cfg, pilot)
+    b = pilot_response(pose, cfg, pilot.symbols)[1]
     worst = 0.0
     for comb in (combiner_random(np.random.default_rng(8), 3, cfg.n_b), combiner_fd(cfg)):
         f = fim(b, comb, SIGMA2)
@@ -187,7 +187,7 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
     combiners = {
         "fd": combiner_fd(cfg),
         "rand": combiner_random(np.random.default_rng(11), 3, cfg.n_b),
-        "svd_pe": combiner_svd_pe(observation_jacobian(PAPER_POSE, cfg, fixed_pilot), 3),
+        "svd_pe": combiner_svd_pe(pilot_response(PAPER_POSE, cfg, fixed_pilot.symbols)[1], 3),
         "qom": combiner_qom(PAPER_POSE, cfg, 3),
     }
     rng = np.random.default_rng(12)
@@ -245,7 +245,7 @@ def test_criterion_4_asymptotic_error_decay():
 
 def test_criterion_5_fisher_scaling_laws():
     t0 = time.time()
-    geom = geometry_summary(PAPER_POSE, ArrayConfig(n_b=101, n_m=25, carrier_freq=28e9))
+    r = PAPER_POSE.r
 
     grid_nb = [68, 137, 206, 275]
     pos_vals = []
@@ -256,7 +256,7 @@ def test_criterion_5_fisher_scaling_laws():
     slope, intercept = np.polyfit(grid_nb, pos_vals, 1)
     fitted = np.polyval([slope, intercept], grid_nb)
     r2_pos = 1 - np.sum((pos_vals - fitted) ** 2) / np.sum((pos_vals - np.mean(pos_vals)) ** 2)
-    slope_ref = P_M / (2 * SIGMA2 * geom.r**2)
+    slope_ref = P_M / (2 * SIGMA2 * r**2)
     slope_ok = abs(slope - slope_ref) / slope_ref < 0.10
 
     grid_nm = [19, 37, 56, 75]
@@ -271,14 +271,14 @@ def test_criterion_5_fisher_scaling_laws():
     r2_psi = 1 - np.sum((psi_vals - fitted2) ** 2) / np.sum((psi_vals - np.mean(psi_vals)) ** 2)
 
     cfg_big = ArrayConfig(n_b=275, n_m=75, carrier_freq=28e9)
-    on_axis = Pose(geom.r, 0.0, 0.0)
+    on_axis = Pose(r, 0.0, 0.0)
     af_axis = avg_fisher(
         channel_derivatives(on_axis, cfg_big), combiner_fd(cfg_big), P_M, SIGMA2, cfg_big.n_m
     )
     y_share = af_axis.f_y / (af_axis.f_x + af_axis.f_y)
 
-    aligned = Pose(geom.r / np.sqrt(2), geom.r / np.sqrt(2), np.pi / 4)
-    broadside = Pose(geom.r / np.sqrt(2), geom.r / np.sqrt(2), np.pi / 4 + np.pi / 2)
+    aligned = Pose(r / np.sqrt(2), r / np.sqrt(2), np.pi / 4)
+    broadside = Pose(r / np.sqrt(2), r / np.sqrt(2), np.pi / 4 + np.pi / 2)
     psi_aligned = avg_fisher(
         channel_derivatives(aligned, cfg_big), combiner_fd(cfg_big), P_M, SIGMA2, cfg_big.n_m
     ).f_psi

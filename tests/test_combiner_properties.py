@@ -26,9 +26,9 @@ from nftrack.errors import (
     SingularPriorCovariance,
 )
 from nftrack.estimation import _RANK_RTOL, Belief, Combiner, _rank_gate, ekf_predict, psd_inverse
-from nftrack.geometry import ArrayConfig, Pose
+from nftrack.geometry import ArrayConfig, Pose, pilot_response
 from nftrack.harness import RfChains, ScenarioConfig
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 from nftrack.rng import stream
 
 F28 = 28e9
@@ -43,7 +43,7 @@ PRIOR_INFO = psd_inverse(PRIOR.cov)
 def _jacobian(n_b: int, n_m: int = 9, pose: Pose = Pose(15, -15, 3 * np.pi / 8)):
     cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
     pilot = generate_pilot(np.random.default_rng(0), 0.01, cfg.n_m)
-    return observation_jacobian(pose, cfg, pilot)
+    return pilot_response(pose, cfg, pilot.symbols)[1]
 
 
 # ----------------------------------------------------------- rank screen

@@ -27,9 +27,9 @@ from nftrack.errors import (
     SingularPriorCovariance,
 )
 from nftrack.estimation import Belief, Combiner, ekf_predict, fim, psd_inverse
-from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, channel_matrix
+from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, channel_matrix, pilot_response
 from nftrack.information import avg_fisher
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 
 F28 = 28e9
 PAPER_ARRAY = ArrayConfig(n_b=275, n_m=75, carrier_freq=F28)
@@ -39,7 +39,7 @@ PAPER_POSE = Pose(15, -15, 3 * np.pi / 8)
 def desk_b_jac(seed=0, n_b=101, n_m=25):
     cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
     pilot = generate_pilot(np.random.default_rng(seed), 0.01, cfg.n_m)
-    b = observation_jacobian(PAPER_POSE, cfg, pilot)
+    b = pilot_response(PAPER_POSE, cfg, pilot.symbols)[1]
     return cfg, pilot, b
 
 
@@ -51,7 +51,7 @@ def test_fd_projection_and_fim():
     fd = combiner_fd(cfg)
     np.testing.assert_allclose(fd.q.conj().T @ fd.solve_gram(fd.q), np.eye(cfg.n_b), atol=1e-12)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
-    b = observation_jacobian(Pose(9, -3, 0.2), cfg, pilot)
+    b = pilot_response(Pose(9, -3, 0.2), cfg, pilot.symbols)[1]
     f = fim(b, fd, 1e-10)
     np.testing.assert_allclose(f, 2e10 * np.real(b.conj().T @ b), rtol=1e-10)
 

@@ -25,8 +25,8 @@ from nftrack.estimation import (
     psd_inverse,
     score,
 )
-from nftrack.geometry import ArrayConfig, Pose, channel_matrix
-from nftrack.observation import Pilot, full_snapshot, generate_pilot, observation_jacobian
+from nftrack.geometry import ArrayConfig, Pose, channel_matrix, pilot_response
+from nftrack.observation import Pilot, full_snapshot, generate_pilot
 
 F28 = 28e9
 
@@ -36,7 +36,7 @@ def cfg_small():
 
 
 def make_b_and_pred(cfg, pose, pilot):
-    b = observation_jacobian(pose, cfg, pilot)
+    b = pilot_response(pose, cfg, pilot.symbols)[1]
     pred = channel_matrix(pose, cfg) @ pilot.symbols
     return b, pred
 

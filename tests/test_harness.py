@@ -17,7 +17,9 @@ from nftrack.cli import main as cli_main
 from nftrack.combiners import CRB_POLICIES, SCHEMES, CombinerSpec, combiner_svd_pe
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
-from nftrack.geometry import ArrayConfig, Pose, channel_matrix
+from nftrack.estimation import Belief, ekf_predict
+from nftrack.geometry import (ArrayConfig, Pose, channel_error_sq, channel_grid, channel_matrix,
+                              pilot_response)
 from nftrack.harness import (
     CONFIG_FORMAT,
     RfChains,
@@ -25,14 +27,13 @@ from nftrack.harness import (
     SchemeMetrics,
     TrialRecord,
     load_config,
-    metrics_nmse,
     metrics_rmse,
     parse_scheme,
     run_campaign,
     run_trial,
     simulate_truth,
 )
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 from nftrack.rng import stream
 
 F28 = 28e9
@@ -54,6 +55,31 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def prior_covs(cfg, rec):
+    """(k_steps, 5, 5) prior covariances of a record's steps: ekf_predict of
+    the previous step's stored posterior, of the initial belief at step 1."""
+    beliefs = [Belief(cfg.initial_state, cfg.initial_cov)] + [
+        Belief(MsState.from_vector(m), c) for m, c in zip(rec.post_means[:-1], rec.post_covs[:-1])
+    ]
+    return np.stack([ekf_predict(b, cfg.noise).cov for b in beliefs])
+
+
+def metrics_nmse(records, cfg):
+    """Per-step channel-reconstruction NMSE, rebuilt from the poses: the
+    post-hoc reference for the terms run_trial accumulates.  It uses the same
+    true grid and ``channel_error_sq`` kernel and sums in record order, so it
+    agrees with harness._nmse_from_terms byte for byte."""
+    k_steps = records[0].post_means.shape[0]
+    num = np.zeros(k_steps)
+    den = np.zeros(k_steps)
+    for rec in records:
+        for i in range(k_steps):
+            r_true, a_true, h_true = channel_grid(Pose(*rec.true_states[i + 1, :3]), cfg.array)
+            num[i] += channel_error_sq(Pose(*rec.post_means[i, :3]), cfg.array, r_true, a_true)
+            den[i] += np.linalg.norm(h_true) ** 2
+    return num / den
 
 
 def test_noiseless_fd_trial_locks_exactly():
@@ -105,8 +131,9 @@ def test_pilot_identical_across_schemes(monkeypatch):
 def test_monotone_information_per_step():
     cfg = tiny_config(k_steps=20, n_trials=1)
     rec = run_trial(cfg, 0, [SVD_PE])[0]
+    priors = prior_covs(cfg, rec)
     for i in range(cfg.k_steps):
-        assert np.trace(rec.post_covs[i]) <= np.trace(rec.prior_covs[i]) + 1e-12
+        assert np.trace(rec.post_covs[i]) <= np.trace(priors[i]) + 1e-12
 
 
 def test_metrics_rmse_trivial_cases():
@@ -116,7 +143,6 @@ def test_metrics_rmse_trivial_cases():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_covs=np.zeros((4, 5, 5)),
         post_means=truth[1:].copy(),
         post_covs=np.zeros((4, 5, 5)),
     )
@@ -136,7 +162,6 @@ def replace_record(rec, **kw):
     fields = dict(
         trial_index=rec.trial_index,
         true_states=rec.true_states,
-        prior_covs=rec.prior_covs,
         post_means=rec.post_means,
         post_covs=rec.post_covs,
     )
@@ -149,7 +174,6 @@ def test_metrics_rmse_psi_wrapping():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_covs=np.zeros((2, 5, 5)),
         post_means=np.array([[0, 0, 2 * np.pi - 0.1, 0, 0], [0, 0, 2 * np.pi + 0.2, 0, 0]]),
         post_covs=np.zeros((2, 5, 5)),
     )
@@ -166,7 +190,6 @@ def test_metrics_nmse():
     rec = TrialRecord(
         trial_index=0,
         true_states=truth,
-        prior_covs=np.zeros((2, 5, 5)),
         post_means=est,
         post_covs=np.zeros((2, 5, 5)),
     )
@@ -431,15 +454,17 @@ def _desk_with(path, **changes):
     return path
 
 
-# Malformed pose-grid entries: a missing key, a pose at the BS center, and
-# values that are not JSON numbers.
+# Malformed pose-grid entries: a missing key, a pose at the BS center,
+# values that are not JSON numbers, and a key the grid does not know.
 BAD_GRIDS = {
     "no_y": {"x_m": 15.0, "psi_rad": 0.0},
     "at_origin": {"x_m": 0.0, "y_m": 0.0, "psi_rad": 0.0},
     "x_str": {"x_m": "15", "y_m": -15.0, "psi_rad": 0.5},
     "y_bool": {"x_m": 15.0, "y_m": True, "psi_rad": 0.5},
     "psi_null": {"x_m": 15.0, "y_m": -15.0, "psi_rad": None},
+    "psi_deg": {"x_m": 15.0, "y_m": -15.0, "psi_rad": 0.3, "psi_deg": 90.0},
 }
+GOOD_GRID = {"x_m": 15.0, "y_m": -15.0, "psi_rad": 0.3}
 
 # Malformed configs: configs/desk.json with one field changed.
 BAD_DESK = {
@@ -548,7 +573,13 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{x_str}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{y_bool}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{psi_null}"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{psi_deg}"],
         ["fisher", "--config", "{config}", "--sweep", "nb:68:275:0"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:68:101:2", "nm:19:25:2"],
+        ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{grid}", "nb:3:5:2"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:inf:5:3"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:nan:5:3"],
+        ["fisher", "--config", "{config}", "--sweep", "nm:3:-inf:3"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "nan"],
         ["crb", "--config", "{config}", "--steps", "2", "--pm-dbm", "inf"],
         ["track", "--config", "{cov_neg}", "--steps", "1", "--trials", "1"],
@@ -596,7 +627,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
          "grid-no-y", "grid-origin", "grid-x-str", "grid-y-bool", "grid-psi-null",
-         "sweep-0-points", "pm-dbm-nan", "pm-dbm-inf",
+         "grid-unknown-key", "sweep-0-points", "sweep-two-tokens", "grid-trailing-token",
+         "sweep-start-inf", "sweep-start-nan", "sweep-stop-inf", "pm-dbm-nan", "pm-dbm-inf",
          "track-cov-not-pd", "crb-cov-not-pd", "track-cov-nan", "crb-cov-nan",
          "track-x-nan", "crb-x-nan", "track-tau-nan", "crb-tau-nan", "track-sigma-v-inf",
          "crb-sigma-v-inf", "fisher-sigma-v-inf", "fisher-at-bs-center",
@@ -613,11 +645,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
         "missing": tmp_path / "missing.json",
         "config": _write_cli_config(tmp_path),
-        **{name: tmp_path / f"{name}.json" for name in BAD_GRIDS},
+        **{name: tmp_path / f"{name}.json" for name in [*BAD_GRIDS, "grid"]},
         **{name: _desk_with(tmp_path / f"{name}.json", **changes)
            for name, changes in BAD_DESK.items()},
     }
-    for name, entry in BAD_GRIDS.items():
+    for name, entry in {**BAD_GRIDS, "grid": GOOD_GRID}.items():
         paths[name].write_text(json.dumps([entry]))
     argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "x.csv")]
     rc = cli_main(argv)
@@ -701,7 +733,7 @@ def test_cli_crb_svd_policy(tmp_path):
 def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatch, config):
     # The svd_pe CRB policy builds its Jacobian from the step's channel
     # derivatives; the CSV must equal that of a policy that rebuilds it with
-    # observation_jacobian at the same pose.
+    # pilot_response at the same pose.
     p = _write_cli_config(tmp_path) if config == "tiny" else Path(__file__).parent.parent / config
     argv = ["crb", "--config", str(p), "--policy", "svd_pe", "--steps", "8"]
     assert cli_main([*argv, "--out", str(tmp_path / "derivs.csv")]) == 0
@@ -709,7 +741,7 @@ def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatc
     def reference_policy(cfg, token):
         pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, cfg.array.n_m)
         return lambda pose, derivs: combiner_svd_pe(
-            observation_jacobian(pose, cfg.array, pilot), cfg.combiner.n_rf
+            pilot_response(pose, cfg.array, pilot.symbols)[1], cfg.combiner.n_rf
         )
 
     monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
@@ -730,13 +762,24 @@ def test_cli_crb_per_step_uses_step_k_pilots(tmp_path, monkeypatch):
         def policy(pose, derivs):
             rng = stream(cfg.seed, 0, next(steps), "pilot")
             pilot = generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
-            return combiner_svd_pe(observation_jacobian(pose, cfg.array, pilot), cfg.combiner.n_rf)
+            b_jac = pilot_response(pose, cfg.array, pilot.symbols)[1]
+            return combiner_svd_pe(b_jac, cfg.combiner.n_rf)
 
         return policy
 
     monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
     assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
     assert (tmp_path / "crb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("policy", CRB_POLICIES)
+def test_cli_crb_overflowing_information_exits_3(tmp_path, capsys, policy):
+    # A pilot power of 3100 dBm (1e307 W) overflows the data information to
+    # inf at step 1: a numerical failure, reached without a RuntimeWarning.
+    argv = ["crb", "--config", str(_write_cli_config(tmp_path)), "--out",
+            str(tmp_path / "crb.csv"), "--policy", policy, "--steps", "2", "--pm-dbm", "3100"]
+    assert cli_main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_cli_crb_many_rf_chains_raises_no_overflow(tmp_path):
@@ -784,7 +827,7 @@ def test_every_registry_scheme_tracks_and_bounds(tmp_path, token):
     cfg = tiny_config(k_steps=2, n_trials=1)
     rec = run_trial(cfg, 0, [spec])[0]
     assert rec.diverged_at is None
-    assert np.trace(rec.post_covs[-1, :3, :3]) < np.trace(rec.prior_covs[-1, :3, :3])
+    assert np.trace(rec.post_covs[-1, :3, :3]) < np.trace(prior_covs(cfg, rec)[-1, :3, :3])
     argv = ["crb", "--config", str(_write_cli_config(tmp_path)), "--out",
             str(tmp_path / "crb.csv"), "--policy", token, "--steps", "2"]
     assert cli_main(argv) == (0 if token in CRB_POLICIES else 2)

@@ -13,9 +13,9 @@ from nftrack.dynamics import (
 )
 from nftrack.errors import AssumptionViolated, SingularPriorCovariance
 from nftrack.estimation import Belief, Combiner, ekf_predict, psd_inverse
-from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, geometry_summary
+from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, pilot_response
 from nftrack.information import avg_fisher, bayesian_fim_step, expected_fim, fisher_scaling_bounds
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 
 F28 = 28e9
 P_M = 0.01  # 10 dBm
@@ -96,10 +96,11 @@ def test_expected_fim_structure():
 def test_scaling_bounds_formulas():
     cfg = desk_array(n_b=275, n_m=75)
     pos, orient = fisher_scaling_bounds(POSE, cfg, P_M, SIGMA2)
-    geom = geometry_summary(POSE, cfg)
-    assert pos == pytest.approx(P_M * cfg.n_b / (2 * SIGMA2 * geom.r**2), rel=1e-12)
+    r = POSE.r
+    assert pos == pytest.approx(P_M * cfg.n_b / (2 * SIGMA2 * r**2), rel=1e-12)
+    d_m_eff = cfg.aperture_m * abs(np.sin(POSE.theta - POSE.psi))
     expected_orient = (
-        P_M * cfg.n_b * geom.d_m_eff**2 / (24 * SIGMA2 * geom.r**2) * (1 + 2 / (cfg.n_m - 1))
+        P_M * cfg.n_b * d_m_eff**2 / (24 * SIGMA2 * r**2) * (1 + 2 / (cfg.n_m - 1))
     )
     assert orient == pytest.approx(expected_orient, rel=1e-12)
     # leading terms are linear in the BS antenna count (doubling far enough
@@ -108,6 +109,16 @@ def test_scaling_bounds_formulas():
     pos_b, orient_b = fisher_scaling_bounds(POSE, desk_array(n_b=136, n_m=75), P_M, SIGMA2)
     assert pos_b == pytest.approx(2 * pos_a, rel=1e-12)
     assert orient_b == pytest.approx(2 * orient_a, rel=1e-12)
+
+
+def test_scaling_bounds_read_r_and_theta():
+    # At (3, 4) the bounds see r = 5 and the polar angle arctan2(4, 3).
+    cfg = desk_array(n_b=33, n_m=9)
+    pos, orient = fisher_scaling_bounds(Pose(3, 4, 0.2), cfg, P_M, SIGMA2)
+    assert pos == pytest.approx(P_M * cfg.n_b / (2 * SIGMA2 * 25.0), rel=1e-12)
+    d_m_eff = cfg.aperture_m * abs(np.sin(np.arctan2(4, 3) - 0.2))
+    expected_orient = P_M * cfg.n_b * d_m_eff**2 / (24 * SIGMA2 * 25.0) * (1 + 2 / 8)
+    assert orient == pytest.approx(expected_orient, rel=1e-12)
 
 
 def test_scaling_bounds_zero_effective_aperture():
@@ -237,7 +248,8 @@ def test_bayesian_step_policies_run():
     policies = {
         "fd": lambda pose, derivs: combiner_fd(cfg),
         "rand": lambda pose, derivs: rand,
-        "svd_pe": lambda pose, derivs: combiner_svd_pe(observation_jacobian(pose, cfg, pilot), 3),
+        "svd_pe": lambda pose, derivs: combiner_svd_pe(
+            pilot_response(pose, cfg, pilot.symbols)[1], 3),
         "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
     }
     traces = {}

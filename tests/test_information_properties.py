@@ -8,9 +8,10 @@ from nftrack.combiners import combiner_fd, combiner_qom, combiner_random, combin
 from nftrack.dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from nftrack.errors import DegenerateGeometry
 from nftrack.estimation import Belief
-from nftrack.geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives
+from nftrack.geometry import (ArrayConfig, ChannelDerivatives, Pose, channel_derivatives,
+                              pilot_response)
 from nftrack.information import avg_fisher, bayesian_fim_step, expected_fim
-from nftrack.observation import generate_pilot, observation_jacobian
+from nftrack.observation import generate_pilot
 
 P_M = 0.01  # 10 dBm
 SIGMA2 = 1e-10  # -70 dBm
@@ -57,7 +58,7 @@ def test_fd_information_dominates_every_combiner(scenario, n_rf, seed):
     pilot = generate_pilot(rng, P_M, cfg.n_m)
     combiners = {
         "rand": combiner_random(rng, n_rf, cfg.n_b),
-        "svd_pe": combiner_svd_pe(observation_jacobian(pose, cfg, pilot), n_rf),
+        "svd_pe": combiner_svd_pe(pilot_response(pose, cfg, pilot.symbols)[1], n_rf),
     }
     try:
         combiners["qom"] = combiner_qom(pose, cfg, n_rf)
