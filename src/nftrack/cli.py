@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -109,9 +110,10 @@ def _sweep_points(token: str, arr: ArrayConfig, pose: Pose):
             raise ValueError("start and stop must be finite")
         if int(points) < 1:
             raise ValueError("a sweep needs at least one point")
-        grid = np.floor(np.linspace(*bounds, int(points))).astype(int)
+        # Python ints: a bound past int64 must fail as too many antennas, not wrap.
+        grid = [math.floor(v) for v in np.linspace(*bounds, int(points))]
         field = {"nb": "n_b", "nm": "n_m"}[axis]
-        return [(axis, val, replace(arr, **{field: val}), pose) for val in grid.tolist()]
+        return [(axis, val, replace(arr, **{field: val}), pose) for val in grid]
     except ValueError as exc:
         raise ConfigError(f"invalid sweep {token!r}: {exc}") from exc
 

@@ -5,7 +5,7 @@ observation Jacobian), never the simulation truth: the combiner must be
 configured in the prediction stage, before the pilot arrives.
 
 Five families:
-  fd      identity matrix (every antenna has its own RF chain),
+  fd      identity, held as no matrix (every antenna has its own RF chain),
   random  fixed Rademacher (+/-1) rows,
   svd_pe  phases of the dominant left singular vectors of the predicted
           observation Jacobian,
@@ -75,8 +75,9 @@ class QomPlan:
 
 
 def combiner_fd(cfg: ArrayConfig) -> Combiner:
-    """Identity combiner: the full snapshot reaches digital processing."""
-    return Combiner(np.eye(cfg.n_b, dtype=complex), unit_modulus=False, is_identity=True)
+    """Identity combiner: the full snapshot of cfg's n_b antennas reaches
+    digital processing.  It holds no matrix (see Combiner)."""
+    return Combiner(None, unit_modulus=False)
 
 
 def combiner_random(rng: np.random.Generator, n_rf: int, n_b: int) -> Combiner:

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from typing import Optional
 
 import numpy as np
 
@@ -154,17 +155,23 @@ def _gated_factor(q: np.ndarray, factor) -> np.ndarray:
 
 class Combiner:
     """Analog combining matrix; its Gram matrix Q Q^H is factored once per
-    instance by a direct LAPACK potrf call, behind the rank gate."""
+    instance by a direct LAPACK potrf call, behind the rank gate.
 
-    def __init__(self, q: np.ndarray, unit_modulus: bool, is_identity: bool = False):
-        q = np.asarray(q, dtype=complex)
-        if q.ndim != 2:
-            raise ValueError("combiner must be a 2-D matrix")
-        _check_finite(q)  # before any Gram product
-        if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
-            raise ValueError("unit-modulus combiner has entries away from the unit circle")
+    q None is the identity (every antenna has its own RF chain): it holds no
+    matrix, and apply, score, fim and expected_fim take their identity
+    branches, so no n_b x n_b array is ever built for it.
+    """
+
+    def __init__(self, q: Optional[np.ndarray], unit_modulus: bool):
+        self.is_identity = q is None
+        if q is not None:
+            q = np.asarray(q, dtype=complex)
+            if q.ndim != 2:
+                raise ValueError("combiner must be a 2-D matrix")
+            _check_finite(q)  # before any Gram product
+            if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
+                raise ValueError("unit-modulus combiner has entries away from the unit circle")
         self.q = q
-        self.is_identity = is_identity
         self._gram_factor = None
 
     def _gram(self) -> np.ndarray:

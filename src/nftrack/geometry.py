@@ -15,15 +15,29 @@ gives
 
 one real sine of a small argument per entry (``channel_error_sq``).
 
+The kernels write their (n_b, n_m) temporaries into one scratch set per
+thread, kept for the thread's most recent array shape, so they allocate no
+full grid but those they return.  Each expression keeps its operands and
+evaluation order; only where a result is stored differs, so every bit is the
+same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
+``_chain_terms``) return views into that set, valid until the next kernel
+call on the same thread.  Public results are fresh arrays: ``channel_grid``
+and ``channel_matrix``, ``channel_derivatives(...).matrices``, and
+``pilot_response``'s H x and Jacobian.
+
 All quantities are SI: meters, radians, Hz, Watts.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+
+# The most entries a complex128 (n_b, n_m) grid can have in numpy's address space.
+_MAX_GRID_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 def antenna_indices(n: int) -> np.ndarray:
@@ -64,6 +78,9 @@ class ArrayConfig:
         object.__setattr__(self, "carrier_freq", float(self.carrier_freq))
         if self.n_b < 1 or self.n_m < 1:
             raise ValueError("antenna counts must be >= 1")
+        if self.n_b * self.n_m > _MAX_GRID_ENTRIES:
+            raise ValueError(f"antenna counts too large: n_b * n_m must be at most "
+                             f"{_MAX_GRID_ENTRIES}, the entries of an addressable channel grid")
         if not 0 < self.carrier_freq < np.inf:
             raise ValueError("carrier frequency must be positive and finite")
         lam = SPEED_OF_LIGHT / self.carrier_freq
@@ -189,10 +206,16 @@ class _ExactDerivatives(ChannelDerivatives):
     def gram(self) -> np.ndarray:
         lam = self.cfg.wavelength
         r, dr = _distance_terms(self.pose, self.cfg)
-        dh_dr_sq = (lam / (4 * np.pi * r**2)) ** 2 * (1 + (2 * np.pi / lam * r) ** 2)
+        work = _scratch(self.cfg)[4]
+        # (lam / (4 pi r^2))^2 (1 + (2 pi / lam r)^2); r's grid is spent on the
+        # second factor, then holds each weighted derivative.
+        dh_dr_sq = np.multiply(4 * np.pi, np.square(r, out=work), out=work)
+        np.square(np.divide(lam, dh_dr_sq, out=dh_dr_sq), out=dh_dr_sq)
+        np.multiply(2 * np.pi / lam, r, out=r)
+        np.multiply(dh_dr_sq, np.add(1, np.square(r, out=r), out=r), out=dh_dr_sq)
         g = np.empty((3, 3))
         for i in range(3):
-            weighted = dh_dr_sq * dr[i]
+            weighted = np.multiply(dh_dr_sq, dr[i], out=r)
             for j in range(i, 3):
                 g[i, j] = g[j, i] = np.vdot(weighted, dr[j])
         return g
@@ -212,44 +235,93 @@ def pair_distance(pose: Pose, cfg: ArrayConfig, n_b_idx, n_m_idx):
     return float(d) if d.ndim == 0 else d
 
 
+def _grids(shape, n_real: int, n_complex: int) -> list:
+    """n_real float and then n_complex complex grids of the given shape, carved
+    from one allocation.  One block per call, not one per grid: once a block
+    is freed, glibc's dynamic mmap threshold covers blocks of its size, so the
+    next ones come from the heap instead of fresh zeroed pages."""
+    n = shape[0] * shape[1]
+    block = np.empty((n_real + 2 * n_complex) * n)
+    cplx = block[n_real * n:].view(complex)
+    return ([block[i * n:(i + 1) * n].reshape(shape) for i in range(n_real)]
+            + [cplx[i * n:(i + 1) * n].reshape(shape) for i in range(n_complex)])
+
+
+_local = threading.local()
+
+
+def _scratch(cfg: ArrayConfig) -> list:
+    """This thread's work grids for cfg's shape: five real grids, then two
+    complex ones.  Made anew when the shape changes."""
+    shape = (cfg.n_b, cfg.n_m)
+    if getattr(_local, "shape", None) != shape:
+        _local.shape = _local.grids = None  # free the old block before making the new
+        _local.grids = _grids(shape, 5, 2)
+        _local.shape = shape
+    return _local.grids
+
+
+def _amplitudes(lam: float, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The entry amplitudes lambda / (4 pi r), written into out."""
+    return np.divide(lam, np.multiply(4 * np.pi, r, out=out), out=out)
+
+
 def _pair_offsets(pose: Pose, cfg: ArrayConfig):
     """Offsets (dx, dy) from every BS antenna to every MS antenna, and their
     (n_b, n_m) distance grid r.  dx depends only on the MS antenna, so it is
-    kept as a (1, n_m) row."""
+    kept as a (1, n_m) row; dy and r are scratch grids 0 and 1."""
+    grid = _scratch(cfg)
     lever = cfg.ms_lever
     dx = pose.x + lever * np.cos(pose.psi)
-    dy = pose.y + lever * np.sin(pose.psi) - cfg.bs_offsets
-    return dx, dy, np.sqrt(dx**2 + dy**2)
+    dy = np.subtract(pose.y + lever * np.sin(pose.psi), cfg.bs_offsets, out=grid[0])
+    r = np.sqrt(np.add(dx**2, np.square(dy, out=grid[1]), out=grid[1]), out=grid[1])
+    return dx, dy, r
 
 
 def _distance_terms(pose: Pose, cfg: ArrayConfig):
     """The distance grid r and its real derivatives dr/d(x, y, psi), each
     (n_b, n_m): the one pose-derivative formula of the filter and the pose
-    Gram."""
+    Gram.  Scratch grids 0 to 3 hold dr/dy, r, dr/dx and dr/dpsi."""
     nm = cfg.ms_index_row
+    grid = _scratch(cfg)
     dx, dy, r = _pair_offsets(pose, cfg)
-    dr_dx = dx / r
-    dr_dy = dy / r
-    dr_dpsi = -dr_dx * nm * cfg.d_m * np.sin(pose.psi) + dr_dy * nm * cfg.d_m * np.cos(pose.psi)
+    dr_dx = np.divide(dx, r, out=grid[2])
+    dr_dy = np.divide(dy, r, out=dy)
+    # -dr_dx * nm * d_m * sin(psi) + dr_dy * nm * d_m * cos(psi), left to right.
+    dr_dpsi = np.negative(dr_dx, out=grid[3])
+    for factor in (nm, cfg.d_m, np.sin(pose.psi)):
+        np.multiply(dr_dpsi, factor, out=dr_dpsi)
+    term = np.multiply(dr_dy, nm, out=grid[4])
+    for factor in (cfg.d_m, np.cos(pose.psi)):
+        np.multiply(term, factor, out=term)
+    np.add(dr_dpsi, term, out=dr_dpsi)
     return r, (dr_dx, dr_dy, dr_dpsi)
 
 
 def _chain_terms(pose: Pose, cfg: ArrayConfig):
-    """The shared kernel: r, the phase, dh/dr and dr/d(x, y, psi) on one grid."""
+    """The shared kernel: r, the phase, dh/dr and dr/d(x, y, psi) on one grid.
+    The phase and dh/dr are the two complex scratch grids."""
     lam = cfg.wavelength
     r, dr = _distance_terms(pose, cfg)
-    phase = np.exp(-2j * np.pi / lam * r)
-    dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
+    work, phase, dh_dr = _scratch(cfg)[4:]
+    np.exp(np.multiply(-2j * np.pi / lam, r, out=phase), out=phase)
+    # -lam / (4 pi r^2) * (1 + 2j pi / lam * r) * phase, left to right.
+    np.divide(-lam, np.multiply(4 * np.pi, np.square(r, out=work), out=work), out=work)
+    np.add(1, np.multiply(2j * np.pi / lam, r, out=dh_dr), out=dh_dr)
+    np.multiply(np.multiply(work, dh_dr, out=dh_dr), phase, out=dh_dr)
     return r, phase, dh_dr, dr
 
 
 def channel_grid(pose: Pose, cfg: ArrayConfig):
     """The distance grid r, the amplitudes a = lambda/(4*pi*r) and the channel
-    a * exp(-j*2*pi*r/lambda) of one pose, each (n_b, n_m)."""
+    a * exp(-j*2*pi*r/lambda) of one pose, each (n_b, n_m): fresh arrays,
+    carved from one allocation."""
     lam = cfg.wavelength
-    r = _pair_offsets(pose, cfg)[2]
-    a = lam / (4 * np.pi * r)
-    return r, a, a * np.exp(-2j * np.pi / lam * r)
+    r, a, h = _grids((cfg.n_b, cfg.n_m), 2, 1)
+    np.copyto(r, _pair_offsets(pose, cfg)[2])
+    _amplitudes(lam, r, a)
+    np.exp(np.multiply(-2j * np.pi / lam, r, out=h), out=h)
+    return r, a, np.multiply(a, h, out=h)
 
 
 def channel_matrix(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
@@ -266,11 +338,13 @@ def channel_error_sq(pose: Pose, cfg: ArrayConfig, r_ref: np.ndarray, a_ref: np.
     complex difference carries.
     """
     lam = cfg.wavelength
-    r = _pair_offsets(pose, cfg)[2]
-    a = lam / (4 * np.pi * r)
-    s = np.sin(np.pi / lam * (r - r_ref))
-    da = a - a_ref
-    return float(np.vdot(da, da) + 4.0 * np.vdot(a * a_ref, s * s))
+    _, dy, r = _pair_offsets(pose, cfg)
+    a = _amplitudes(lam, r, _scratch(cfg)[4])
+    # dy's grid takes the sine, and r's the amplitude difference.
+    s = np.sin(np.multiply(np.pi / lam, np.subtract(r, r_ref, out=dy), out=dy), out=dy)
+    da = np.subtract(a, a_ref, out=r)
+    err = np.vdot(da, da)
+    return float(err + 4.0 * np.vdot(np.multiply(a, a_ref, out=a), np.multiply(s, s, out=s)))
 
 
 def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
@@ -293,9 +367,10 @@ def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
     ``channel_derivatives`` applied to x.
     """
     r, phase, dh_dr, dr = _chain_terms(pose, cfg)
-    b = pilot_jacobian((dh_dr * d for d in dr), x, cfg.n_b)
-    h = cfg.wavelength / (4 * np.pi * r) * phase
-    return h @ x, b
+    # The phase grid becomes H, then holds each derivative matrix in turn.
+    h = np.multiply(_amplitudes(cfg.wavelength, r, _scratch(cfg)[4]), phase, out=phase)
+    hx = h @ x
+    return hx, pilot_jacobian((np.multiply(dh_dr, d, out=h) for d in dr), x, cfg.n_b)
 
 
 def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from nftrack.combiners import (
     qom_plan,
 )
 from nftrack.dynamics import MsState, ctrv_jacobian, ctrv_transition
-from nftrack.estimation import Belief, fim
+from nftrack.estimation import Belief, Combiner, fim
 from nftrack.geometry import (
     ArrayConfig,
     Pose,
@@ -155,9 +155,12 @@ def test_criterion_2_score_covariance_matches_fim():
     pose = PAPER_POSE
     b = pilot_response(pose, cfg, pilot.symbols)[1]
     worst = 0.0
-    for comb in (combiner_random(np.random.default_rng(8), 3, cfg.n_b), combiner_fd(cfg)):
+    rand = combiner_random(np.random.default_rng(8), 3, cfg.n_b)
+    # fd holds no matrix; its score map runs through its Q = I held as one.
+    fd_dense = Combiner(np.eye(cfg.n_b, dtype=complex), unit_modulus=False)
+    for comb, dense in ((rand, rand), (combiner_fd(cfg), fd_dense)):
         f = fim(b, comb, SIGMA2)
-        u = (2 / SIGMA2) * (comb.solve_gram(comb.apply(b))).conj().T @ comb.q  # 5 x n_b
+        u = (2 / SIGMA2) * (dense.solve_gram(dense.apply(b))).conj().T @ dense.q  # 5 x n_b
         rng = np.random.default_rng(9)
         n_total, chunk = 100_000, 20_000
         acc = np.zeros((5, 5))
@@ -198,7 +201,8 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
     worst, worst_kind = 0.0, ""
     for kind, comb in combiners.items():
         af = avg_fisher(derivs, comb, P_M, SIGMA2, cfg.n_m)
-        p_q = np.linalg.pinv(comb.q) @ comb.q  # projection onto the row space of Q
+        q = np.eye(cfg.n_b, dtype=complex) if comb.is_identity else comb.q  # fd holds no matrix
+        p_q = np.linalg.pinv(q) @ q  # projection onto the row space of Q
         for j_mu, target in ((derivs.j_x, af.f_x), (derivs.j_y, af.f_y), (derivs.j_psi, af.f_psi)):
             m = j_mu.conj().T @ p_q @ j_mu
             vals = np.real(np.einsum("ij,jk,ik->i", pilots.conj(), m, pilots))

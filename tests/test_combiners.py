@@ -49,11 +49,16 @@ def desk_b_jac(seed=0, n_b=101, n_m=25):
 def test_fd_projection_and_fim():
     cfg = ArrayConfig(n_b=21, n_m=5, carrier_freq=F28)
     fd = combiner_fd(cfg)
-    np.testing.assert_allclose(fd.q.conj().T @ fd.solve_gram(fd.q), np.eye(cfg.n_b), atol=1e-12)
+    assert fd.is_identity and fd.q is None  # no n_b x n_b matrix
+    # P_Q = I for fd's Q = I, held as a matrix through the general Gram solve.
+    eye = np.eye(cfg.n_b, dtype=complex)
+    dense = Combiner(eye, unit_modulus=False)
+    np.testing.assert_allclose(eye.conj().T @ dense.solve_gram(eye), np.eye(cfg.n_b), atol=1e-12)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
     b = pilot_response(Pose(9, -3, 0.2), cfg, pilot.symbols)[1]
     f = fim(b, fd, 1e-10)
     np.testing.assert_allclose(f, 2e10 * np.real(b.conj().T @ b), rtol=1e-10)
+    np.testing.assert_allclose(f, fim(b, dense, 1e-10), rtol=1e-10)
 
 
 def test_random_combiner_entries_and_determinism():

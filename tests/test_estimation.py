@@ -50,7 +50,9 @@ def gram_projection(q: Combiner) -> np.ndarray:
 
 
 def test_projection_identity():
-    q = combiner_fd(cfg_small())
+    # fd's Q = I holds no matrix, so the projection is taken of I held as one.
+    assert combiner_fd(cfg_small()).q is None
+    q = Combiner(np.eye(17, dtype=complex), unit_modulus=False)
     np.testing.assert_allclose(gram_projection(q), np.eye(17), atol=1e-12)
 
 

@@ -19,12 +19,27 @@ fixtures only for a deliberate change of the numerics, with
     PYTHONPATH=src python tests/test_golden.py [fixture.csv ...]
 
 which rewrites the fixtures named on the command line, or every fixture
-when none is named.
+when none is named.  With --compare first,
+
+    PYTHONPATH=src python tests/test_golden.py --compare [fixture.csv ...]
+
+writes nothing: it prints each fixture's largest relative difference, new
+output against the committed file, and its first differing cell, old
+against new.  Quote it whenever fixtures are regenerated.
+
+The fixtures pin the rounding of the BLAS kernel, not only the program.
+They were generated with the OpenBLAS 0.3.31 that numpy and scipy bundle, on
+an AVX-512 Xeon where it picks its SkylakeX kernel, and pass with
+OPENBLAS_CORETYPE=SkylakeX and =Haswell.  With =Sandybridge (AVX only)
+desk_per_step.csv fails at svd_pe step 2 by 1.29e-9 relative: the filter
+amplifies a different rounding of the BLAS products.
 """
 
 import csv
 import json
+import math
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -130,11 +145,47 @@ def test_full_crb_matches_golden(policy, tmp_path):
     assert _assert_matches_golden(tmp_path, f"full_crb_{policy}.csv", 1) == 1 + 10
 
 
+def _relative_difference(old: str, new: str) -> float:
+    """|new - old| / |old| of two cells; inf for differing text or a change from 0."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _compare(name: str, out: Path) -> str:
+    """One line: the largest relative difference of the fixture's fresh output
+    at out against the committed fixture, and the first differing cell."""
+    FIXTURES[name](out)
+    old, new = _rows(GOLDEN_DIR / name), _rows(out)
+    if old[0] != new[0] or len(old) != len(new):
+        return f"{name}: header or row count differs ({len(old)} rows against {len(new)})"
+    worst, first = 0.0, None
+    for i, (old_row, new_row) in enumerate(zip(old[1:], new[1:]), start=1):
+        for column, a, b in zip(old[0], old_row, new_row):
+            if a != b:
+                worst = max(worst, _relative_difference(a, b))
+                first = first or f"row {i} {column}: {a} -> {b}"
+    if first is None:
+        return f"{name}: identical"
+    return f"{name}: largest relative difference {worst:.3g}, first at {first}"
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(FIXTURES)
+    args = sys.argv[1:]
+    compare = args[:1] == ["--compare"]
+    names = args[compare:] or list(FIXTURES)
     unknown = [name for name in names if name not in FIXTURES]
     if unknown:
         sys.exit(f"unknown fixtures: {', '.join(unknown)}; known: {', '.join(FIXTURES)}")
+    if compare:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                print(_compare(name, Path(tmp) / name), flush=True)
+        sys.exit()
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in names:
         path = GOLDEN_DIR / name

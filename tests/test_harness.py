@@ -567,6 +567,9 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["fisher", "--config", "{config}", "--sweep", "nb:bad"],
         ["fisher", "--config", "{config}", "--sweep", "nb:10:20"],
         ["fisher", "--config", "{config}", "--sweep", "nm:0:5:2"],
+        # Counts past int64, and past any addressable grid: neither is ever allocated.
+        ["fisher", "--config", "{config}", "--sweep", "nb:1e300:1e300:1"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:1e18:1e18:1"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{missing}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{no_y}"],
         ["fisher", "--config", "{config}", "--sweep", "pose-grid", "{at_origin}"],
@@ -625,7 +628,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["fisher", "--config", "{pm_str}", "--sweep", "nb:33:66:2"],
         ["crb", "--config", "{cov_diag_bool}", "--steps", "1"],
     ],
-    ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "grid-missing",
+    ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "nb-1e300", "nb-1e18",
+         "grid-missing",
          "grid-no-y", "grid-origin", "grid-x-str", "grid-y-bool", "grid-psi-null",
          "grid-unknown-key", "sweep-0-points", "sweep-two-tokens", "grid-trailing-token",
          "sweep-start-inf", "sweep-start-nan", "sweep-stop-inf", "pm-dbm-nan", "pm-dbm-inf",

@@ -1,0 +1,191 @@
+"""The channel kernels' scratch grids: bit-identical results, fresh public
+arrays, thread safety, and the memory the kernels and fd no longer take."""
+
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nftrack.cli import main as cli_main
+from nftrack.combiners import combiner_fd
+from nftrack.geometry import (ArrayConfig, Pose, _distance_terms, channel_derivatives,
+                              channel_error_sq, channel_grid, pilot_response)
+
+F28 = 28e9
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+COMPLEX_GRID_275X75 = 275 * 75 * 16  # bytes
+
+
+# The kernels' expressions as they read with an array allocated per operation:
+# the reference the scratch-grid kernels must match bit for bit.
+def _ref_pair_offsets(pose, cfg):
+    lever = cfg.ms_lever
+    dx = pose.x + lever * np.cos(pose.psi)
+    dy = pose.y + lever * np.sin(pose.psi) - cfg.bs_offsets
+    return dx, dy, np.sqrt(dx**2 + dy**2)
+
+
+def _ref_distance_terms(pose, cfg):
+    nm = cfg.ms_index_row
+    dx, dy, r = _ref_pair_offsets(pose, cfg)
+    dr_dx = dx / r
+    dr_dy = dy / r
+    dr_dpsi = -dr_dx * nm * cfg.d_m * np.sin(pose.psi) + dr_dy * nm * cfg.d_m * np.cos(pose.psi)
+    return r, (dr_dx, dr_dy, dr_dpsi)
+
+
+def _ref_kernels(pose, cfg, x, r_ref, a_ref):
+    lam = cfg.wavelength
+    r, dr = _ref_distance_terms(pose, cfg)
+    phase = np.exp(-2j * np.pi / lam * r)
+    dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
+    derivs = [dh_dr * d for d in dr]
+    b = np.zeros((cfg.n_b, 5), dtype=complex)
+    for col, j in enumerate(derivs):
+        b[:, col] = j @ x
+    hx = (lam / (4 * np.pi * r) * phase) @ x
+    a = lam / (4 * np.pi * r)
+    h = a * np.exp(-2j * np.pi / lam * r)
+    s = np.sin(np.pi / lam * (r - r_ref))
+    da = a - a_ref
+    err = float(np.vdot(da, da) + 4.0 * np.vdot(a * a_ref, s * s))
+    dh_dr_sq = (lam / (4 * np.pi * r**2)) ** 2 * (1 + (2 * np.pi / lam * r) ** 2)
+    gram = np.empty((3, 3))
+    for i in range(3):
+        weighted = dh_dr_sq * dr[i]
+        for j in range(i, 3):
+            gram[i, j] = gram[j, i] = np.vdot(weighted, dr[j])
+    return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
+
+
+def _kernels(pose, cfg, x, r_ref, a_ref):
+    hx, b = pilot_response(pose, cfg, x)
+    dr = [d.copy() for d in _distance_terms(pose, cfg)[1]]
+    r, a, h = channel_grid(pose, cfg)
+    derivs = channel_derivatives(pose, cfg).matrices
+    err = channel_error_sq(pose, cfg, r_ref, a_ref)
+    gram = channel_derivatives(pose, cfg).gram
+    return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def _case(n_b, n_m, seed):
+    """A pose, an array, a pilot and a reference grid near the pose: the
+    arguments of _kernels."""
+    cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
+    rng = np.random.default_rng(seed)
+    dist, theta = rng.uniform(1.0, 60.0), rng.uniform(-np.pi, np.pi)
+    pose = Pose(dist * np.cos(theta), dist * np.sin(theta), rng.uniform(-7.0, 7.0))
+    x = rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m)
+    ref = Pose(pose.x + 1e-3 * rng.standard_normal(), pose.y, pose.psi + 1e-2)
+    r_ref, a_ref, _ = channel_grid(ref, cfg)
+    return pose, cfg, x, r_ref, a_ref
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_kernels_match_allocating_expressions_bit_for_bit(n_b, n_m, seed):
+    case = _case(n_b, n_m, seed)
+    assert _bytes(_kernels(*case)) == _bytes(_ref_kernels(*case))
+
+
+def _in_fresh_thread(fn):
+    """fn() in a new thread, whose scratch grids start empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_interleaved_shapes_match_fresh_calls():
+    a, b = _case(101, 25, 1), _case(16, 1, 2)
+    fresh = {id(c): _in_fresh_thread(lambda c=c: _bytes(_kernels(*c))) for c in (a, b)}
+    for case in (a, b, a, a, b):
+        assert _bytes(_kernels(*case)) == fresh[id(case)]
+
+
+def test_public_results_survive_later_kernel_calls():
+    pose, cfg, x, r_ref, a_ref = _case(33, 9, 3)
+    other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
+    grid = channel_grid(pose, cfg)
+    matrices = channel_derivatives(pose, cfg).matrices
+    response = pilot_response(pose, cfg, x)
+    kept = _bytes([*grid, *matrices, *response])
+    _kernels(other, cfg, x, r_ref, a_ref)
+    channel_derivatives(other, cfg).matrices
+    assert _bytes([*grid, *matrices, *response]) == kept
+
+
+def test_two_threads_on_one_shape_match_serial_results():
+    cases = [_case(64, 16, seed) for seed in range(4)]
+    serial = [_bytes(_kernels(*c)) for c in cases]
+    mismatches, done = [], []
+
+    def run(order):
+        for _ in range(25):
+            for i in order:
+                if _bytes(_kernels(*cases[i])) != serial[i]:
+                    mismatches.append(i)
+        done.append(order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(order,)) for order in ([0, 1], [2, 3])]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(done) == 2 and mismatches == []
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes above the start while fn() runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_warm_tracking_kernels_allocate_less_than_one_grid():
+    # A tracking step's pilot response and NMSE term at full scale, once
+    # their scratch grids exist, allocate less than one complex grid.
+    pose, cfg, x, r_ref, a_ref = _case(275, 75, 4)
+
+    def step():
+        pilot_response(pose, cfg, x)
+        channel_error_sq(pose, cfg, r_ref, a_ref)
+
+    step()
+    assert _traced_peak(step) < COMPLEX_GRID_275X75
+
+
+def test_fd_combiner_holds_no_dense_identity():
+    # A dense complex identity at 2048 antennas is 67 MB.
+    assert _traced_peak(lambda: combiner_fd(ArrayConfig(2048, 25, F28))) < 5e6
+
+
+def test_fd_fisher_point_at_2048_antennas_stays_small(tmp_path):
+    argv = ["fisher", "--config", str(DESK), "--out", str(tmp_path / "f.csv"),
+            "--sweep", "nb:2048:2048:1"]
+    codes = []
+    assert _traced_peak(lambda: codes.append(cli_main(argv))) < 5e6
+    assert codes == [0]
