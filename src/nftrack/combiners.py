@@ -69,7 +69,7 @@ class QomPlan:
 
     delta: int
     ell0: int
-    n_e: int
+    n_e: int  # the dominant modes: lattice points inside the array
     indices: tuple  # selected mode indices, may extend past the array
     ordering: str
 
@@ -179,8 +179,6 @@ def qom_plan(pose: Pose, cfg: ArrayConfig, n_rf: int, ordering: str) -> QomPlan:
     hi = int(antenna_indices(cfg.n_m)[-1])
     nbar = (cfg.n_m - 1) // 2 if cfg.n_m % 2 else cfg.n_m // 2
     ell0 = -nbar + math.ceil((2 * nbar % delta) / 2)
-    n_e = (2 * nbar) // delta + 1
-
     dominant = list(range(ell0, hi + 1, delta))
     if ordering == "center_first":
         ordered = _order_center_first(dominant)
@@ -200,9 +198,8 @@ def qom_plan(pose: Pose, cfg: ArrayConfig, n_rf: int, ordering: str) -> QomPlan:
                 virtual.append(above)
                 above += delta
         ordered = ordered + virtual
-    return QomPlan(
-        delta=delta, ell0=ell0, n_e=n_e, indices=tuple(ordered[:n_rf]), ordering=ordering
-    )
+    return QomPlan(delta=delta, ell0=ell0, n_e=len(dominant), indices=tuple(ordered[:n_rf]),
+                   ordering=ordering)
 
 
 def qom_vector(pose: Pose, cfg: ArrayConfig, ell: int) -> np.ndarray:

@@ -22,12 +22,13 @@ evaluation order; only where a result is stored differs, so every bit is the
 same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
 ``_chain_terms``) return views into that set, valid until the next kernel
 call on the same thread.  Public results are fresh arrays: ``channel_grid``
-and ``channel_matrix``, ``channel_derivatives(...).matrices``, and
-``pilot_response``'s H x and Jacobian.
+(unless given arrays to write into), ``channel_matrix``, the matrices of
+``channel_derivatives`` however read, and ``pilot_response``'s H x and Jacobian.
 
 All quantities are SI: meters, radians, Hz, Watts.
 """
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,6 +180,8 @@ class ChannelDerivatives:
     def __iter__(self):
         return iter(self.matrices)
 
+    _stream = __iter__  # J_x, J_y and J_psi in turn, each valid only until the next
+
     @cached_property
     def gram(self) -> np.ndarray:
         return np.array([[np.vdot(a, b).real for b in self.matrices] for a in self.matrices])
@@ -196,11 +199,21 @@ class _ExactDerivatives(ChannelDerivatives):
     def __init__(self, pose: Pose, cfg: ArrayConfig):
         self.pose = pose
         self.cfg = cfg
+        self._chain = (-1, None)  # (scratch stamp, the chain terms in that scratch)
 
     @cached_property
     def matrices(self):
-        _, _, dh_dr, dr = _chain_terms(self.pose, self.cfg)
-        return tuple(dh_dr * d for d in dr)
+        return tuple(j.copy() for j in self._stream())
+
+    def _stream(self):
+        """J_x, J_y and J_psi in turn, written into the thread's phase grid; the
+        chain terms are reused while no kernel has run on the thread since."""
+        for i in range(3):
+            stamp, terms = self._chain  # one read: another thread may replace it
+            if stamp != getattr(_local, "stamp", None):
+                _, *terms = _chain_terms(self.pose, self.cfg)
+                self._chain = _local.stamp, terms
+            yield _derivative(*terms, i)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -248,11 +261,14 @@ def _grids(shape, n_real: int, n_complex: int) -> list:
 
 
 _local = threading.local()
+_stamps = itertools.count()
 
 
 def _scratch(cfg: ArrayConfig) -> list:
     """This thread's work grids for cfg's shape: five real grids, then two
-    complex ones.  Made anew when the shape changes."""
+    complex ones.  Made anew when the shape changes.  Each call gives the
+    thread a new stamp, unique across threads: it dates what scratch holds."""
+    _local.stamp = next(_stamps)
     shape = (cfg.n_b, cfg.n_m)
     if getattr(_local, "shape", None) != shape:
         _local.shape = _local.grids = None  # free the old block before making the new
@@ -312,12 +328,17 @@ def _chain_terms(pose: Pose, cfg: ArrayConfig):
     return r, phase, dh_dr, dr
 
 
-def channel_grid(pose: Pose, cfg: ArrayConfig):
+def _derivative(out: np.ndarray, dh_dr: np.ndarray, dr, i: int) -> np.ndarray:
+    """J_mu = dh/dr * dr/dmu for pose component i of _chain_terms' dr, written into out."""
+    return np.multiply(dh_dr, dr[i], out=out)
+
+
+def channel_grid(pose: Pose, cfg: ArrayConfig, out=None):
     """The distance grid r, the amplitudes a = lambda/(4*pi*r) and the channel
     a * exp(-j*2*pi*r/lambda) of one pose, each (n_b, n_m): fresh arrays,
-    carved from one allocation."""
+    carved from one allocation, or written into out = (r, a, h)."""
     lam = cfg.wavelength
-    r, a, h = _grids((cfg.n_b, cfg.n_m), 2, 1)
+    r, a, h = _grids((cfg.n_b, cfg.n_m), 2, 1) if out is None else out
     np.copyto(r, _pair_offsets(pose, cfg)[2])
     _amplitudes(lam, r, a)
     np.exp(np.multiply(-2j * np.pi / lam, r, out=h), out=h)
@@ -370,7 +391,7 @@ def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
     # The phase grid becomes H, then holds each derivative matrix in turn.
     h = np.multiply(_amplitudes(cfg.wavelength, r, _scratch(cfg)[4]), phase, out=phase)
     hx = h @ x
-    return hx, pilot_jacobian((np.multiply(dh_dr, d, out=h) for d in dr), x, cfg.n_b)
+    return hx, pilot_jacobian((_derivative(h, dh_dr, dr, i) for i in range(3)), x, cfg.n_b)
 
 
 def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:

@@ -371,9 +371,9 @@ def crb_policy(cfg: ScenarioConfig, token: str):
     fallbacks included.  The observation Jacobian is formed from the step's
     channel derivatives, only when the scheme asks for it.
     """
+    n_b = cfg.array.n_b
     builder = PredictionBuilder(
-        parse_scheme(token, cfg.combiner.n_rf, cfg.array.n_b), cfg.array, cfg.seed, 0,
-        cfg.noise_power_watts,
+        parse_scheme(token, cfg.combiner.n_rf, n_b), cfg.array, cfg.seed, 0, cfg.noise_power_watts
     )
     pilots = _pilots(cfg, 0)
     steps = itertools.count(1)
@@ -381,7 +381,7 @@ def crb_policy(cfg: ScenarioConfig, token: str):
     def policy(pose, derivs):
         k = next(steps)
         return builder.build(
-            k, pose, lambda: pilot_jacobian(derivs, pilots(k).symbols, cfg.array.n_b), None
+            k, pose, lambda: pilot_jacobian(derivs._stream(), pilots(k).symbols, n_b), None
         )
 
     return policy
@@ -393,9 +393,9 @@ def run_trial(
     """Simulate one truth and run every scheme's EKF over it, one record each.
 
     Per step the truth state, pilot, true distance grid, true channel and
-    full-array noisy snapshot are computed once and shared; each scheme only
-    compresses the snapshot with its own combiner, and scores its posterior
-    pose against the true grid.
+    full-array noisy snapshot are computed once and shared, the grids in one
+    set per trial; each scheme only compresses the snapshot with its own
+    combiner, and scores its posterior pose against the true grid.
     """
     array = cfg.array
     truth = simulate_truth(cfg, trial_index)
@@ -403,9 +403,10 @@ def run_trial(
     filters = [_SchemeFilter(cfg, spec, trial_index, truth, h_true_sq) for spec in schemes]
 
     pilots = _pilots(cfg, trial_index)
+    grids = None  # the trial's one truth set, made at step 1 and rewritten after
     for k in range(1, cfg.k_steps + 1):
         pilot = pilots(k)
-        r_true, a_true, h_true = channel_grid(Pose(truth[k, 0], truth[k, 1], truth[k, 2]), array)
+        grids = r_true, a_true, h_true = channel_grid(Pose(*truth[k, :3]), array, out=grids)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(
             h_true, pilot, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")

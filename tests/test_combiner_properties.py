@@ -14,9 +14,11 @@ from nftrack.combiners import (
     _PoseObjective,
     _fix_singular_vector_signs,
     combiner_mo,
+    ORDERINGS,
     combiner_qom,
     combiner_random,
     combiner_svd_pe,
+    qom_plan,
 )
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import (
@@ -26,7 +28,7 @@ from nftrack.errors import (
     SingularPriorCovariance,
 )
 from nftrack.estimation import _RANK_RTOL, Belief, Combiner, _rank_gate, ekf_predict, psd_inverse
-from nftrack.geometry import ArrayConfig, Pose, pilot_response
+from nftrack.geometry import ArrayConfig, Pose, antenna_indices, pilot_response
 from nftrack.harness import RfChains, ScenarioConfig
 from nftrack.observation import generate_pilot
 from nftrack.rng import stream
@@ -245,6 +247,40 @@ def test_svd_pe_tie_order_matches_full_sort(svals, n_rf, seed):
     assert len(set(rounded)) == len(set(svals))  # the ties survive the SVD
     got = combiner_svd_pe(b, n_rf).q
     assert got.tobytes() == _reference_svd_pe(b, n_rf).tobytes()
+
+
+# ------------------------------------------------------- qom mode count
+
+
+@PROPERTY
+@given(
+    st.integers(1, 40),
+    st.sampled_from([16, 101, 275]),
+    st.floats(0.5, 30.0),
+    st.floats(-1.5, 1.5),
+    st.floats(-np.pi, np.pi),
+    st.sampled_from(ORDERINGS),
+    st.integers(1, 48),
+)
+def test_qom_mode_count_is_the_in_array_lattice(n_m, n_b, r, theta, psi, ordering, n_rf):
+    # n_e counts the lattice modes inside the array, for odd and even n_m
+    # alike: all of them are in the plan once n_rf exceeds n_m, and a plan
+    # holds virtual modes exactly when n_e < n_rf.
+    cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
+    pose = Pose(r * np.cos(theta), r * np.sin(theta), psi)
+    try:
+        wide = qom_plan(pose, cfg, n_m + 8, ordering)
+    except DegenerateGeometry:
+        return
+    idx = antenna_indices(n_m)
+
+    def in_array(plan):
+        return [e for e in plan.indices if idx[0] <= e <= idx[-1]]
+
+    assert len(in_array(wide)) == wide.n_e
+    plan = qom_plan(pose, cfg, n_rf, ordering)
+    assert plan.n_e == wide.n_e
+    assert (plan.n_e < n_rf) == (len(in_array(plan)) < len(plan.indices))
 
 
 # ------------------------------------------------------------- fallbacks

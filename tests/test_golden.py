@@ -25,7 +25,8 @@ when none is named.  With --compare first,
 
 writes nothing: it prints each fixture's largest relative difference, new
 output against the committed file, and its first differing cell, old
-against new.  Quote it whenever fixtures are regenerated.
+against new, and exits 1 unless every fixture reads identical.  Quote it
+whenever fixtures are regenerated.
 
 The fixtures pin the rounding of the BLAS kernel, not only the program.
 They were generated with the OpenBLAS 0.3.31 that numpy and scipy bundle, on
@@ -174,20 +175,45 @@ def _compare(name: str, out: Path) -> str:
     return f"{name}: largest relative difference {worst:.3g}, first at {first}"
 
 
-if __name__ == "__main__":
-    args = sys.argv[1:]
+def _main(args) -> int:
+    """The command line above; the exit status."""
     compare = args[:1] == ["--compare"]
     names = args[compare:] or list(FIXTURES)
     unknown = [name for name in names if name not in FIXTURES]
     if unknown:
         sys.exit(f"unknown fixtures: {', '.join(unknown)}; known: {', '.join(FIXTURES)}")
     if compare:
+        lines = []
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
-                print(_compare(name, Path(tmp) / name), flush=True)
-        sys.exit()
+                lines.append(_compare(name, Path(tmp) / name))
+                print(lines[-1], flush=True)
+        return int(any(not line.endswith(": identical") for line in lines))
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in names:
         path = GOLDEN_DIR / name
         FIXTURES[name](path)
         path.with_suffix(".csv.manifest.json").unlink()
+    return 0
+
+
+CHEAPEST = _fisher_name("pose-grid")
+
+
+def test_compare_exits_1_unless_every_fixture_is_identical(tmp_path, monkeypatch, capsys):
+    assert _main(["--compare", CHEAPEST]) == 0
+    rows = _rows(GOLDEN_DIR / CHEAPEST)
+    fresh = rows[1][5]
+    rows[1][5] = repr(float(fresh) * (1 + 1e-15))  # one cell off by rounding
+    with open(tmp_path / CHEAPEST, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert _main(["--compare", CHEAPEST]) == 1
+    same, differs = capsys.readouterr().out.splitlines()
+    assert same == f"{CHEAPEST}: identical"
+    assert differs.startswith(f"{CHEAPEST}: largest relative difference ")
+    assert differs.endswith(f", first at row 1 fbar_x: {rows[1][5]} -> {fresh}")
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

@@ -1,21 +1,30 @@
 """The channel kernels' scratch grids: bit-identical results, fresh public
-arrays, thread safety, and the memory the kernels and fd no longer take."""
+arrays, streamed derivatives, thread safety, and the memory the kernels, the
+CRB steps, the tracking trials and fd no longer take."""
 
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from nftrack import geometry
 from nftrack.cli import main as cli_main
-from nftrack.combiners import combiner_fd
-from nftrack.geometry import (ArrayConfig, Pose, _distance_terms, channel_derivatives,
-                              channel_error_sq, channel_grid, pilot_response)
+from nftrack.combiners import CRB_POLICIES, combiner_fd, parse_scheme
+from nftrack.estimation import Belief
+from nftrack.geometry import (ArrayConfig, Pose, _distance_terms, _ExactDerivatives,
+                              channel_derivatives, channel_error_sq, channel_grid, pilot_response)
+from nftrack.harness import crb_policy, load_config, run_trial
+from nftrack.information import bayesian_fim_step
 
 F28 = 28e9
-DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DESK = CONFIGS / "desk.json"
+FULL = CONFIGS / "paper_full.json"
 COMPLEX_GRID_275X75 = 275 * 75 * 16  # bytes
 
 
@@ -93,6 +102,100 @@ def _case(n_b, n_m, seed):
 def test_kernels_match_allocating_expressions_bit_for_bit(n_b, n_m, seed):
     case = _case(n_b, n_m, seed)
     assert _bytes(_kernels(*case)) == _bytes(_ref_kernels(*case))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 40), st.sampled_from([1, 2, 5, 8, 25]), st.integers(0, 2**32 - 1))
+def test_streamed_derivatives_match_matrices_bit_for_bit(n_b, n_m, seed):
+    pose, cfg, x, r_ref, a_ref = _case(n_b, n_m, seed)
+    want = _bytes(channel_derivatives(pose, cfg).matrices)
+    assert want == _bytes(_ref_kernels(pose, cfg, x, r_ref, a_ref)[8:11])
+    other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
+    derivs = channel_derivatives(pose, cfg)
+    first = _bytes(derivs._stream())
+    second = _bytes(derivs._stream())  # reuses the chain terms in scratch
+    pilot_response(other, cfg, x)  # a kernel at another pose overwrites them
+    interrupted = []
+    for j in derivs._stream():
+        interrupted.append(j.tobytes())
+        pilot_response(other, cfg, x)  # and again between two yields
+    assert first == second == interrupted == want
+
+
+def test_svd_pe_crb_step_builds_its_chain_terms_once(monkeypatch):
+    # The policy's Jacobian and the data information both walk the streamed
+    # derivatives; the second walk reuses the first one's chain terms.
+    calls = []
+    chain_terms = geometry._chain_terms
+    monkeypatch.setattr(geometry, "_chain_terms", lambda *a: calls.append(1) or chain_terms(*a))
+    cfg = load_config(DESK)
+    assert len(_crb(cfg, "svd_pe", 5)) == len(calls) == 5
+
+
+def test_unpacked_derivatives_are_distinct_and_survive_crb_steps():
+    cfg = load_config(FULL)
+    pose = cfg.initial_state.pose
+    derivs = channel_derivatives(pose, cfg.array)
+    j_x, j_y, j_psi = derivs
+    arrays = [j_x, j_y, j_psi]
+    assert [a is b for a, b in zip(arrays, derivs.matrices)] == [True] * 3
+    assert [a is b for a, b in zip(arrays, (derivs.j_x, derivs.j_y, derivs.j_psi))] == [True] * 3
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    kept = _bytes(arrays)
+    for token in ("svd_pe", "qom"):
+        _crb(cfg, token, 3)
+    assert _bytes(arrays) == kept
+    assert _bytes(channel_derivatives(pose, cfg.array)) == kept
+
+
+def _crb(cfg, token, steps, wait=lambda: None):
+    """The covariances of steps CRB steps under policy token; wait() runs
+    between each step's policy and its data information."""
+    policy = crb_policy(cfg, token)
+
+    def paused(pose, derivs):
+        combiner = policy(pose, derivs)
+        wait()
+        return combiner
+
+    bound, covs = Belief(cfg.initial_state, cfg.initial_cov), []
+    for _ in range(steps):
+        bound = bayesian_fim_step(bound, cfg.array, cfg.noise, cfg.p_m_watts,
+                                  cfg.noise_power_watts, paused)
+        covs.append(bound.cov.tobytes())
+    return covs
+
+
+def test_two_threads_running_crb_steps_on_one_shape_match_serial_results():
+    # svd_pe walks the streamed derivatives twice per step, qom once.  Each
+    # thread stops between its policy and its data information until the
+    # other has run its own kernels on the same shape.
+    cfg = replace(load_config(DESK), k_steps=8)
+    serial = {token: _crb(cfg, token, cfg.k_steps) for token in ("svd_pe", "qom")}
+    barrier = threading.Barrier(2, timeout=60)
+    got, workers = {}, []
+    for token in serial:
+        def run(token=token):
+            got[token] = _crb(cfg, token, cfg.k_steps, barrier.wait)
+        workers.append(threading.Thread(target=run))
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+    assert not any(w.is_alive() for w in workers)
+    assert got == serial
+
+
+def test_no_library_path_materialises_derivative_matrices(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("the derivative matrices were materialised")
+
+    monkeypatch.setattr(_ExactDerivatives, "matrices", property(refuse))
+    common = ["--config", str(DESK), "--out", str(tmp_path / "o.csv")]
+    runs = [["crb", *common, "--steps", "3", "--policy", p] for p in CRB_POLICIES]
+    runs += [["fisher", *common, "--sweep", s] for s in ("nb:16:101:3", "nm:1:25:3")]
+    runs.append(["track", *common, "--trials", "1", "--steps", "3"])
+    assert [cli_main(argv) for argv in runs] == [0] * len(runs)
 
 
 def _in_fresh_thread(fn):
@@ -189,3 +292,30 @@ def test_fd_fisher_point_at_2048_antennas_stays_small(tmp_path):
     codes = []
     assert _traced_peak(lambda: codes.append(cli_main(argv))) < 5e6
     assert codes == [0]
+
+
+@pytest.mark.parametrize("token", ["svd_pe", "qom"])
+def test_warm_compressed_crb_step_allocates_less_than_one_grid(token):
+    # The step streams J_x, J_y and J_psi through one scratch grid instead of
+    # materialising three.
+    cfg = load_config(FULL)
+    policy = crb_policy(cfg, token)
+    bound = Belief(cfg.initial_state, cfg.initial_cov)
+
+    def step():
+        nonlocal bound
+        bound = bayesian_fim_step(bound, cfg.array, cfg.noise, cfg.p_m_watts,
+                                  cfg.noise_power_watts, policy)
+
+    step()
+    assert _traced_peak(step) < COMPLEX_GRID_275X75
+
+
+def test_full_scale_trial_holds_one_truth_set():
+    # A truth set is the true distance grid, its amplitudes and the true
+    # channel: 660 KB at 275 x 75.  A trial keeps one for all its steps.
+    cfg = replace(load_config(FULL), k_steps=4)
+    truth_set = 275 * 75 * (8 + 8 + 16)
+    specs = [parse_scheme("fd", cfg.combiner.n_rf, cfg.array.n_b)]
+    run_trial(cfg, 0, specs)
+    assert _traced_peak(lambda: run_trial(cfg, 0, specs)) < 2 * truth_set
