@@ -16,7 +16,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Optional
 
@@ -64,7 +64,8 @@ _POTRS = {np.dtype(float): _flapack.dpotrs, np.dtype(complex): _flapack.zpotrs}
 
 
 def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
+    # ndarray.all without its Python wrapper: the same reduction.
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -209,15 +210,24 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def psd_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric PSD matrix by Cholesky; one jitter retry, then fail.
     A non-finite matrix fails at once: no jitter can make it finite.
 
     The factor and solve are direct LAPACK potrf/potrs calls, the same
-    routines and arguments as scipy's cho_factor/cho_solve.
+    routines and arguments as scipy's cho_factor/cho_solve.  The result is
+    exactly symmetric: entries ij and ji are both 0.5 (x_ij + x_ji).
     """
     ms = _symmetrize(np.asarray(m, dtype=float))
-    eye = np.eye(ms.shape[0])
+    eye = _identity(ms.shape[0])
     for attempt in range(2):
         try:
             return _symmetrize(_cho_solve(_cho_factor(ms), eye))
@@ -240,9 +250,10 @@ def score(
 
     g = (2/sigma^2) Re{ B^H Q^H (Q Q^H)^-1 (z - Q b_pred) }.
     """
-    residual = z - q.apply(predicted_obs)
-    if not q.is_identity:
-        residual = q.q.conj().T @ q.solve_gram(residual)
+    if q.is_identity:
+        residual = z - predicted_obs
+    else:
+        residual = q.q.conj().T @ q.solve_gram(z - q.q @ predicted_obs)
     return (2.0 / noise_power) * np.real(b.conj().T @ residual)
 
 
@@ -277,10 +288,11 @@ def ekf_update(
 
     b_jac and predicted_obs are the observation Jacobian B and H(p) x at the prior mean.
     P_post = (P_prior^-1 + F)^-1 and mean_post = mean_prior + P_post g.
+    psd_inverse already returns P_post exactly symmetric.
     """
     f = fim(b_jac, q, noise_power)
     g = score(z, q, b_jac, predicted_obs, noise_power)
 
     post_cov = psd_inverse(prior.info + f)
     post_mean = prior.mean.as_vector() + post_cov @ g
-    return Belief(mean=MsState.from_vector(post_mean), cov=_symmetrize(post_cov))
+    return Belief(mean=MsState.from_vector(post_mean), cov=post_cov)

@@ -29,6 +29,7 @@ All quantities are SI: meters, radians, Hz, Watts.
 """
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,7 +142,7 @@ class Pose:
     psi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.psi)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
             raise ValueError("pose components must be finite")
         if self.x == 0.0 and self.y == 0.0:
             raise ValueError("MS cannot sit at the BS array center")
@@ -288,8 +289,8 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
     kept as a (1, n_m) row; dy and r are scratch grids 0 and 1."""
     grid = _scratch(cfg)
     lever = cfg.ms_lever
-    dx = pose.x + lever * np.cos(pose.psi)
-    dy = np.subtract(pose.y + lever * np.sin(pose.psi), cfg.bs_offsets, out=grid[0])
+    dx = pose.x + lever * math.cos(pose.psi)
+    dy = np.subtract(pose.y + lever * math.sin(pose.psi), cfg.bs_offsets, out=grid[0])
     r = np.sqrt(np.add(dx**2, np.square(dy, out=grid[1]), out=grid[1]), out=grid[1])
     return dx, dy, r
 
@@ -305,10 +306,10 @@ def _distance_terms(pose: Pose, cfg: ArrayConfig):
     dr_dy = np.divide(dy, r, out=dy)
     # -dr_dx * nm * d_m * sin(psi) + dr_dy * nm * d_m * cos(psi), left to right.
     dr_dpsi = np.negative(dr_dx, out=grid[3])
-    for factor in (nm, cfg.d_m, np.sin(pose.psi)):
+    for factor in (nm, cfg.d_m, math.sin(pose.psi)):
         np.multiply(dr_dpsi, factor, out=dr_dpsi)
     term = np.multiply(dr_dy, nm, out=grid[4])
-    for factor in (cfg.d_m, np.cos(pose.psi)):
+    for factor in (cfg.d_m, math.cos(pose.psi)):
         np.multiply(term, factor, out=term)
     np.add(dr_dpsi, term, out=dr_dpsi)
     return r, (dr_dx, dr_dy, dr_dpsi)

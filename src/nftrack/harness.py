@@ -330,23 +330,24 @@ class _SchemeFilter:
             # Filter is dead; coast on the prediction for the remaining steps.
             self.belief = prior
         else:
-            b_pred, b_jac = pilot_response(prior.mean.pose, cfg.array, pilot.symbols)
+            pose = prior.mean.pose
+            b_pred, b_jac = pilot_response(pose, cfg.array, pilot.symbols)
             try:
                 # A diverging filter overflows; the finiteness checks report it.
                 with np.errstate(over="ignore", invalid="ignore"):
                     # The MO builder and the update share prior.info, one inverse.
-                    combiner = self.builder.build(k, prior.mean.pose, lambda: b_jac, prior)
+                    combiner = self.builder.build(k, pose, lambda: b_jac, prior)
                     self.belief = ekf_update(
                         prior, combiner.apply(y), combiner, b_jac, b_pred, cfg.noise_power_watts
                     )
             except SingularPriorCovariance:
                 record.diverged_at = k
                 self.belief = prior
-        record.post_means[i] = self.belief.mean.as_vector()
+        mean = self.belief.mean
+        record.post_means[i] = mean.as_vector()
         record.post_covs[i] = self.belief.cov
-        record.h_err_sq[i] = channel_error_sq(
-            Pose(*record.post_means[i, :3]), cfg.array, r_true, a_true
-        )
+        # The same floats as post_means[i, :3].
+        record.h_err_sq[i] = channel_error_sq(mean.pose, cfg.array, r_true, a_true)
 
 
 def _pilots(cfg: ScenarioConfig, trial_index: int):

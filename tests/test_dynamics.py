@@ -1,5 +1,8 @@
 """CTRV propagation, Jacobian, and process-noise sampling."""
 
+import copy
+import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +169,16 @@ def test_noise_spec_covariance():
     assert np.count_nonzero(n - np.diag(np.diag(n))) == 0
 
 
+def test_noise_spec_copies_keep_a_read_only_covariance():
+    spec = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
+    for other in [copy.copy(spec), copy.deepcopy(spec)] + [
+        pickle.loads(pickle.dumps(spec, protocol=p)) for p in (2, pickle.HIGHEST_PROTOCOL)
+    ]:
+        assert other == spec
+        assert other.covariance().tobytes() == spec.covariance().tobytes()
+        assert not other.covariance().flags.writeable
+
+
 def test_zero_noise_is_exactly_zero():
     spec = ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.1)
     rng = np.random.default_rng(0)
@@ -195,3 +208,116 @@ def test_invalid_spec_rejected():
         ProcessNoiseSpec(sigma_v=1.0, sigma_omega=0.1, tau=0.0)
     with pytest.raises(ValueError):
         ctrv_transition(MsState(0, 0, 0, 1, 0), -1.0)
+
+
+# Reference copies of the transition and Jacobian as numpy-scalar expressions
+# (np.sin/np.cos on floats, np.eye plus item writes).  dynamics takes its
+# scalar sin/cos from math; these pin that the two agree bit for bit.
+
+
+def _np_s1(u):
+    return 1.0 if u == 0.0 else np.sin(u) / u
+
+
+def _np_s2(u):
+    return 0.0 if u == 0.0 else 2.0 * np.sin(0.5 * u) ** 2 / u
+
+
+def _np_g1(u):
+    if abs(u) < _U_SERIES:
+        return u * (-1.0 / 3.0 + u * u / 30.0)
+    return (u * np.cos(u) - np.sin(u)) / (u * u)
+
+
+def _np_g2(u):
+    if abs(u) < _U_SERIES:
+        return 0.5 - u * u / 8.0 + u**4 / 144.0
+    return (u * np.sin(u) + np.cos(u) - 1.0) / (u * u)
+
+
+def _np_transition(state, tau):
+    u = state.omega * tau
+    s1, s2 = _np_s1(u), _np_s2(u)
+    cos_p, sin_p = np.cos(state.psi), np.sin(state.psi)
+    x_new = state.x + state.v * tau * (cos_p * s1 - sin_p * s2)
+    y_new = state.y + state.v * tau * (sin_p * s1 + cos_p * s2)
+    return np.array([x_new, y_new, state.psi + u, state.v, state.omega])
+
+
+def _np_jacobian(state, tau):
+    u = state.omega * tau
+    v = state.v
+    s1, s2 = _np_s1(u), _np_s2(u)
+    g1, g2 = _np_g1(u), _np_g2(u)
+    cos_p, sin_p = np.cos(state.psi), np.sin(state.psi)
+    jac = np.eye(5)
+    jac[2, 4] = tau
+    jac[0, 2] = -v * tau * (sin_p * s1 + cos_p * s2)
+    jac[0, 3] = tau * (cos_p * s1 - sin_p * s2)
+    jac[0, 4] = v * tau * tau * (cos_p * g1 - sin_p * g2)
+    jac[1, 2] = v * tau * (cos_p * s1 - sin_p * s2)
+    jac[1, 3] = tau * (sin_p * s1 + cos_p * s2)
+    jac[1, 4] = v * tau * tau * (sin_p * g1 + cos_p * g2)
+    return jac
+
+
+@st.composite
+def ctrv_case(draw):
+    """A state and tau whose u = omega * tau is 0, within 1e-12 to 1e-4
+    (relative) below or above the series switch on either side, or anywhere
+    in [-3, 3]; psi up to 1e4 in magnitude."""
+    tau = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    near = _U_SERIES * (1.0 + side * 10.0 ** draw(st.integers(-12, -4)))
+    u = draw(st.sampled_from([0.0, near, None]))
+    if u is None:
+        u = draw(st.floats(-3.0, 3.0))
+    omega = sign * u / tau
+    psi = draw(st.one_of(st.floats(-np.pi, np.pi), st.floats(-1e4, 1e4)))
+    state = MsState(
+        draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), psi, draw(st.floats(-50.0, 50.0)),
+        omega,
+    )
+    return state, tau
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(ctrv_case())
+def test_transition_and_jacobian_match_numpy_scalar_expressions_bit_for_bit(case):
+    state, tau = case
+    got = ctrv_transition(state, tau)
+    assert got.as_vector().tobytes() == _np_transition(state, tau).tobytes()
+    jac = ctrv_jacobian(state, tau)
+    assert jac.dtype == np.float64 and jac.shape == (5, 5)
+    assert jac.tobytes() == _np_jacobian(state, tau).tobytes()
+
+
+def test_transition_and_jacobian_bits_at_chosen_turns():
+    # Both branches of the u^-2-scaled helpers, at tau = 1 so that u = omega,
+    # and a u where sin(u/2)**2 and sin(u/2) * sin(u/2) round apart (about
+    # one u in 1000 does; random draws seldom find one).
+    below = _U_SERIES * (1.0 - 1e-12)
+    above = _U_SERIES * (1.0 + 1e-12)
+    assert below < _U_SERIES < above
+    half = 0.5 * 1.3817681225017022
+    assert math.sin(half) ** 2 != math.sin(half) * math.sin(half)
+    for u in (0.0, below, above, -below, -above, 1.3817681225017022):
+        state = MsState(1.0, 2.0, 9999.5, 7.0, u)
+        moved = ctrv_transition(state, 1.0).as_vector()
+        assert moved.tobytes() == _np_transition(state, 1.0).tobytes()
+        assert ctrv_jacobian(state, 1.0).tobytes() == _np_jacobian(state, 1.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value", [np.float64(2.5), 3, True, np.int64(-4), np.float32(0.1)],
+    ids=["float64", "int", "bool", "int64", "float32"],
+)
+def test_ms_state_stores_python_floats(value):
+    for state in (MsState(value, value, value, value, value),
+                  MsState.from_vector(np.full(5, value)),
+                  MsState.from_vector([value] * 5)):
+        for name in ("x", "y", "psi", "v", "omega"):
+            stored = getattr(state, name)
+            assert type(stored) is float
+            assert stored == float(np.asarray(value, dtype=float))

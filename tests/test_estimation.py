@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import nftrack.estimation as estimation
-from nftrack.combiners import combiner_fd, combiner_random
+from nftrack.combiners import combiner_fd, combiner_qom, combiner_random, combiner_svd_pe
 from nftrack.dynamics import MsState, ProcessNoiseSpec, ctrv_jacobian, ctrv_transition
 from nftrack.errors import RankDeficientCombiner, SingularPriorCovariance
 from nftrack.estimation import (
@@ -483,3 +484,61 @@ def test_update_against_scalar_reimplementation():
 
     np.testing.assert_allclose(post.mean.as_vector(), mean_ref, rtol=1e-8, atol=1e-12)
     np.testing.assert_allclose(post.cov, 0.5 * (p_post_ref + p_post_ref.T), rtol=1e-8)
+
+
+# ------------------------------------------------------- exact symmetry, shared constants
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(["fd", "rand", "svd_pe", "qom"]), st.integers(0, 2**32 - 1))
+def test_inverse_and_update_covariances_are_exactly_symmetric(token, seed):
+    # ekf_update returns psd_inverse's output as is: re-symmetrizing it would
+    # change no bit, because psd_inverse's result is already exactly symmetric.
+    rng = np.random.default_rng(seed)
+    cfg = cfg_small()
+    dist, theta = rng.uniform(4.0, 30.0), rng.uniform(-1.2, 1.2)
+    mean = MsState(dist * np.cos(theta), dist * np.sin(theta), rng.uniform(-np.pi, np.pi),
+                   rng.uniform(0.0, 20.0), rng.uniform(-0.5, 0.5))
+    a = rng.standard_normal((5, 5)) * 10.0 ** rng.uniform(-4.0, 0.0, size=5)[:, None]
+    prior = Belief(mean, a @ a.T + 1e-12 * np.eye(5))
+    sigma2 = 10.0 ** rng.uniform(-13.0, -8.0)
+    pilot = generate_pilot(rng, 0.01, cfg.n_m)
+    b, pred = make_b_and_pred(cfg, mean.pose, pilot)
+    q = {
+        "fd": lambda: combiner_fd(cfg),
+        "rand": lambda: combiner_random(rng, 3, cfg.n_b),
+        "svd_pe": lambda: combiner_svd_pe(b, 3),
+        "qom": lambda: combiner_qom(mean.pose, cfg, 3),
+    }[token]()
+    true_pose = Pose(mean.x + rng.normal(0.0, 0.01), mean.y + rng.normal(0.0, 0.01), mean.psi)
+    z = q.apply(full_snapshot(channel_matrix(true_pose, cfg), pilot, sigma2, rng))
+    post = ekf_update(prior, z, q, b, pred, sigma2)
+    for c in (psd_inverse(prior.cov), prior.info, post.cov):
+        assert np.array_equal(c, c.T)
+        assert np.array_equal(0.5 * (c + c.T), c)
+
+
+def test_noise_covariance_and_identity_are_built_once_and_read_only():
+    spec = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
+    assert spec.covariance() is spec.covariance()
+    with pytest.raises(ValueError):
+        spec.covariance()[3, 3] = 1.0
+    eye = estimation._identity(5)
+    assert eye is estimation._identity(5)
+    np.testing.assert_array_equal(eye, np.eye(5))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+    assert psd_inverse(np.eye(5)).flags.writeable
+
+
+def test_predicted_covariances_are_distinct_and_writable():
+    spec = ProcessNoiseSpec(sigma_v=2.0, sigma_omega=0.1, tau=0.02)
+    post = Belief(MsState(15, -15, 3 * np.pi / 8, 10, 0.1), np.diag([1e-4, 1e-4, 1e-6, 1.0, 1e-4]))
+    first, second = ekf_predict(post, spec), ekf_predict(post, spec)
+    assert first.cov is not second.cov and not np.shares_memory(first.cov, second.cov)
+    assert not np.shares_memory(first.cov, spec.covariance())
+    assert first.cov.flags.writeable and second.cov.flags.writeable
+    before = second.cov.copy()
+    first.cov[3, 3] += 1.0
+    np.testing.assert_array_equal(second.cov, before)
+    assert spec.covariance()[3, 3] == (0.02 * 2.0) ** 2

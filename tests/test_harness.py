@@ -82,16 +82,30 @@ def metrics_nmse(records, cfg):
     return num / den
 
 
-def test_noiseless_fd_trial_locks_exactly():
+def test_noiseless_fd_trial_locks_exactly(monkeypatch):
     cfg = tiny_config(
         noise=ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02),
         noise_power_dbm=-400.0,
         n_trials=1,
     )
+    # The collapsing prior fails potrf three times; psd_inverse's jitter
+    # retry recovers each time (see ROADMAP, Tried and dropped).
+    failures = []
+    real = nftrack.estimation._cho_factor
+
+    def counting(a):
+        try:
+            return real(a)
+        except np.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(nftrack.estimation, "_cho_factor", counting)
     rec = run_trial(cfg, 0, [CombinerSpec("fd", 33)])[0]
     err = np.abs(rec.post_means[:, :3] - rec.true_states[1:, :3])
     assert err.max() < 1e-6
     assert rec.diverged_at is None
+    assert len(failures) == 3
 
 
 def test_trial_determinism():
