@@ -49,7 +49,7 @@ from .combiners import (
     qom_resolution,
     qom_vector,
 )
-from .observation import Pilot, full_snapshot, generate_pilot
+from .observation import full_snapshot, generate_pilot
 from .harness import (
     CampaignResult,
     RfChains,

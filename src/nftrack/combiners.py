@@ -112,20 +112,20 @@ def combiner_svd_pe(b_pred: np.ndarray, n_rf: int) -> Combiner:
     u, s, _ = np.linalg.svd(b3, full_matrices=False)
     u = _fix_singular_vector_signs(u)
 
-    # Descending singular values; the columns break (measure-zero) ties.
+    # LAPACK returns descending singular values; the columns break the
+    # (measure-zero) ties that rounding makes.
     rounded = [round(float(x), 12) for x in s]
 
     def _lex_key(i):
         col = u[:, i]
         return (-rounded[i], tuple(np.round(col.real, 12)), tuple(np.round(col.imag, 12)))
 
-    if len(set(rounded)) == len(rounded):
-        order = sorted(range(len(s)), key=lambda i: -rounded[i])
-    else:
-        order = sorted(range(len(s)), key=_lex_key)
-    u = u[:, order]
+    if len(set(rounded)) < len(rounded):
+        u = u[:, sorted(range(len(s)), key=_lex_key)]
     rows = min(n_rf, 3)
-    q_svd = u[:, :rows].conj().T
+    # Row-major q: its layout picks the BLAS kernels, and so the rounding, of
+    # every product the filter forms with it.
+    q_svd = np.ascontiguousarray(u[:, :rows].conj().T)
     q = np.exp(1j * np.angle(q_svd))
     return Combiner(q, unit_modulus=True)
 

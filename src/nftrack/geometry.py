@@ -20,10 +20,11 @@ thread, kept for the thread's most recent array shape, so they allocate no
 full grid but those they return.  Each expression keeps its operands and
 evaluation order; only where a result is stored differs, so every bit is the
 same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
-``_chain_terms``) return views into that set, valid until the next kernel
-call on the same thread.  Public results are fresh arrays: ``channel_grid``
-(unless given arrays to write into), ``channel_matrix``, the matrices of
-``channel_derivatives`` however read, and ``pilot_response``'s H x and Jacobian.
+``_chain_terms``) and ``ChannelDerivatives.stream`` return views into that
+set, valid until the next kernel call on the same thread.  Public results are
+fresh arrays: ``channel_grid`` (unless given arrays to write into),
+``channel_matrix``, ``ChannelDerivatives.matrices``, and ``pilot_response``'s
+H x and Jacobian.
 
 All quantities are SI: meters, radians, Hz, Watts.
 """
@@ -75,6 +76,9 @@ class ArrayConfig:
     d_m: float = None
 
     def __post_init__(self):
+        for count in (self.n_b, self.n_m):
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+                raise TypeError(f"antenna counts must be integers, got {count!r}")
         object.__setattr__(self, "n_b", int(self.n_b))
         object.__setattr__(self, "n_m", int(self.n_m))
         object.__setattr__(self, "carrier_freq", float(self.carrier_freq))
@@ -157,40 +161,9 @@ class Pose:
 
 
 class ChannelDerivatives:
-    """Channel derivative matrices w.r.t. x (1/m), y (1/m) and psi (1/rad).
-
-    Unpacks and iterates like the tuple (j_x, j_y, j_psi).  ``gram`` is the
-    3x3 pose Gram matrix Re tr(J_mu^H J_nu) of the three.
-    """
-
-    def __init__(self, j_x: np.ndarray, j_y: np.ndarray, j_psi: np.ndarray):
-        self.matrices = (j_x, j_y, j_psi)
-
-    @property
-    def j_x(self) -> np.ndarray:
-        return self.matrices[0]
-
-    @property
-    def j_y(self) -> np.ndarray:
-        return self.matrices[1]
-
-    @property
-    def j_psi(self) -> np.ndarray:
-        return self.matrices[2]
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    _stream = __iter__  # J_x, J_y and J_psi in turn, each valid only until the next
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return np.array([[np.vdot(a, b).real for b in self.matrices] for a in self.matrices])
-
-
-class _ExactDerivatives(ChannelDerivatives):
-    """Exact derivatives at one pose: the complex matrices are built on first
-    access, and the pose Gram never needs them.
+    """Exact channel derivatives J_x (1/m), J_y (1/m) and J_psi (1/rad) at one
+    pose.  ``stream()`` yields them one at a time, ``matrices`` keeps fresh
+    copies of the three, and ``gram`` never needs the complex matrices.
 
     J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
@@ -204,11 +177,14 @@ class _ExactDerivatives(ChannelDerivatives):
 
     @cached_property
     def matrices(self):
-        return tuple(j.copy() for j in self._stream())
+        """(J_x, J_y, J_psi) as fresh arrays, built on first access."""
+        return tuple(j.copy() for j in self.stream())
 
-    def _stream(self):
-        """J_x, J_y and J_psi in turn, written into the thread's phase grid; the
-        chain terms are reused while no kernel has run on the thread since."""
+    def stream(self):
+        """J_x, J_y and J_psi in turn, written into the thread's phase grid:
+        each matrix is valid only until the next, or until any other kernel
+        call on the thread.  The chain terms are reused while no kernel has
+        run on the thread since."""
         for i in range(3):
             stamp, terms = self._chain  # one read: another thread may replace it
             if stamp != getattr(_local, "stamp", None):
@@ -377,7 +353,7 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     matrices are built on first access (bit-identical to dh/dr * dr/dmu of
     ``_chain_terms``); ``gram`` comes from the distance grid alone.
     """
-    return _ExactDerivatives(pose, cfg)
+    return ChannelDerivatives(pose, cfg)
 
 
 def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
@@ -406,14 +382,15 @@ def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:
     return b
 
 
-def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
-    """Large-array limits: position derivatives are scaled copies of the
-    channel, the heading derivative is a column-scaled copy."""
+def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig):
+    """Large-array limits (j_x, j_y, j_psi), for validation only: position
+    derivatives are scaled copies of the channel, the heading derivative is a
+    column-scaled copy."""
     h = channel_matrix(pose, cfg)
     r = pose.r
     eta = -(1.0 / r + 2j * np.pi / cfg.wavelength)
     j_x = eta * (pose.x / r) * h
     j_y = eta * (pose.y / r) * h
     j_psi = eta * cfg.d_m * np.sin(pose.theta - pose.psi) * h * cfg.ms_index_row
-    return ChannelDerivatives(j_x, j_y, j_psi)
+    return j_x, j_y, j_psi
 

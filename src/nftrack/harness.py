@@ -38,7 +38,7 @@ from .geometry import (
     pilot_jacobian,
     pilot_response,
 )
-from .observation import Pilot, full_snapshot, generate_pilot
+from .observation import full_snapshot, generate_pilot
 from .rng import stream
 
 PILOT_POLICIES = ("per_trial", "per_step")
@@ -320,9 +320,10 @@ class _SchemeFilter:
             h_true_sq=h_true_sq,
         )
 
-    def step(self, k: int, pilot, y: np.ndarray, r_true: np.ndarray, a_true: np.ndarray) -> None:
-        """Predict, build the combiner, fold in Q y, and log step k against the
-        true distance grid r_true and its amplitudes a_true."""
+    def step(self, k: int, x: np.ndarray, y: np.ndarray, r_true: np.ndarray,
+             a_true: np.ndarray) -> None:
+        """Predict, build the combiner, fold in Q y of pilot x, and log step k
+        against the true distance grid r_true and its amplitudes a_true."""
         cfg, record, i = self.cfg, self.record, k - 1
         prior = ekf_predict(self.belief, cfg.noise)
 
@@ -331,7 +332,7 @@ class _SchemeFilter:
             self.belief = prior
         else:
             pose = prior.mean.pose
-            b_pred, b_jac = pilot_response(pose, cfg.array, pilot.symbols)
+            b_pred, b_jac = pilot_response(pose, cfg.array, x)
             try:
                 # A diverging filter overflows; the finiteness checks report it.
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +355,7 @@ def _pilots(cfg: ScenarioConfig, trial_index: int):
     """k -> step k's pilot in a trial: under per_step, drawn from step k's
     stream; under per_trial, the trial's one pilot, drawn once, on first use,
     from step 0's."""
-    def draw(step: int) -> Pilot:
+    def draw(step: int) -> np.ndarray:
         rng = stream(cfg.seed, trial_index, step, "pilot")
         return generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
 
@@ -382,7 +383,7 @@ def crb_policy(cfg: ScenarioConfig, token: str):
     def policy(pose, derivs):
         k = next(steps)
         return builder.build(
-            k, pose, lambda: pilot_jacobian(derivs._stream(), pilots(k).symbols, n_b), None
+            k, pose, lambda: pilot_jacobian(derivs.stream(), pilots(k), n_b), None
         )
 
     return policy
@@ -406,14 +407,14 @@ def run_trial(
     pilots = _pilots(cfg, trial_index)
     grids = None  # the trial's one truth set, made at step 1 and rewritten after
     for k in range(1, cfg.k_steps + 1):
-        pilot = pilots(k)
+        x = pilots(k)
         grids = r_true, a_true, h_true = channel_grid(Pose(*truth[k, :3]), array, out=grids)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(
-            h_true, pilot, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")
+            h_true, x, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")
         )
         for f in filters:
-            f.step(k, pilot, y, r_true, a_true)
+            f.step(k, x, y, r_true, a_true)
     return [f.record for f in filters]
 
 

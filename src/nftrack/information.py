@@ -41,7 +41,7 @@ from .geometry import ArrayConfig, ChannelDerivatives, Pose, channel_derivatives
 
 @dataclass(frozen=True)
 class AvgFisher:
-    """Pilot-averaged Fisher information per pose parameter."""
+    """Fisher information per pose parameter, averaged over the pilot."""
 
     f_x: float  # 1/m^2
     f_y: float  # 1/m^2
@@ -76,7 +76,7 @@ def expected_fim(
     if q.is_identity:
         f[:3, :3] = scale * derivs.gram
         return f
-    originals = [q.q @ j for j in derivs._stream()]  # Q J_mu
+    originals = [q.q @ j for j in derivs.stream()]  # Q J_mu
     projected = [q.solve_gram(w) for w in originals]  # (QQ^H)^-1 Q J_nu
     for i in range(3):
         for j_idx in range(i, 3):

@@ -87,7 +87,7 @@ def test_criterion_1_derivative_correctness():
         th = rng.uniform(-np.pi, np.pi)
         pose = Pose(r * np.cos(th), r * np.sin(th), rng.uniform(-np.pi, np.pi))
 
-        exact = channel_derivatives(pose, cfg)
+        exact = channel_derivatives(pose, cfg).matrices
         fd = [
             (
                 channel_matrix(Pose(pose.x + dx, pose.y, pose.psi), cfg)
@@ -121,10 +121,10 @@ def test_criterion_1_derivative_correctness():
             jac_fd[:, j] = (fp - fm) / 2e-6
         worst_ctrv = max(worst_ctrv, np.abs(jac - jac_fd).max() / np.abs(jac).max())
 
-        b_jac = pilot_response(pose, cfg, pilot.symbols)[1]
+        b_jac = pilot_response(pose, cfg, pilot)[1]
 
         def bfun(x, y, psi):
-            return channel_matrix(Pose(x, y, psi), cfg) @ pilot.symbols
+            return channel_matrix(Pose(x, y, psi), cfg) @ pilot
 
         cols = [
             (bfun(pose.x + dx, pose.y, pose.psi) - bfun(pose.x - dx, pose.y, pose.psi)) / (2 * dx),
@@ -153,7 +153,7 @@ def test_criterion_2_score_covariance_matches_fim():
     cfg = DESK.array
     pilot = generate_pilot(np.random.default_rng(7), P_M, cfg.n_m)
     pose = PAPER_POSE
-    b = pilot_response(pose, cfg, pilot.symbols)[1]
+    b = pilot_response(pose, cfg, pilot)[1]
     worst = 0.0
     rand = combiner_random(np.random.default_rng(8), 3, cfg.n_b)
     # fd holds no matrix; its score map runs through its Q = I held as one.
@@ -190,7 +190,7 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
     combiners = {
         "fd": combiner_fd(cfg),
         "rand": combiner_random(np.random.default_rng(11), 3, cfg.n_b),
-        "svd_pe": combiner_svd_pe(pilot_response(PAPER_POSE, cfg, fixed_pilot.symbols)[1], 3),
+        "svd_pe": combiner_svd_pe(pilot_response(PAPER_POSE, cfg, fixed_pilot)[1], 3),
         "qom": combiner_qom(PAPER_POSE, cfg, 3),
     }
     rng = np.random.default_rng(12)
@@ -203,7 +203,7 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
         af = avg_fisher(derivs, comb, P_M, SIGMA2, cfg.n_m)
         q = np.eye(cfg.n_b, dtype=complex) if comb.is_identity else comb.q  # fd holds no matrix
         p_q = np.linalg.pinv(q) @ q  # projection onto the row space of Q
-        for j_mu, target in ((derivs.j_x, af.f_x), (derivs.j_y, af.f_y), (derivs.j_psi, af.f_psi)):
+        for j_mu, target in zip(derivs.matrices, (af.f_x, af.f_y, af.f_psi)):
             m = j_mu.conj().T @ p_q @ j_mu
             vals = np.real(np.einsum("ij,jk,ik->i", pilots.conj(), m, pilots))
             rel = abs((2 / SIGMA2) * vals.mean() - target) / target
@@ -230,7 +230,7 @@ def test_criterion_4_asymptotic_error_decay():
         s = 1.3 * cfg.fresnel_distance / np.sqrt(2)
         pose = Pose(s, -s, 3 * np.pi / 8)
         assert abs(np.sin(pose.theta - pose.psi)) > 0.3
-        exact = channel_derivatives(pose, cfg)
+        exact = channel_derivatives(pose, cfg).matrices
         tilde = channel_derivatives_asymptotic(pose, cfg)
         for name, e, t in zip(("x", "y", "psi"), exact, tilde):
             errs[name].append(np.linalg.norm(e - t) ** 2 / np.linalg.norm(t) ** 2)

@@ -45,7 +45,7 @@ PRIOR_INFO = psd_inverse(PRIOR.cov)
 def _jacobian(n_b: int, n_m: int = 9, pose: Pose = Pose(15, -15, 3 * np.pi / 8)):
     cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
     pilot = generate_pilot(np.random.default_rng(0), 0.01, cfg.n_m)
-    return pilot_response(pose, cfg, pilot.symbols)[1]
+    return pilot_response(pose, cfg, pilot)[1]
 
 
 # ----------------------------------------------------------- rank screen
@@ -247,6 +247,8 @@ def test_svd_pe_tie_order_matches_full_sort(svals, n_rf, seed):
     assert len(set(rounded)) == len(set(svals))  # the ties survive the SVD
     got = combiner_svd_pe(b, n_rf).q
     assert got.tobytes() == _reference_svd_pe(b, n_rf).tobytes()
+    # Row-major with ties or without: q @ y rounds differently column-major.
+    assert got.flags.c_contiguous
 
 
 # ------------------------------------------------------- qom mode count

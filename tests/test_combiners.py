@@ -39,7 +39,7 @@ PAPER_POSE = Pose(15, -15, 3 * np.pi / 8)
 def desk_b_jac(seed=0, n_b=101, n_m=25):
     cfg = ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
     pilot = generate_pilot(np.random.default_rng(seed), 0.01, cfg.n_m)
-    b = pilot_response(PAPER_POSE, cfg, pilot.symbols)[1]
+    b = pilot_response(PAPER_POSE, cfg, pilot)[1]
     return cfg, pilot, b
 
 
@@ -55,7 +55,7 @@ def test_fd_projection_and_fim():
     dense = Combiner(eye, unit_modulus=False)
     np.testing.assert_allclose(eye.conj().T @ dense.solve_gram(eye), np.eye(cfg.n_b), atol=1e-12)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
-    b = pilot_response(Pose(9, -3, 0.2), cfg, pilot.symbols)[1]
+    b = pilot_response(Pose(9, -3, 0.2), cfg, pilot)[1]
     f = fim(b, fd, 1e-10)
     np.testing.assert_allclose(f, 2e10 * np.real(b.conj().T @ b), rtol=1e-10)
     np.testing.assert_allclose(f, fim(b, dense, 1e-10), rtol=1e-10)

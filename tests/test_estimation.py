@@ -27,7 +27,7 @@ from nftrack.estimation import (
     score,
 )
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix, pilot_response
-from nftrack.observation import Pilot, full_snapshot, generate_pilot
+from nftrack.observation import full_snapshot, generate_pilot
 
 F28 = 28e9
 
@@ -37,8 +37,8 @@ def cfg_small():
 
 
 def make_b_and_pred(cfg, pose, pilot):
-    b = pilot_response(pose, cfg, pilot.symbols)[1]
-    pred = channel_matrix(pose, cfg) @ pilot.symbols
+    b = pilot_response(pose, cfg, pilot)[1]
+    pred = channel_matrix(pose, cfg) @ pilot
     return b, pred
 
 
@@ -423,7 +423,7 @@ def test_predict_matches_hand_composition():
 
 def test_update_with_zero_pilot_keeps_prior():
     cfg = cfg_small()
-    pilot = Pilot(symbols=np.zeros(cfg.n_m, dtype=complex), power=1.0)
+    pilot = np.zeros(cfg.n_m, dtype=complex)
     prior = Belief(MsState(10, -5, 0.4, 8, 0.05), np.diag([0.01, 0.01, 1e-4, 1.0, 1e-4]))
     q = combiner_fd(cfg)
     h = channel_matrix(prior.mean.pose, cfg)

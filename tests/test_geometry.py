@@ -130,7 +130,7 @@ def test_pilot_response_is_bit_identical(n_b, n_m):
         np.testing.assert_array_equal(r, grid)
         np.testing.assert_array_equal(a, cfg.wavelength / (4 * np.pi * r))
         np.testing.assert_array_equal(h, h_ref)
-        for got, want in zip(channel_derivatives(pose, cfg), derivs_ref):
+        for got, want in zip(channel_derivatives(pose, cfg).matrices, derivs_ref):
             np.testing.assert_array_equal(got, want)
 
         hx, b = pilot_response(pose, cfg, x)
@@ -231,7 +231,7 @@ def test_channel_derivatives_match_finite_differences():
         r = rng.uniform(d_fn, 100.0)
         th = rng.uniform(-np.pi, np.pi)
         pose = Pose(r * np.cos(th), r * np.sin(th), rng.uniform(-np.pi, np.pi))
-        exact = channel_derivatives(pose, cfg)
+        exact = channel_derivatives(pose, cfg).matrices
         approx = _fd_derivs(pose, cfg)
         for a, b in zip(exact, approx):
             scale = np.abs(a).max()
@@ -240,36 +240,36 @@ def test_channel_derivatives_match_finite_differences():
 
 def test_heading_derivative_zero_for_single_ms_antenna():
     cfg = ArrayConfig(n_b=11, n_m=1, carrier_freq=F28)
-    derivs = channel_derivatives(Pose(7, 3, 1.1), cfg)
-    np.testing.assert_allclose(derivs.j_psi, 0.0, atol=1e-30)
+    j_psi = channel_derivatives(Pose(7, 3, 1.1), cfg).matrices[2]
+    np.testing.assert_allclose(j_psi, 0.0, atol=1e-30)
 
 
 def test_x_axis_mirror_symmetry():
     # y = 0, psi = 0: flipping the BS antenna index mirrors the geometry
     cfg = small_cfg()
-    derivs = channel_derivatives(Pose(20, 0, 0), cfg)
-    np.testing.assert_allclose(derivs.j_x, derivs.j_x[::-1, :], rtol=1e-12)
+    j_x = channel_derivatives(Pose(20, 0, 0), cfg).matrices[0]
+    np.testing.assert_allclose(j_x, j_x[::-1, :], rtol=1e-12)
 
 
 def test_asymptotic_position_isotropy():
     cfg = small_cfg()
     pose = Pose(9, -13, 0.4)
-    tilde = channel_derivatives_asymptotic(pose, cfg)
-    np.testing.assert_allclose(tilde.j_x / pose.x, tilde.j_y / pose.y, rtol=1e-12)
+    j_x, j_y, _ = channel_derivatives_asymptotic(pose, cfg)
+    np.testing.assert_allclose(j_x / pose.x, j_y / pose.y, rtol=1e-12)
 
 
 def test_asymptotic_heading_zero_at_aligned_pose():
     cfg = small_cfg()
     pose = Pose(10, 10, np.pi / 4)  # theta == psi
-    tilde = channel_derivatives_asymptotic(pose, cfg)
-    np.testing.assert_allclose(tilde.j_psi, 0.0, atol=1e-25)
+    j_psi = channel_derivatives_asymptotic(pose, cfg)[2]
+    np.testing.assert_allclose(j_psi, 0.0, atol=1e-25)
 
 
 def test_asymptotic_heading_norm_closed_form():
     # ||J~_psi||_F^2 via the index-sum identity sum n^2 = Nbar(Nbar+1)(2Nbar+1)/3
     cfg = small_cfg(n_b=41, n_m=11)
     pose = Pose(12, -9, 0.8)
-    tilde = channel_derivatives_asymptotic(pose, cfg)
+    j_psi = channel_derivatives_asymptotic(pose, cfg)[2]
     eta = -(1.0 / pose.r + 2j * np.pi / cfg.wavelength)
     nbar = (cfg.n_m - 1) // 2
     idx_sq_sum = nbar * (nbar + 1) * (2 * nbar + 1) / 3
@@ -282,7 +282,7 @@ def test_asymptotic_heading_norm_closed_form():
         * cfg.n_b
         * idx_sq_sum
     )
-    assert np.linalg.norm(tilde.j_psi) ** 2 == pytest.approx(closed, rel=0.01)
+    assert np.linalg.norm(j_psi) ** 2 == pytest.approx(closed, rel=0.01)
 
 
 def test_asymptotic_error_decay_with_array_size():
@@ -294,7 +294,7 @@ def test_asymptotic_error_decay_with_array_size():
         cfg = ArrayConfig(n_b=n_b, n_m=cfg_nm, carrier_freq=F28)
         s = 1.3 * cfg.fresnel_distance / np.sqrt(2)
         pose = Pose(s, -s, 3 * np.pi / 8)
-        exact = channel_derivatives(pose, cfg)
+        exact = channel_derivatives(pose, cfg).matrices
         tilde = channel_derivatives_asymptotic(pose, cfg)
         for name, e, t in zip(("x", "y", "psi"), exact, tilde):
             errs[name].append(np.linalg.norm(e - t) ** 2 / np.linalg.norm(t) ** 2)
@@ -308,6 +308,20 @@ def test_fresnel_distance_paper_array():
     expected = 0.62 * np.sqrt(cfg.aperture_b**3 / cfg.wavelength)
     assert cfg.fresnel_distance == pytest.approx(expected, rel=1e-12)
     assert cfg.fresnel_distance == pytest.approx(10.64, abs=0.05)
+
+
+@pytest.mark.parametrize("n_b,n_m", [(101.9, 25), (101, 25.5), (101.0, 25), (True, 3),
+                                     (5, np.bool_(True)), ("5", 3)])
+def test_array_rejects_non_integer_counts(n_b, n_m):
+    # int() alone would truncate 101.9 to 101 and read True as 1.
+    with pytest.raises(TypeError, match="antenna counts must be integers"):
+        ArrayConfig(n_b=n_b, n_m=n_m, carrier_freq=F28)
+
+
+def test_array_accepts_numpy_integer_counts():
+    cfg = ArrayConfig(n_b=np.int64(101), n_m=np.int32(25), carrier_freq=F28)
+    assert (cfg.n_b, cfg.n_m) == (101, 25)
+    assert type(cfg.n_b) is int and type(cfg.n_m) is int
 
 
 def test_pose_validation():

@@ -509,6 +509,8 @@ BAD_DESK = {
     "steps_str": {"k_steps": "50"},
     "n_m_str": {"array": {"n_m": "25"}},
     "n_rf_true": {"combiner": {"n_rf": True}},
+    "n_b_101_9": {"array": {"n_b": 101.9}},
+    "n_m_true": {"array": {"n_m": True}},
     "pm_str": {"p_m_dbm": "10"},
     "cov_diag_bool": {"initial_cov_diag": [True, 0.0025, 1e-6, 1.0, 1e-4]},
 }
@@ -641,6 +643,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["crb", "--config", "{n_rf_true}", "--steps", "1"],
         ["fisher", "--config", "{pm_str}", "--sweep", "nb:33:66:2"],
         ["crb", "--config", "{cov_diag_bool}", "--steps", "1"],
+        ["fisher", "--config", "{n_b_101_9}", "--sweep", "nm:1:25:2"],
+        ["track", "--config", "{n_m_true}", "--steps", "1", "--trials", "1"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "nb-1e300", "nb-1e18",
          "grid-missing",
@@ -657,7 +661,7 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
          "track-mo-init", "crb-mo-init", "fisher-mo-init", "track-kind-mo", "crb-kind-mo",
          "track-kind", "crb-kind", "fisher-kind", "track-trials-2.5", "track-seed-11.9",
          "crb-steps-str", "fisher-n-m-str", "crb-n-rf-true", "fisher-pm-str",
-         "crb-cov-diag-bool"],
+         "crb-cov-diag-bool", "fisher-n-b-101.9", "track-n-m-true"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -759,7 +763,7 @@ def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatc
     def reference_policy(cfg, token):
         pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, cfg.array.n_m)
         return lambda pose, derivs: combiner_svd_pe(
-            pilot_response(pose, cfg.array, pilot.symbols)[1], cfg.combiner.n_rf
+            pilot_response(pose, cfg.array, pilot)[1], cfg.combiner.n_rf
         )
 
     monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
@@ -780,7 +784,7 @@ def test_cli_crb_per_step_uses_step_k_pilots(tmp_path, monkeypatch):
         def policy(pose, derivs):
             rng = stream(cfg.seed, 0, next(steps), "pilot")
             pilot = generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
-            b_jac = pilot_response(pose, cfg.array, pilot.symbols)[1]
+            b_jac = pilot_response(pose, cfg.array, pilot)[1]
             return combiner_svd_pe(b_jac, cfg.combiner.n_rf)
 
         return policy
@@ -820,6 +824,15 @@ def test_cli_fisher_array_sweep_keeps_configured_spacings(tmp_path):
         rows[sweep[0][:2]] = out.read_text().splitlines()[1].split(",")[2:]
     assert rows["nb"] == rows["po"]
     assert rows["nm"] == rows["po"]
+
+
+def test_cli_fisher_sweep_floors_fractional_bounds_to_integer_counts(tmp_path):
+    # The sweep floors its points, so integer-only antenna counts accept them.
+    out = tmp_path / "nb.csv"
+    argv = ["fisher", "--config", str(DESK), "--out", str(out), "--sweep", "nb:16.5:33.9:2"]
+    assert cli_main(argv) == 0
+    assert [row.split(",")[:2] for row in out.read_text().splitlines()[1:]] == [
+        ["nb", "16"], ["nb", "33"]]
 
 
 def test_cli_crb_qom_falls_back_as_track_does(tmp_path):

@@ -39,9 +39,10 @@ def test_avg_fisher_fd_equals_norms():
     derivs = channel_derivatives(POSE, cfg)
     af = avg_fisher(derivs, combiner_fd(cfg), P_M, SIGMA2, cfg.n_m)
     scale = 2 * P_M / (SIGMA2 * cfg.n_m)
-    assert af.f_x == pytest.approx(scale * np.linalg.norm(derivs.j_x) ** 2, rel=1e-10)
-    assert af.f_y == pytest.approx(scale * np.linalg.norm(derivs.j_y) ** 2, rel=1e-10)
-    assert af.f_psi == pytest.approx(scale * np.linalg.norm(derivs.j_psi) ** 2, rel=1e-10)
+    j_x, j_y, j_psi = derivs.matrices
+    assert af.f_x == pytest.approx(scale * np.linalg.norm(j_x) ** 2, rel=1e-10)
+    assert af.f_y == pytest.approx(scale * np.linalg.norm(j_y) ** 2, rel=1e-10)
+    assert af.f_psi == pytest.approx(scale * np.linalg.norm(j_psi) ** 2, rel=1e-10)
 
 
 def test_avg_fisher_projection_inequality():
@@ -71,7 +72,7 @@ def test_avg_fisher_matches_pilot_monte_carlo():
     pilots = np.sqrt(P_M / (2 * cfg.n_m)) * (
         rng.standard_normal((n_draws, cfg.n_m)) + 1j * rng.standard_normal((n_draws, cfg.n_m))
     )
-    for j_mu, target in ((derivs.j_x, af.f_x), (derivs.j_y, af.f_y), (derivs.j_psi, af.f_psi)):
+    for j_mu, target in zip(derivs.matrices, (af.f_x, af.f_y, af.f_psi)):
         m = j_mu.conj().T @ p_q @ j_mu  # J^H P_Q J over MS antennas
         vals = np.real(np.einsum("ij,jk,ik->i", pilots.conj(), m, pilots))
         assert (2 / SIGMA2) * vals.mean() == pytest.approx(target, rel=0.03)
@@ -83,8 +84,9 @@ def test_expected_fim_structure():
     q = combiner_random(np.random.default_rng(3), 3, cfg.n_b)
     f = expected_fim(derivs, q, P_M, SIGMA2, cfg.n_m)
     p_q = projection_oracle(q)
+    js = derivs.matrices
     ref = (2 * P_M / (SIGMA2 * cfg.n_m)) * np.array(
-        [[np.real(np.trace(j_mu.conj().T @ p_q @ j_nu)) for j_nu in derivs] for j_mu in derivs]
+        [[np.real(np.trace(j_mu.conj().T @ p_q @ j_nu)) for j_nu in js] for j_mu in js]
     )
     np.testing.assert_allclose(np.diag(f)[:3], np.diag(ref), rtol=1e-10)
     np.testing.assert_allclose(f[:3, :3], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
@@ -249,7 +251,7 @@ def test_bayesian_step_policies_run():
         "fd": lambda pose, derivs: combiner_fd(cfg),
         "rand": lambda pose, derivs: rand,
         "svd_pe": lambda pose, derivs: combiner_svd_pe(
-            pilot_response(pose, cfg, pilot.symbols)[1], 3),
+            pilot_response(pose, cfg, pilot)[1], 3),
         "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
     }
     traces = {}

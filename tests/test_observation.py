@@ -6,7 +6,7 @@ import pytest
 from nftrack.combiners import combiner_fd
 from nftrack.estimation import Combiner
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix, pilot_response
-from nftrack.observation import Pilot, full_snapshot, generate_pilot
+from nftrack.observation import full_snapshot, generate_pilot
 
 F28 = 28e9
 
@@ -18,7 +18,7 @@ def cfg_small():
 def test_pilot_energy_in_expectation():
     rng = np.random.default_rng(0)
     p_m, n_m = 0.01, 25
-    norms = [np.linalg.norm(generate_pilot(rng, p_m, n_m).symbols) ** 2 for _ in range(10_000)]
+    norms = [np.linalg.norm(generate_pilot(rng, p_m, n_m)) ** 2 for _ in range(10_000)]
     assert np.mean(norms) == pytest.approx(p_m, rel=0.02)
 
 
@@ -28,9 +28,15 @@ def test_pilot_rejects_nonpositive_power():
         generate_pilot(rng, 0.0, 8)
 
 
+@pytest.mark.parametrize("power", [-0.01, np.nan, np.inf, -np.inf])
+def test_pilot_rejects_negative_and_non_finite_power(power):
+    with pytest.raises(ValueError, match="positive and finite"):
+        generate_pilot(np.random.default_rng(0), power, 3)
+
+
 def test_pilot_seed_reproducibility():
-    a = generate_pilot(np.random.default_rng(123), 0.01, 16).symbols
-    b = generate_pilot(np.random.default_rng(123), 0.01, 16).symbols
+    a = generate_pilot(np.random.default_rng(123), 0.01, 16)
+    b = generate_pilot(np.random.default_rng(123), 0.01, 16)
     np.testing.assert_array_equal(a, b)
 
 
@@ -40,7 +46,7 @@ def test_noiseless_full_observation():
     h = channel_matrix(pose, cfg)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
     z = combiner_fd(cfg).apply(full_snapshot(h, pilot, 0.0, np.random.default_rng(2)))
-    np.testing.assert_allclose(z, h @ pilot.symbols, rtol=1e-14)
+    np.testing.assert_allclose(z, h @ pilot, rtol=1e-14)
 
 
 def test_noise_quadratic_form():
@@ -52,7 +58,7 @@ def test_noise_quadratic_form():
     rng = np.random.default_rng(4)
     q = Combiner(rng.standard_normal((3, cfg.n_b)) + 0j, unit_modulus=False)
     sigma2 = 1e-10
-    signal = q.apply(h @ pilot.symbols)
+    signal = q.apply(h @ pilot)
     rng_noise = np.random.default_rng(5)
     sq = [
         np.linalg.norm(q.apply(full_snapshot(h, pilot, sigma2, rng_noise)) - signal) ** 2
@@ -66,7 +72,7 @@ def test_all_ones_row_noise_variance():
     # H = 0, unit noise power: the single-row sum has variance n_b
     cfg = cfg_small()
     h = np.zeros((cfg.n_b, cfg.n_m), dtype=complex)
-    pilot = Pilot(symbols=np.zeros(cfg.n_m, dtype=complex), power=1.0)
+    pilot = np.zeros(cfg.n_m, dtype=complex)
     q = Combiner(np.ones((1, cfg.n_b), dtype=complex), unit_modulus=True)
     rng = np.random.default_rng(6)
     vals = np.array([q.apply(full_snapshot(h, pilot, 1.0, rng))[0] for _ in range(20_000)])
@@ -79,7 +85,7 @@ def test_observation_linearity_in_pilot():
     h = channel_matrix(pose, cfg)
     pilot = generate_pilot(np.random.default_rng(7), 0.01, cfg.n_m)
     alpha = 2.0 - 1.5j
-    scaled = Pilot(symbols=alpha * pilot.symbols, power=pilot.power)
+    scaled = alpha * pilot
     q = combiner_fd(cfg)
     z1 = q.apply(full_snapshot(h, pilot, 0.0, np.random.default_rng(0)))
     z2 = q.apply(full_snapshot(h, scaled, 0.0, np.random.default_rng(0)))
@@ -109,10 +115,28 @@ def test_full_snapshot_pilot_length_mismatch():
         full_snapshot(h, pilot, 0.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("noise_power", [-1.0, -1e-30, np.nan, np.inf])
+def test_full_snapshot_rejects_negative_and_non_finite_noise_power(noise_power):
+    cfg = cfg_small()
+    h = channel_matrix(Pose(10, 2, 0), cfg)
+    pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        full_snapshot(h, pilot, noise_power, np.random.default_rng(0))
+
+
+def test_full_snapshot_zero_noise_power_is_noiseless_and_draws_nothing():
+    cfg = cfg_small()
+    h = channel_matrix(Pose(10, 2, 0), cfg)
+    pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(full_snapshot(h, pilot, 0.0, rng), h @ pilot)
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
 def test_jacobian_velocity_columns_zero():
     cfg = cfg_small()
     pilot = generate_pilot(np.random.default_rng(2), 0.01, cfg.n_m)
-    b = pilot_response(Pose(11, -3, 0.6), cfg, pilot.symbols)[1]
+    b = pilot_response(Pose(11, -3, 0.6), cfg, pilot)[1]
     assert b.shape == (cfg.n_b, 5)
     np.testing.assert_array_equal(b[:, 3:], 0.0)
     assert np.linalg.matrix_rank(b) <= 3
@@ -120,8 +144,8 @@ def test_jacobian_velocity_columns_zero():
 
 def test_jacobian_zero_pilot():
     cfg = cfg_small()
-    pilot = Pilot(symbols=np.zeros(cfg.n_m, dtype=complex), power=1.0)
-    b = pilot_response(Pose(11, -3, 0.6), cfg, pilot.symbols)[1]
+    pilot = np.zeros(cfg.n_m, dtype=complex)
+    b = pilot_response(Pose(11, -3, 0.6), cfg, pilot)[1]
     np.testing.assert_array_equal(b, 0.0)
 
 
@@ -129,10 +153,10 @@ def test_jacobian_matches_finite_differences():
     cfg = cfg_small()
     pilot = generate_pilot(np.random.default_rng(3), 0.01, cfg.n_m)
     pose = Pose(13, -6, 0.8)
-    b = pilot_response(pose, cfg, pilot.symbols)[1]
+    b = pilot_response(pose, cfg, pilot)[1]
 
     def bfun(x, y, psi):
-        return channel_matrix(Pose(x, y, psi), cfg) @ pilot.symbols
+        return channel_matrix(Pose(x, y, psi), cfg) @ pilot
 
     dx, dpsi = 1e-6, 1e-5
     fd_cols = [

@@ -16,7 +16,7 @@ from nftrack import geometry
 from nftrack.cli import main as cli_main
 from nftrack.combiners import CRB_POLICIES, combiner_fd, parse_scheme
 from nftrack.estimation import Belief
-from nftrack.geometry import (ArrayConfig, Pose, _distance_terms, _ExactDerivatives,
+from nftrack.geometry import (ArrayConfig, ChannelDerivatives, Pose, _distance_terms,
                               channel_derivatives, channel_error_sq, channel_grid, pilot_response)
 from nftrack.harness import crb_policy, load_config, run_trial
 from nftrack.information import bayesian_fim_step
@@ -112,11 +112,11 @@ def test_streamed_derivatives_match_matrices_bit_for_bit(n_b, n_m, seed):
     assert want == _bytes(_ref_kernels(pose, cfg, x, r_ref, a_ref)[8:11])
     other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
     derivs = channel_derivatives(pose, cfg)
-    first = _bytes(derivs._stream())
-    second = _bytes(derivs._stream())  # reuses the chain terms in scratch
+    first = _bytes(derivs.stream())
+    second = _bytes(derivs.stream())  # reuses the chain terms in scratch
     pilot_response(other, cfg, x)  # a kernel at another pose overwrites them
     interrupted = []
-    for j in derivs._stream():
+    for j in derivs.stream():
         interrupted.append(j.tobytes())
         pilot_response(other, cfg, x)  # and again between two yields
     assert first == second == interrupted == want
@@ -132,20 +132,18 @@ def test_svd_pe_crb_step_builds_its_chain_terms_once(monkeypatch):
     assert len(_crb(cfg, "svd_pe", 5)) == len(calls) == 5
 
 
-def test_unpacked_derivatives_are_distinct_and_survive_crb_steps():
+def test_derivative_matrices_are_distinct_and_survive_crb_steps():
     cfg = load_config(FULL)
     pose = cfg.initial_state.pose
     derivs = channel_derivatives(pose, cfg.array)
-    j_x, j_y, j_psi = derivs
-    arrays = [j_x, j_y, j_psi]
-    assert [a is b for a, b in zip(arrays, derivs.matrices)] == [True] * 3
-    assert [a is b for a, b in zip(arrays, (derivs.j_x, derivs.j_y, derivs.j_psi))] == [True] * 3
+    arrays = derivs.matrices
+    assert derivs.matrices is arrays  # built once
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
     kept = _bytes(arrays)
     for token in ("svd_pe", "qom"):
         _crb(cfg, token, 3)
     assert _bytes(arrays) == kept
-    assert _bytes(channel_derivatives(pose, cfg.array)) == kept
+    assert _bytes(channel_derivatives(pose, cfg.array).matrices) == kept
 
 
 def _crb(cfg, token, steps, wait=lambda: None):
@@ -190,7 +188,7 @@ def test_no_library_path_materialises_derivative_matrices(monkeypatch, tmp_path)
     def refuse(self):
         raise AssertionError("the derivative matrices were materialised")
 
-    monkeypatch.setattr(_ExactDerivatives, "matrices", property(refuse))
+    monkeypatch.setattr(ChannelDerivatives, "matrices", property(refuse))
     common = ["--config", str(DESK), "--out", str(tmp_path / "o.csv")]
     runs = [["crb", *common, "--steps", "3", "--policy", p] for p in CRB_POLICIES]
     runs += [["fisher", *common, "--sweep", s] for s in ("nb:16:101:3", "nm:1:25:3")]
