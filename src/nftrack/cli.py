@@ -92,7 +92,7 @@ def _cmd_track(cfg: ScenarioConfig, args) -> int:
         for tok in args.schemes.split(",")
         if tok.strip()
     ]
-    result = run_campaign(cfg, schemes, threads=max(1, args.threads))
+    result = run_campaign(cfg, schemes, threads=args.threads)
     result.to_csv(args.out)
     for label, m in result.schemes.items():
         if m.n_diverged:

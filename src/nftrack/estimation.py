@@ -91,6 +91,14 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     _check_finite(c)
     _check_finite(b)
+    return _potrs(c, b)
+
+
+def _potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from a factor c that _cho_factor made, without _cho_solve's
+    finiteness checks of c and b: potrf's factor of a finite matrix is
+    finite whenever it succeeds, since an entry that overflows makes a later
+    pivot -inf or NaN.  Callers check a b that comes from outside."""
     x, info = _POTRS[np.result_type(c, b)](c, b, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -188,8 +196,10 @@ class Combiner:
         return self.q @ y
 
     def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """(Q Q^H)^-1 rhs."""
-        return _cho_solve(self._gram(), rhs)
+        """(Q Q^H)^-1 rhs; ValueError for a non-finite rhs."""
+        rhs = np.asarray(rhs)
+        _check_finite(rhs)
+        return _potrs(self._gram(), rhs)
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def psd_inverse(m: np.ndarray) -> np.ndarray:
     eye = _identity(ms.shape[0])
     for attempt in range(2):
         try:
-            return _symmetrize(_cho_solve(_cho_factor(ms), eye))
+            return _symmetrize(_potrs(_cho_factor(ms), eye))
         except (np.linalg.LinAlgError, ValueError):
             # ValueError covers NaN/inf contamination after divergence.
             if attempt == 1 or not np.isfinite(ms).all():

@@ -13,10 +13,12 @@ half-angle identity, ||H(p) - H_t||_F^2 = sum (a - a_t)^2
 + 4 a a_t sin^2(pi (r - r_t) / lambda) (``geometry.channel_error_sq``).
 """
 
+import contextvars
 import csv
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass, field, fields
 from functools import cache
 from operator import attrgetter
@@ -390,7 +392,7 @@ def crb_policy(cfg: ScenarioConfig, token: str):
 
 
 def run_trial(
-    cfg: ScenarioConfig, trial_index: int, schemes: Sequence[CombinerSpec]
+    cfg: ScenarioConfig, trial_index: int, schemes: Sequence[CombinerSpec], helper=None
 ) -> List[TrialRecord]:
     """Simulate one truth and run every scheme's EKF over it, one record each.
 
@@ -398,6 +400,13 @@ def run_trial(
     full-array noisy snapshot are computed once and shared, the grids in one
     set per trial; each scheme only compresses the snapshot with its own
     combiner, and scores its posterior pose against the true grid.
+
+    helper, an executor with one worker thread, steps the first, third, ...
+    scheme while this thread steps the others: the larger half when the
+    count is odd, since this thread also computes the shared inputs.  It
+    runs them in a copy of this thread's context (numpy's error state
+    included), and each step waits for it before the next rewrites the
+    shared grids.  The records are the same bytes with it and without.
     """
     array = cfg.array
     truth = simulate_truth(cfg, trial_index)
@@ -413,9 +422,19 @@ def run_trial(
         y = full_snapshot(
             h_true, x, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")
         )
-        for f in filters:
-            f.step(k, x, y, r_true, a_true)
+        args = k, x, y, r_true, a_true
+        if helper is None:
+            _step_each(filters, args)
+        else:
+            done = helper.submit(contextvars.copy_context().run, _step_each, filters[::2], args)
+            _step_each(filters[1::2], args)
+            done.result()
     return [f.record for f in filters]
+
+
+def _step_each(filters: Sequence[_SchemeFilter], args) -> None:
+    for f in filters:
+        f.step(*args)
 
 
 def _wrap_angle(e: np.ndarray) -> np.ndarray:
@@ -457,6 +476,25 @@ def _metrics_for_records(records) -> SchemeMetrics:
     )
 
 
+# The smallest channel grid (n_b * n_m entries) on which run_campaign steps a
+# trial's schemes on two threads.  One handoff per step and the interpreter
+# lock, held through each step's small-matrix work, cost about what the
+# split saves on a small grid; the channel kernels, which release the lock,
+# grow with it.  Split against serial, fd/rand/svd_pe/qom campaigns of one
+# 30-step trial, median steps/s ratio over paired processes (2-vCPU Xeon VM,
+# one OpenBLAS thread): 0.87 at 101 x 25, 0.85 at 135 x 35, 0.98 at 165 x 45,
+# 0.96-1.04 at 201 x 51, 1.17 at 211 x 57, 1.13 at 221 x 59, 1.23 at 231 x 61
+# and 1.30 at 275 x 75.
+_SPLIT_MIN_ENTRIES = 12000
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_campaign(
     cfg: ScenarioConfig,
     schemes: Sequence[CombinerSpec],
@@ -464,18 +502,24 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every scheme over shared realizations and aggregate metrics.
 
-    With threads > 1 the trials run in one pool of spawned processes; results
-    are assembled in trial order, so the output does not depend on threads.
+    With threads > 1 the trials run in one pool of spawned processes, each
+    trial on one thread; results are assembled in trial order.  Serially, a
+    trial of two or more schemes on a channel grid of at least
+    _SPLIT_MIN_ENTRIES entries steps them on two threads when two CPUs are
+    usable: this thread and one helper, which ends with the campaign.  The
+    output does not depend on either split.
     """
     if not schemes:
         raise ConfigError("at least one combiner scheme is required")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     tokens = [spec.kind for spec in schemes]
     repeated = sorted({t for t in tokens if tokens.count(t) > 1})
     if repeated:
         raise ConfigError(f"scheme given more than once: {', '.join(repeated)}")
     trials = range(cfg.n_trials)
+    # Imported where used: they cost ~25 ms of start-up that most runs never need.
     if threads > 1:
-        # Imported here: they cost ~25 ms of start-up that a serial run never needs.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -483,6 +527,12 @@ def run_campaign(
         with ProcessPoolExecutor(max_workers=min(threads, cfg.n_trials), mp_context=ctx) as pool:
             futures = [pool.submit(run_trial, cfg, t, schemes) for t in trials]
             per_trial = [fut.result() for fut in futures]
+    elif (len(schemes) >= 2 and _usable_cpus() >= 2
+          and cfg.array.n_b * cfg.array.n_m >= _SPLIT_MIN_ENTRIES):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="nftrack-schemes") as helper:
+            per_trial = [run_trial(cfg, t, schemes, helper) for t in trials]
     else:
         per_trial = [run_trial(cfg, t, schemes) for t in trials]
     results: Dict[str, SchemeMetrics] = {}

@@ -310,6 +310,10 @@ def test_cholesky_helpers_reject_non_finite(bad):
         _cho_solve(c, rhs_bad)
     with pytest.raises(ValueError):
         _cho_solve(c_bad, np.ones(5))
+    # The Gram solve trusts its own factor, never a right-hand side.
+    q = np.exp(2j * np.pi * np.random.default_rng(5).random((5, 16)))
+    with pytest.raises(ValueError):
+        Combiner(q, unit_modulus=True).solve_gram(rhs_bad)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import pytest
 
 import nftrack
 from nftrack.cli import main as cli_main
-from nftrack.combiners import CRB_POLICIES, SCHEMES, CombinerSpec, combiner_svd_pe
+from nftrack.combiners import (CRB_POLICIES, SCHEMES, CombinerSpec, PredictionBuilder,
+                               combiner_svd_pe)
 from nftrack.dynamics import MsState, ProcessNoiseSpec
 from nftrack.errors import ConfigError
 from nftrack.estimation import Belief, ekf_predict
@@ -247,6 +250,113 @@ def test_campaign_threads_equivalence():
     for label in seq.schemes:
         np.testing.assert_array_equal(seq.schemes[label].rmse_x, par.schemes[label].rmse_x)
         np.testing.assert_array_equal(seq.schemes[label].nmse_h, par.schemes[label].nmse_h)
+
+
+FULL = Path(__file__).resolve().parent.parent / "configs" / "paper_full.json"
+HELPER_PREFIX = "nftrack-schemes"  # the name of run_campaign's scheme helper thread
+
+
+def full_scale(k_steps, n_trials=1):
+    return replace(load_config(FULL), k_steps=k_steps, n_trials=n_trials)
+
+
+def specs_of(cfg, *tokens):
+    return [parse_scheme(tok, cfg.combiner.n_rf, cfg.array.n_b) for tok in tokens]
+
+
+def two_cpus(monkeypatch):
+    """Let run_campaign see two usable CPUs, on whatever machine runs the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def thread_starts(monkeypatch):
+    """The names of the threads started from now on, in order."""
+    names = []
+    real = threading.Thread.start
+
+    def start(self):
+        names.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+def test_campaign_rejects_threads_below_one(monkeypatch):
+    cfg = tiny_config(n_trials=1, k_steps=2)
+    ran = []
+    monkeypatch.setattr("nftrack.harness.run_trial", lambda *a: ran.append(a))
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads"):
+            run_campaign(cfg, [SVD_PE], threads=threads)
+    assert not ran
+
+
+def test_scheme_split_trial_matches_one_thread_bytes():
+    # Two split trials at once, four threads on at most two cores, under a
+    # short switch interval: each must match the one-thread trial's bytes.
+    cfg = full_scale(k_steps=3)
+    specs = specs_of(cfg, "fd", "rand", "svd_pe", "qom", "mo:svd_pe")
+    serial = run_trial(cfg, 1, specs)
+    split = []
+
+    def run():
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            split.append(run_trial(cfg, 1, specs, helper))
+
+    callers = [threading.Thread(target=run) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers) and len(split) == 2
+    for records in split:
+        for spec, one, two in zip(specs, serial, records):
+            assert _record_bytes(one) == _record_bytes(two), spec.kind
+
+
+def test_helper_side_scheme_runs_in_the_callers_error_state_and_raises_to_it(monkeypatch):
+    two_cpus(monkeypatch)
+    cfg = full_scale(k_steps=2)
+    seen = []
+    real = PredictionBuilder.build
+
+    def build(self, *args):
+        if self.spec.kind == "fd":  # the first scheme: the helper's
+            seen.append((threading.current_thread().name, np.geterr()["under"]))
+            raise RuntimeError("helper-side failure")
+        return real(self, *args)
+
+    monkeypatch.setattr(PredictionBuilder, "build", build)
+    with np.errstate(under="warn"), pytest.raises(RuntimeError, match="helper-side failure"):
+        run_campaign(cfg, specs_of(cfg, "fd", "rand"))
+    assert len(seen) == 1
+    assert seen[0][0].startswith(HELPER_PREFIX) and seen[0][1] == "warn"
+
+
+def test_scheme_split_campaign_leaves_no_thread_behind(monkeypatch):
+    two_cpus(monkeypatch)
+    names = thread_starts(monkeypatch)
+    cfg = full_scale(k_steps=2, n_trials=2)
+    before = threading.active_count()
+    run_campaign(cfg, specs_of(cfg, "fd", "svd_pe", "qom"))
+    assert threading.active_count() == before
+    assert [n for n in names if n.startswith(HELPER_PREFIX)] == [f"{HELPER_PREFIX}_0"]
+
+
+def test_desk_and_process_pool_campaigns_start_no_helper_thread(monkeypatch):
+    two_cpus(monkeypatch)
+    names = thread_starts(monkeypatch)
+    desk = replace(load_config(DESK), k_steps=2, n_trials=1)
+    run_campaign(desk, specs_of(desk, "fd", "rand", "svd_pe", "qom"))
+    cfg = full_scale(k_steps=2, n_trials=2)
+    run_campaign(cfg, specs_of(cfg, "fd", "svd_pe"), threads=2)
+    assert names and not [n for n in names if n.startswith(HELPER_PREFIX)]
 
 
 def _record_bytes(rec):
@@ -645,6 +755,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["crb", "--config", "{cov_diag_bool}", "--steps", "1"],
         ["fisher", "--config", "{n_b_101_9}", "--sweep", "nm:1:25:2"],
         ["track", "--config", "{n_m_true}", "--steps", "1", "--trials", "1"],
+        ["track", "--config", "{config}", "--threads", "0"],
+        ["track", "--config", "{config}", "--threads", "-3"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "nb-1e300", "nb-1e18",
          "grid-missing",
@@ -661,7 +773,8 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
          "track-mo-init", "crb-mo-init", "fisher-mo-init", "track-kind-mo", "crb-kind-mo",
          "track-kind", "crb-kind", "fisher-kind", "track-trials-2.5", "track-seed-11.9",
          "crb-steps-str", "fisher-n-m-str", "crb-n-rf-true", "fisher-pm-str",
-         "crb-cov-diag-bool", "fisher-n-b-101.9", "track-n-m-true"],
+         "crb-cov-diag-bool", "fisher-n-b-101.9", "track-n-m-true", "threads-0",
+         "threads-minus-3"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {

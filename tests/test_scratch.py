@@ -2,6 +2,7 @@
 arrays, streamed derivatives, thread safety, and the memory the kernels, the
 CRB steps, the tracking trials and fd no longer take."""
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ from nftrack.combiners import CRB_POLICIES, combiner_fd, parse_scheme
 from nftrack.estimation import Belief
 from nftrack.geometry import (ArrayConfig, ChannelDerivatives, Pose, _distance_terms,
                               channel_derivatives, channel_error_sq, channel_grid, pilot_response)
-from nftrack.harness import crb_policy, load_config, run_trial
+from nftrack.harness import crb_policy, load_config, run_campaign, run_trial
 from nftrack.information import bayesian_fim_step
 
 F28 = 28e9
@@ -317,3 +318,15 @@ def test_full_scale_trial_holds_one_truth_set():
     specs = [parse_scheme("fd", cfg.combiner.n_rf, cfg.array.n_b)]
     run_trial(cfg, 0, specs)
     assert _traced_peak(lambda: run_trial(cfg, 0, specs)) < 2 * truth_set
+
+
+def test_warm_scheme_split_campaign_holds_one_truth_set_and_one_scratch_set(monkeypatch):
+    # Split over two threads, a campaign adds one scratch set, the helper
+    # thread's: 1.5 MB of grids at 275 x 75, freed when the helper ends.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = replace(load_config(FULL), k_steps=4, n_trials=1)
+    truth_set = 275 * 75 * (8 + 8 + 16)
+    scratch_set = 275 * 75 * (5 * 8 + 2 * 16)
+    specs = [parse_scheme(tok, cfg.combiner.n_rf, cfg.array.n_b) for tok in ("fd", "svd_pe")]
+    run_campaign(cfg, specs)
+    assert _traced_peak(lambda: run_campaign(cfg, specs)) < 2 * truth_set + scratch_set

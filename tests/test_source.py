@@ -1,5 +1,6 @@
 """Rules on the library's source: no module reaches into another object's
-private attributes."""
+private attributes, and importing nftrack loads no thread or process pool
+machinery."""
 
 import ast
 from pathlib import Path
@@ -50,5 +51,63 @@ def test_no_module_reads_private_attributes_of_other_objects():
         path.name: reads
         for path in sorted(SRC.glob("*.py"))
         if (reads := private_reads(path.read_text()))
+    }
+    assert found == {}
+
+
+# Packages that only a campaign's pools need: imported where used, so that
+# `import nftrack` never pays for them.
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def eager_imports(source: str, packages=POOL_PACKAGES) -> list:
+    """Each import of one of packages, or of a module in them, that is not
+    inside a function."""
+    tree = ast.parse(source)
+    deferred = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+
+    def named(module):
+        return module is not None and module.split(".")[0] in packages
+
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if id(node) not in deferred and (
+            (isinstance(node, ast.Import) and any(named(a.name) for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0 and named(node.module)))
+    ]
+
+
+def test_rule_flags_pool_imports_outside_functions():
+    source = (
+        "import os, multiprocessing.pool\n"
+        "from concurrent import futures\n"
+        "if True:\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+        "class A:\n"
+        "    import multiprocessing\n"
+        "    def f(self):\n"
+        "        import multiprocessing\n"
+        "        from concurrent.futures import ProcessPoolExecutor\n"
+        "def g():\n"
+        "    import concurrent.futures\n"
+    )
+    assert eager_imports(source) == [
+        "import os, multiprocessing.pool",
+        "from concurrent import futures",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import multiprocessing",
+    ]
+
+
+def test_pool_packages_are_imported_only_inside_functions():
+    found = {
+        path.name: imports
+        for path in sorted(SRC.glob("*.py"))
+        if (imports := eager_imports(path.read_text()))
     }
     assert found == {}
