@@ -25,7 +25,6 @@ from .geometry import (
     ChannelDerivatives,
     Pose,
     channel_derivatives,
-    channel_derivatives_asymptotic,
     channel_matrix,
     pair_distance,
     pilot_response,

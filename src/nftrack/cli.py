@@ -17,8 +17,8 @@ from .combiners import CRB_POLICIES, SCHEMES, combiner_fd, parse_scheme
 from .errors import ConfigError, NfTrackError
 from .estimation import Belief
 from .geometry import ArrayConfig, Pose, channel_derivatives
-from .harness import (RfChains, ScenarioConfig, crb_policy, load_config, parse_field, run_campaign,
-                      write_table)
+from .harness import (RfChains, ScenarioConfig, crb_policy, load_config, manifest_path, parse_field,
+                      run_campaign, write_table)
 from .information import avg_fisher, bayesian_fim_step, fisher_scaling_bounds
 
 
@@ -184,15 +184,17 @@ def _cmd_crb(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _check_out(path: str) -> None:
-    """Reject an --out that cannot be written, before any work runs."""
-    try:
-        existed = os.path.exists(path)
-        open(path, "a").close()
-        if not existed:
-            os.remove(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
+def _check_out(out: str) -> None:
+    """Reject an --out, or its manifest sidecar, that cannot be written,
+    before any work runs."""
+    for path in (out, manifest_path(out)):
+        try:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:

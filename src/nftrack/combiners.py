@@ -77,7 +77,7 @@ class QomPlan:
 def combiner_fd(cfg: ArrayConfig) -> Combiner:
     """Identity combiner: the full snapshot of cfg's n_b antennas reaches
     digital processing.  It holds no matrix (see Combiner)."""
-    return Combiner(None, unit_modulus=False)
+    return Combiner(None)
 
 
 def combiner_random(rng: np.random.Generator, n_rf: int, n_b: int) -> Combiner:
@@ -85,7 +85,7 @@ def combiner_random(rng: np.random.Generator, n_rf: int, n_b: int) -> Combiner:
     if n_rf > n_b:
         raise ValueError("n_rf cannot exceed n_b")
     entries = rng.integers(0, 2, size=(n_rf, n_b)) * 2.0 - 1.0
-    return Combiner(entries.astype(complex), unit_modulus=True)
+    return Combiner(entries.astype(complex))
 
 
 def _fix_singular_vector_signs(u: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def combiner_svd_pe(b_pred: np.ndarray, n_rf: int) -> Combiner:
     # every product the filter forms with it.
     q_svd = np.ascontiguousarray(u[:, :rows].conj().T)
     q = np.exp(1j * np.angle(q_svd))
-    return Combiner(q, unit_modulus=True)
+    return Combiner(q)
 
 
 def qom_resolution(pose: Pose, cfg: ArrayConfig) -> int:
@@ -211,7 +211,7 @@ def qom_vector(pose: Pose, cfg: ArrayConfig, ell: int) -> np.ndarray:
 def combiner_from_plan(pose: Pose, cfg: ArrayConfig, plan: QomPlan) -> Combiner:
     w = np.column_stack([qom_vector(pose, cfg, ell) for ell in plan.indices])
     q = np.sqrt(cfg.n_b) * w.conj().T
-    return Combiner(q, unit_modulus=True)
+    return Combiner(q)
 
 
 def combiner_qom(pose_pred: Pose, cfg: ArrayConfig, n_rf: int) -> Combiner:
@@ -376,7 +376,7 @@ def combiner_mo(
             best_q, best_f = q, f_curr
 
     info.improved = info.accepted_steps > 0
-    return (Combiner(best_q, unit_modulus=True) if info.improved else init), info
+    return (Combiner(best_q) if info.improved else init), info
 
 
 class PredictionBuilder:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import _REAL, Pose, _typed
 
 # |omega * tau| below this evaluates the u^-2-scaled helpers by series.
 _U_SERIES = 1e-3
@@ -65,7 +65,8 @@ class ProcessNoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_v", "sigma_omega", "tau"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = _typed(getattr(self, name), _REAL, f"{name} must be a real number")
+            object.__setattr__(self, name, float(value))
         if not np.isfinite([self.sigma_v, self.sigma_omega, self.tau]).all():
             raise ValueError("process noise parameters must be finite")
         if self.sigma_v < 0 or self.sigma_omega < 0:

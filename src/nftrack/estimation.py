@@ -3,7 +3,9 @@
 The complex observation enters through a real score vector and Fisher
 information matrix; the posterior covariance is the inverse of prior
 information plus data information.  All covariance outputs are explicitly
-symmetrized to suppress drift over long runs.
+symmetrized to suppress drift over long runs.  The analog combiner
+(``Combiner``) is a bank of phase shifters, held as a matrix of unit-modulus
+entries, or None, the fully digital receiver's identity.
 
 Every Cholesky factor and solve is a direct call of scipy's LAPACK potrf and
 potrs wrappers, the objects scipy.linalg.get_lapack_funcs returns, so results
@@ -86,19 +88,12 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^-1 b from the factor c of A, as scipy.linalg.cho_solve((c, True), b)."""
-    b = np.asarray(b)
-    _check_finite(c)
-    _check_finite(b)
-    return _potrs(c, b)
-
-
 def _potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^-1 b from a factor c that _cho_factor made, without _cho_solve's
-    finiteness checks of c and b: potrf's factor of a finite matrix is
-    finite whenever it succeeds, since an entry that overflows makes a later
-    pivot -inf or NaN.  Callers check a b that comes from outside."""
+    """A^-1 b from a factor c that _cho_factor made, as
+    scipy.linalg.cho_solve((c, True), b) without its finiteness checks:
+    potrf's factor of a finite matrix is finite whenever it succeeds, since
+    an entry that overflows makes a later pivot -inf or NaN.  Callers check a
+    b that comes from outside."""
     x, info = _POTRS[np.result_type(c, b)](c, b, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
@@ -163,22 +158,23 @@ def _gated_factor(q: np.ndarray, factor) -> np.ndarray:
 
 
 class Combiner:
-    """Analog combining matrix; its Gram matrix Q Q^H is factored once per
-    instance by a direct LAPACK potrf call, behind the rank gate.
+    """Analog combiner: a bank of phase shifters, so q is a matrix of
+    unit-modulus entries (within 1e-9), or None for the fully digital
+    receiver.  The Gram matrix Q Q^H is factored once per instance by a
+    direct LAPACK potrf call, behind the rank gate.
 
     q None is the identity (every antenna has its own RF chain): it holds no
     matrix, and apply, score, fim and expected_fim take their identity
     branches, so no n_b x n_b array is ever built for it.
     """
 
-    def __init__(self, q: Optional[np.ndarray], unit_modulus: bool):
-        self.is_identity = q is None
+    def __init__(self, q: Optional[np.ndarray]):
         if q is not None:
             q = np.asarray(q, dtype=complex)
             if q.ndim != 2:
                 raise ValueError("combiner must be a 2-D matrix")
             _check_finite(q)  # before any Gram product
-            if unit_modulus and not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
+            if not (np.abs(np.abs(q) - 1.0) <= 1e-9).all():
                 raise ValueError("unit-modulus combiner has entries away from the unit circle")
         self.q = q
         self._gram_factor = None
@@ -191,7 +187,7 @@ class Combiner:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Compress a full-array vector: Q y."""
-        if self.is_identity:
+        if self.q is None:
             return np.array(y, copy=True)
         return self.q @ y
 
@@ -260,7 +256,7 @@ def score(
 
     g = (2/sigma^2) Re{ B^H Q^H (Q Q^H)^-1 (z - Q b_pred) }.
     """
-    if q.is_identity:
+    if q.q is None:
         residual = z - predicted_obs
     else:
         residual = q.q.conj().T @ q.solve_gram(z - q.q @ predicted_obs)
@@ -270,7 +266,7 @@ def score(
 def fim(b: np.ndarray, q: Combiner, noise_power: float) -> np.ndarray:
     """Fisher information of one compressed snapshot:
     (2/sigma^2) Re{ B^H P_Q B }, symmetric PSD with zero velocity rows."""
-    if q.is_identity:
+    if q.q is None:
         core = b.conj().T @ b
     else:
         w = q.q @ b

@@ -4,8 +4,7 @@ The base station is a uniform linear array along the y-axis centered at the
 origin; the mobile station is a uniform linear array centered at (x, y) and
 rotated by the heading psi.  Channel entries carry the exact per-element
 free-space amplitude and phase; no far-field or uniform-amplitude shortcut is
-used anywhere in the simulator.  The asymptotic (scaled-channel) derivative
-forms exist only as a separate operation for validation.
+used anywhere in the simulator.
 
 The channel error between two poses needs no complex channel: with entry
 amplitudes a = lambda/(4 pi r), the half-angle identity 1 - cos 2u = 2 sin^2 u
@@ -23,8 +22,7 @@ same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
 ``_chain_terms``) and ``ChannelDerivatives.stream`` return views into that
 set, valid until the next kernel call on the same thread.  Public results are
 fresh arrays: ``channel_grid`` (unless given arrays to write into),
-``channel_matrix``, ``ChannelDerivatives.matrices``, and ``pilot_response``'s
-H x and Jacobian.
+``channel_matrix``, and ``pilot_response``'s H x and Jacobian.
 
 All quantities are SI: meters, radians, Hz, Watts.
 """
@@ -57,6 +55,17 @@ def antenna_indices(n: int) -> np.ndarray:
     return np.arange(-half, half)
 
 
+# The types a real-valued field accepts; a bool is an int to Python, but no number here.
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _typed(value, kinds, message: str):
+    """value itself if it is an instance of kinds and not a bool, else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{message}, got {value!r}")
+    return value
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -76,12 +85,13 @@ class ArrayConfig:
     d_m: float = None
 
     def __post_init__(self):
-        for count in (self.n_b, self.n_m):
-            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-                raise TypeError(f"antenna counts must be integers, got {count!r}")
-        object.__setattr__(self, "n_b", int(self.n_b))
-        object.__setattr__(self, "n_m", int(self.n_m))
-        object.__setattr__(self, "carrier_freq", float(self.carrier_freq))
+        for name in ("n_b", "n_m"):
+            count = _typed(getattr(self, name), (int, np.integer), "antenna counts must be integers")
+            object.__setattr__(self, name, int(count))
+        for name in ("carrier_freq", "d_b", "d_m"):
+            if getattr(self, name) is not None:  # a spacing left out is half a wavelength
+                value = _typed(getattr(self, name), _REAL, f"{name} must be a real number")
+                object.__setattr__(self, name, float(value))
         if self.n_b < 1 or self.n_m < 1:
             raise ValueError("antenna counts must be >= 1")
         if self.n_b * self.n_m > _MAX_GRID_ENTRIES:
@@ -90,8 +100,8 @@ class ArrayConfig:
         if not 0 < self.carrier_freq < np.inf:
             raise ValueError("carrier frequency must be positive and finite")
         lam = SPEED_OF_LIGHT / self.carrier_freq
-        object.__setattr__(self, "d_b", lam / 2 if self.d_b is None else float(self.d_b))
-        object.__setattr__(self, "d_m", lam / 2 if self.d_m is None else float(self.d_m))
+        object.__setattr__(self, "d_b", lam / 2 if self.d_b is None else self.d_b)
+        object.__setattr__(self, "d_m", lam / 2 if self.d_m is None else self.d_m)
         if not (0 < self.d_b < np.inf and 0 < self.d_m < np.inf):
             raise ValueError("antenna spacings must be positive and finite")
 
@@ -162,8 +172,8 @@ class Pose:
 
 class ChannelDerivatives:
     """Exact channel derivatives J_x (1/m), J_y (1/m) and J_psi (1/rad) at one
-    pose.  ``stream()`` yields them one at a time, ``matrices`` keeps fresh
-    copies of the three, and ``gram`` never needs the complex matrices.
+    pose.  ``stream()`` yields them one at a time in scratch, and ``gram``
+    never needs the complex matrices.
 
     J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
@@ -174,11 +184,6 @@ class ChannelDerivatives:
         self.pose = pose
         self.cfg = cfg
         self._chain = (-1, None)  # (scratch stamp, the chain terms in that scratch)
-
-    @cached_property
-    def matrices(self):
-        """(J_x, J_y, J_psi) as fresh arrays, built on first access."""
-        return tuple(j.copy() for j in self.stream())
 
     def stream(self):
         """J_x, J_y and J_psi in turn, written into the thread's phase grid:
@@ -350,7 +355,7 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
 
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
     and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  The
-    matrices are built on first access (bit-identical to dh/dr * dr/dmu of
+    matrices are built only as ``stream()`` yields them (dh/dr * dr/dmu of
     ``_chain_terms``); ``gram`` comes from the distance grid alone.
     """
     return ChannelDerivatives(pose, cfg)
@@ -380,17 +385,4 @@ def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:
     for col, j in enumerate(derivs):
         b[:, col] = j @ x
     return b
-
-
-def channel_derivatives_asymptotic(pose: Pose, cfg: ArrayConfig):
-    """Large-array limits (j_x, j_y, j_psi), for validation only: position
-    derivatives are scaled copies of the channel, the heading derivative is a
-    column-scaled copy."""
-    h = channel_matrix(pose, cfg)
-    r = pose.r
-    eta = -(1.0 / r + 2j * np.pi / cfg.wavelength)
-    j_x = eta * (pose.x / r) * h
-    j_y = eta * (pose.y / r) * h
-    j_psi = eta * cfg.d_m * np.sin(pose.theta - pose.psi) * h * cfg.ms_index_row
-    return j_x, j_y, j_psi
 

@@ -268,12 +268,16 @@ class CampaignResult:
         )
 
 
+def manifest_path(out_path) -> Path:
+    """The manifest sidecar of the table at out_path: <out_path>.manifest.json."""
+    path = Path(out_path)
+    return path.with_suffix(path.suffix + ".manifest.json")
+
+
 def write_table(out_path, cfg: ScenarioConfig, header, rows, **manifest_extra) -> None:
     """Write header and rows, as given, to the CSV at out_path, then its
-    <out_path>.manifest.json sidecar: config hash, seed, code version, and
-    the extra fields."""
-    path = Path(out_path)
-    with open(path, "w", newline="") as fh:
+    manifest sidecar: config hash, seed, code version, and the extra fields."""
+    with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -283,7 +287,7 @@ def write_table(out_path, cfg: ScenarioConfig, header, rows, **manifest_extra) -
         "code_version": __version__,
         **manifest_extra,
     }
-    with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
+    with open(manifest_path(out_path), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -73,7 +73,7 @@ def expected_fim(
     """
     scale = 2.0 * p_m / (noise_power * n_m)
     f = np.zeros((5, 5))
-    if q.is_identity:
+    if q.q is None:
         f[:3, :3] = scale * derivs.gram
         return f
     originals = [q.q @ j for j in derivs.stream()]  # Q J_mu

@@ -24,13 +24,14 @@ from nftrack.geometry import (
     ArrayConfig,
     Pose,
     channel_derivatives,
-    channel_derivatives_asymptotic,
     channel_matrix,
     pilot_response,
 )
 from nftrack.harness import load_config, metrics_rmse, parse_scheme, run_campaign, run_trial
 from nftrack.information import avg_fisher, bayesian_fim_step
 from nftrack.observation import generate_pilot
+
+from reference import channel_derivatives_asymptotic, derivative_matrices, dft_matrix
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 DESK = load_config(CONFIG_PATH)
@@ -87,7 +88,7 @@ def test_criterion_1_derivative_correctness():
         th = rng.uniform(-np.pi, np.pi)
         pose = Pose(r * np.cos(th), r * np.sin(th), rng.uniform(-np.pi, np.pi))
 
-        exact = channel_derivatives(pose, cfg).matrices
+        exact = derivative_matrices(channel_derivatives(pose, cfg))
         fd = [
             (
                 channel_matrix(Pose(pose.x + dx, pose.y, pose.psi), cfg)
@@ -156,8 +157,8 @@ def test_criterion_2_score_covariance_matches_fim():
     b = pilot_response(pose, cfg, pilot)[1]
     worst = 0.0
     rand = combiner_random(np.random.default_rng(8), 3, cfg.n_b)
-    # fd holds no matrix; its score map runs through its Q = I held as one.
-    fd_dense = Combiner(np.eye(cfg.n_b, dtype=complex), unit_modulus=False)
+    # fd holds no matrix; its score map runs through the DFT matrix, whose P_Q = I too.
+    fd_dense = Combiner(dft_matrix(cfg.n_b))
     for comb, dense in ((rand, rand), (combiner_fd(cfg), fd_dense)):
         f = fim(b, comb, SIGMA2)
         u = (2 / SIGMA2) * (dense.solve_gram(dense.apply(b))).conj().T @ dense.q  # 5 x n_b
@@ -201,9 +202,9 @@ def test_criterion_3_pilot_average_matches_avg_fisher():
     worst, worst_kind = 0.0, ""
     for kind, comb in combiners.items():
         af = avg_fisher(derivs, comb, P_M, SIGMA2, cfg.n_m)
-        q = np.eye(cfg.n_b, dtype=complex) if comb.is_identity else comb.q  # fd holds no matrix
+        q = np.eye(cfg.n_b, dtype=complex) if comb.q is None else comb.q  # fd holds no matrix
         p_q = np.linalg.pinv(q) @ q  # projection onto the row space of Q
-        for j_mu, target in zip(derivs.matrices, (af.f_x, af.f_y, af.f_psi)):
+        for j_mu, target in zip(derivative_matrices(derivs), (af.f_x, af.f_y, af.f_psi)):
             m = j_mu.conj().T @ p_q @ j_mu
             vals = np.real(np.einsum("ij,jk,ik->i", pilots.conj(), m, pilots))
             rel = abs((2 / SIGMA2) * vals.mean() - target) / target
@@ -230,7 +231,7 @@ def test_criterion_4_asymptotic_error_decay():
         s = 1.3 * cfg.fresnel_distance / np.sqrt(2)
         pose = Pose(s, -s, 3 * np.pi / 8)
         assert abs(np.sin(pose.theta - pose.psi)) > 0.3
-        exact = channel_derivatives(pose, cfg).matrices
+        exact = derivative_matrices(channel_derivatives(pose, cfg))
         tilde = channel_derivatives_asymptotic(pose, cfg)
         for name, e, t in zip(("x", "y", "psi"), exact, tilde):
             errs[name].append(np.linalg.norm(e - t) ** 2 / np.linalg.norm(t) ** 2)

@@ -103,7 +103,7 @@ def _reference_mo_objective(q, prior_info, b, noise_power):
 @PROPERTY
 @given(near_dependent_rows())
 def test_gram_screen_raises_exactly_when_the_gate_fires(q):
-    got = _outcome(lambda: Combiner(q, unit_modulus=True)._gram())
+    got = _outcome(lambda: Combiner(q)._gram())
     assert (got is RankDeficientCombiner) == _gate_fires(q)
     assert got == _outcome(_reference_gram, q)
 

@@ -31,6 +31,8 @@ from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, channel_mat
 from nftrack.information import avg_fisher
 from nftrack.observation import generate_pilot
 
+from reference import dft_matrix
+
 F28 = 28e9
 PAPER_ARRAY = ArrayConfig(n_b=275, n_m=75, carrier_freq=F28)
 PAPER_POSE = Pose(15, -15, 3 * np.pi / 8)
@@ -49,11 +51,11 @@ def desk_b_jac(seed=0, n_b=101, n_m=25):
 def test_fd_projection_and_fim():
     cfg = ArrayConfig(n_b=21, n_m=5, carrier_freq=F28)
     fd = combiner_fd(cfg)
-    assert fd.is_identity and fd.q is None  # no n_b x n_b matrix
-    # P_Q = I for fd's Q = I, held as a matrix through the general Gram solve.
-    eye = np.eye(cfg.n_b, dtype=complex)
-    dense = Combiner(eye, unit_modulus=False)
-    np.testing.assert_allclose(eye.conj().T @ dense.solve_gram(eye), np.eye(cfg.n_b), atol=1e-12)
+    assert fd.q is None  # no n_b x n_b matrix
+    # P_Q = I for fd's Q = I, and for the DFT matrix through the general Gram solve.
+    dft = dft_matrix(cfg.n_b)
+    dense = Combiner(dft)
+    np.testing.assert_allclose(dft.conj().T @ dense.solve_gram(dft), np.eye(cfg.n_b), atol=1e-12)
     pilot = generate_pilot(np.random.default_rng(1), 0.01, cfg.n_m)
     b = pilot_response(Pose(9, -3, 0.2), cfg, pilot)[1]
     f = fim(b, fd, 1e-10)
@@ -349,7 +351,7 @@ def test_mo_near_stationary_at_qom_init():
 
 
 def _reference_objective(q, prior_info, b, noise_power):
-    post = psd_inverse(prior_info + fim(b, Combiner(q, unit_modulus=False), noise_power))
+    post = psd_inverse(prior_info + fim(b, Combiner(q), noise_power))
     return float(np.trace(post)), post
 
 
@@ -468,7 +470,7 @@ def test_mo_rank_gate_rejects_dependent_rows(gap):
         with pytest.raises(RankDeficientCombiner):
             objective(q)
         with pytest.raises(RankDeficientCombiner):
-            combiner_mo(Combiner(q, unit_modulus=True), prior, b, 1e-10)
+            combiner_mo(Combiner(q), prior, b, 1e-10)
 
 
 def test_mo_rank_gate_passes_rows_1e7_apart():
@@ -479,7 +481,7 @@ def test_mo_rank_gate_passes_rows_1e7_apart():
         q = _near_duplicate_rows(rng, 1e-7)
         f, _, _ = objective(q)
         assert np.isfinite(f)
-        Combiner(q, unit_modulus=True).solve_gram(q @ b)  # the Combiner gate agrees
+        Combiner(q).solve_gram(q @ b)  # the Combiner gate agrees
 
 
 def test_mo_candidates_raise_only_when_reached():
@@ -506,7 +508,7 @@ def test_mo_objective_singular_information_raises(cov):
     with pytest.raises(SingularPriorCovariance):
         _PoseObjective(Belief(prior.mean, cov), b, 1e-10)
     with pytest.raises(SingularPriorCovariance):
-        combiner_mo(Combiner(q, unit_modulus=True), Belief(prior.mean, cov), b, 1e-10)
+        combiner_mo(Combiner(q), Belief(prior.mean, cov), b, 1e-10)
 
 
 def test_combiner_spec_validation():

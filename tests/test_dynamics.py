@@ -206,6 +206,12 @@ def test_invalid_spec_rejected():
         ProcessNoiseSpec(sigma_v=-1.0, sigma_omega=0.1, tau=0.02)
     with pytest.raises(ValueError):
         ProcessNoiseSpec(sigma_v=1.0, sigma_omega=0.1, tau=0.0)
+    # float() would read True as sigma_v = 1 and "0.02" as 20 ms.
+    for fields in ((True, 0.1, 0.02), (2.0, np.bool_(False), 0.02), (2.0, 0.1, "0.02")):
+        with pytest.raises(TypeError, match="must be a real number"):
+            ProcessNoiseSpec(*fields)
+    spec = ProcessNoiseSpec(np.int64(2), np.float32(0.5), 1)
+    assert (spec.sigma_v, spec.sigma_omega, spec.tau) == (2.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         ctrv_transition(MsState(0, 0, 0, 1, 0), -1.0)
 

@@ -18,8 +18,8 @@ from nftrack.estimation import (
     Belief,
     Combiner,
     _cho_factor,
-    _cho_solve,
     _factor_screen,
+    _potrs,
     ekf_predict,
     ekf_update,
     fim,
@@ -28,6 +28,8 @@ from nftrack.estimation import (
 )
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix, pilot_response
 from nftrack.observation import full_snapshot, generate_pilot
+
+from reference import dft_matrix, random_phases
 
 F28 = 28e9
 
@@ -51,15 +53,16 @@ def gram_projection(q: Combiner) -> np.ndarray:
 
 
 def test_projection_identity():
-    # fd's Q = I holds no matrix, so the projection is taken of I held as one.
+    # fd's Q = I holds no matrix, so the projection is taken of the DFT
+    # matrix F, whose F F^H = 17 I makes P_Q = I too.
     assert combiner_fd(cfg_small()).q is None
-    q = Combiner(np.eye(17, dtype=complex), unit_modulus=False)
+    q = Combiner(dft_matrix(17))
     np.testing.assert_allclose(gram_projection(q), np.eye(17), atol=1e-12)
 
 
 def test_projection_single_ones_row():
     n = 12
-    q = Combiner(np.ones((1, n), dtype=complex), unit_modulus=True)
+    q = Combiner(np.ones((1, n), dtype=complex))
     np.testing.assert_allclose(gram_projection(q), np.full((n, n), 1 / n), atol=1e-12)
     cfg = ArrayConfig(n_b=n, n_m=5, carrier_freq=F28)
     pilot = generate_pilot(np.random.default_rng(26), 0.01, cfg.n_m)
@@ -83,7 +86,7 @@ def test_projection_laws_random_sign_combiner():
 
 def test_rank_gate():
     q = np.ones((2, 8), dtype=complex)  # duplicated rows
-    comb = Combiner(q, unit_modulus=True)
+    comb = Combiner(q)
     with pytest.raises(RankDeficientCombiner):
         comb.solve_gram(np.ones(2))
 
@@ -119,24 +122,20 @@ def test_unit_modulus_check_tolerance(modulus, accepted):
     q = np.exp(2j * np.pi * np.random.default_rng(3).random((2, 8)))
     q[1, 3] *= modulus
     if accepted:
-        Combiner(q, unit_modulus=True)
+        Combiner(q)
     else:
         with pytest.raises(ValueError):
-            Combiner(q, unit_modulus=True)
-    if np.isnan(modulus):  # a non-finite entry fails either way
-        with pytest.raises(ValueError):
-            Combiner(q, unit_modulus=False)
-    else:
-        Combiner(q, unit_modulus=False)  # only the unit-modulus contract checks
+            Combiner(q)
 
 
-@pytest.mark.parametrize("unit_modulus", [False, True])
+@pytest.mark.parametrize("others_on_circle", [False, True])
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
-def test_combiner_rejects_non_finite_entries(bad, unit_modulus):
-    # The constructor rejects it, before a Gram product can warn (inf) or the
-    # rank gate's SVD fail to converge (NaN).
+def test_combiner_rejects_non_finite_entries(bad, others_on_circle):
+    # The constructor reports it as non-finite, whether or not the other
+    # entries pass the unit-modulus check, before a Gram product can warn
+    # (inf) or the rank gate's SVD fail to converge (NaN).
     with pytest.raises(ValueError, match="infs or NaNs"):
-        Combiner(np.array([[bad, 1], [0, 1]]), unit_modulus=unit_modulus)
+        Combiner(np.array([[bad, 1], [1j if others_on_circle else 0, 1]]))
 
 
 # ---------------------------------------------------------------------- score
@@ -230,10 +229,10 @@ def test_fim_monotone_under_row_extension():
     b, _ = make_b_and_pred(cfg, Pose(14, 3, -0.3), pilot)
     rng = np.random.default_rng(13)
     for _ in range(50):
-        q1_rows = rng.standard_normal((2, cfg.n_b)) + 1j * rng.standard_normal((2, cfg.n_b))
-        extra = rng.standard_normal((1, cfg.n_b)) + 1j * rng.standard_normal((1, cfg.n_b))
-        q1 = Combiner(q1_rows, unit_modulus=False)
-        q2 = Combiner(np.vstack([q1_rows, extra]), unit_modulus=False)
+        q1_rows = random_phases(rng, (2, cfg.n_b))
+        extra = random_phases(rng, (1, cfg.n_b))
+        q1 = Combiner(q1_rows)
+        q2 = Combiner(np.vstack([q1_rows, extra]))
         assert np.trace(fim(b, q2, 1e-10)) >= np.trace(fim(b, q1, 1e-10)) - 1e-8
 
 
@@ -245,10 +244,7 @@ def test_fd_fim_dominates_any_combiner():
     t_fd = np.trace(fim(b, combiner_fd(cfg), sigma2))
     rng = np.random.default_rng(15)
     for _ in range(20):
-        q = Combiner(
-            rng.standard_normal((3, cfg.n_b)) + 1j * rng.standard_normal((3, cfg.n_b)),
-            unit_modulus=False,
-        )
+        q = Combiner(random_phases(rng, (3, cfg.n_b)))
         assert np.trace(fim(b, q, sigma2)) <= t_fd * (1 + 1e-12)
 
 
@@ -291,29 +287,22 @@ def test_cholesky_helpers_match_scipy_bytes(n, dtype):
         for rhs_shape in ((n,), (n, 1), (n, 6)):
             rhs = rng.standard_normal(rhs_shape) + (1j * rng.standard_normal(rhs_shape)
                                                     if dtype == complex else 0.0)
-            _assert_same_bytes(_cho_solve(c, rhs), cho_solve((c_ref, lower), rhs))
+            _assert_same_bytes(_potrs(c, rhs), cho_solve((c_ref, lower), rhs))
         eye = np.eye(n)
-        _assert_same_bytes(_cho_solve(c, eye), cho_solve((c_ref, lower), eye))
+        _assert_same_bytes(_potrs(c, eye), cho_solve((c_ref, lower), eye))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cholesky_helpers_reject_non_finite(bad):
-    a = _spd(np.random.default_rng(4), 5, float)
-    c = _cho_factor(a)
-    a_bad, rhs_bad, c_bad = a.copy(), np.ones(5), c.copy()
+    a_bad, rhs_bad = _spd(np.random.default_rng(4), 5, float), np.ones(5)
     a_bad[2, 1] = bad
     rhs_bad[3] = bad
-    c_bad[4, 4] = bad
     with pytest.raises(ValueError):
         _cho_factor(a_bad)
-    with pytest.raises(ValueError):
-        _cho_solve(c, rhs_bad)
-    with pytest.raises(ValueError):
-        _cho_solve(c_bad, np.ones(5))
     # The Gram solve trusts its own factor, never a right-hand side.
     q = np.exp(2j * np.pi * np.random.default_rng(5).random((5, 16)))
     with pytest.raises(ValueError):
-        Combiner(q, unit_modulus=True).solve_gram(rhs_bad)
+        Combiner(q).solve_gram(rhs_bad)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -330,7 +319,7 @@ def test_cholesky_factor_rejects_non_positive_definite(dtype):
 _SCIPY_FIRST = """
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
-from nftrack.estimation import _POTRF, _POTRS, _cho_factor, _cho_solve
+from nftrack.estimation import _POTRF, _POTRS, _cho_factor, _potrs
 
 for t in (float, complex):
     assert _POTRF[np.dtype(t)] is get_lapack_funcs(("potrf",), dtype=t)[0]
@@ -342,7 +331,7 @@ for t in (float, complex):
     rhs = rng.standard_normal((5, 3))
     c, c_ref = _cho_factor(a), cho_factor(a, lower=True)[0]
     assert c.tobytes() == c_ref.tobytes()
-    assert _cho_solve(c, rhs).tobytes() == cho_solve((c_ref, True), rhs).tobytes()
+    assert _potrs(c, rhs).tobytes() == cho_solve((c_ref, True), rhs).tobytes()
 """
 
 

@@ -9,13 +9,14 @@ from nftrack.geometry import (
     Pose,
     antenna_indices,
     channel_derivatives,
-    channel_derivatives_asymptotic,
     channel_error_sq,
     channel_grid,
     channel_matrix,
     pair_distance,
     pilot_response,
 )
+
+from reference import channel_derivatives_asymptotic, derivative_matrices
 
 F28 = 28e9
 
@@ -130,7 +131,7 @@ def test_pilot_response_is_bit_identical(n_b, n_m):
         np.testing.assert_array_equal(r, grid)
         np.testing.assert_array_equal(a, cfg.wavelength / (4 * np.pi * r))
         np.testing.assert_array_equal(h, h_ref)
-        for got, want in zip(channel_derivatives(pose, cfg).matrices, derivs_ref):
+        for got, want in zip(derivative_matrices(channel_derivatives(pose, cfg)), derivs_ref):
             np.testing.assert_array_equal(got, want)
 
         hx, b = pilot_response(pose, cfg, x)
@@ -231,7 +232,7 @@ def test_channel_derivatives_match_finite_differences():
         r = rng.uniform(d_fn, 100.0)
         th = rng.uniform(-np.pi, np.pi)
         pose = Pose(r * np.cos(th), r * np.sin(th), rng.uniform(-np.pi, np.pi))
-        exact = channel_derivatives(pose, cfg).matrices
+        exact = derivative_matrices(channel_derivatives(pose, cfg))
         approx = _fd_derivs(pose, cfg)
         for a, b in zip(exact, approx):
             scale = np.abs(a).max()
@@ -240,14 +241,14 @@ def test_channel_derivatives_match_finite_differences():
 
 def test_heading_derivative_zero_for_single_ms_antenna():
     cfg = ArrayConfig(n_b=11, n_m=1, carrier_freq=F28)
-    j_psi = channel_derivatives(Pose(7, 3, 1.1), cfg).matrices[2]
+    j_psi = derivative_matrices(channel_derivatives(Pose(7, 3, 1.1), cfg))[2]
     np.testing.assert_allclose(j_psi, 0.0, atol=1e-30)
 
 
 def test_x_axis_mirror_symmetry():
     # y = 0, psi = 0: flipping the BS antenna index mirrors the geometry
     cfg = small_cfg()
-    j_x = channel_derivatives(Pose(20, 0, 0), cfg).matrices[0]
+    j_x = derivative_matrices(channel_derivatives(Pose(20, 0, 0), cfg))[0]
     np.testing.assert_allclose(j_x, j_x[::-1, :], rtol=1e-12)
 
 
@@ -294,7 +295,7 @@ def test_asymptotic_error_decay_with_array_size():
         cfg = ArrayConfig(n_b=n_b, n_m=cfg_nm, carrier_freq=F28)
         s = 1.3 * cfg.fresnel_distance / np.sqrt(2)
         pose = Pose(s, -s, 3 * np.pi / 8)
-        exact = channel_derivatives(pose, cfg).matrices
+        exact = derivative_matrices(channel_derivatives(pose, cfg))
         tilde = channel_derivatives_asymptotic(pose, cfg)
         for name, e, t in zip(("x", "y", "psi"), exact, tilde):
             errs[name].append(np.linalg.norm(e - t) ** 2 / np.linalg.norm(t) ** 2)
@@ -331,13 +332,22 @@ def test_pose_validation():
         Pose(np.nan, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, "28e9", "0.005", True, np.bool_(True)])
 def test_array_validation(bad):
     # A carrier or spacing that is not positive and finite is rejected; a NaN
-    # carrier used to pass and end in a traceback deep in the filter.
-    with pytest.raises(ValueError):
+    # carrier used to pass and end in a traceback deep in the filter.  A str
+    # or bool is no real number: float() would read "28e9" as 28 GHz and True
+    # as 1 Hz.
+    error = TypeError if isinstance(bad, (str, bool, np.bool_)) else ValueError
+    with pytest.raises(error):
         ArrayConfig(n_b=5, n_m=3, carrier_freq=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         ArrayConfig(n_b=5, n_m=3, carrier_freq=F28, d_b=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         ArrayConfig(n_b=5, n_m=3, carrier_freq=F28, d_m=bad)
+
+
+def test_array_accepts_numpy_real_fields():
+    cfg = ArrayConfig(101, 25, np.int64(28_000_000_000), d_b=np.float32(0.005), d_m=1)
+    assert (cfg.carrier_freq, cfg.d_b, cfg.d_m) == (28e9, float(np.float32(0.005)), 1.0)
+    assert {type(v) for v in (cfg.carrier_freq, cfg.d_b, cfg.d_m)} == {float}

@@ -757,6 +757,7 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
         ["track", "--config", "{n_m_true}", "--steps", "1", "--trials", "1"],
         ["track", "--config", "{config}", "--threads", "0"],
         ["track", "--config", "{config}", "--threads", "-3"],
+        ["fisher", "--config", "{config}", "--sweep", "nb:16:20:2", "--out", "{manifest_is_dir}"],
     ],
     ids=["missing-config", "nrf-0", "nb-bad", "nb-3-fields", "nm-0", "nb-1e300", "nb-1e18",
          "grid-missing",
@@ -774,7 +775,7 @@ def test_cli_manifest_keys(tmp_path, argv, extra):
          "track-kind", "crb-kind", "fisher-kind", "track-trials-2.5", "track-seed-11.9",
          "crb-steps-str", "fisher-n-m-str", "crb-n-rf-true", "fisher-pm-str",
          "crb-cov-diag-bool", "fisher-n-b-101.9", "track-n-m-true", "threads-0",
-         "threads-minus-3"],
+         "threads-minus-3", "out-manifest-is-dir"],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     paths = {
@@ -786,10 +787,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys, argv):
     }
     for name, entry in {**BAD_GRIDS, "grid": GOOD_GRID}.items():
         paths[name].write_text(json.dumps([entry]))
-    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "x.csv")]
+    # An --out whose manifest sidecar is a directory, in a directory of its own.
+    paths["manifest_is_dir"] = tmp_path / "mf" / "out.csv"
+    (tmp_path / "mf" / "out.csv.manifest.json").mkdir(parents=True)
+    argv = [a.format(**paths) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x.csv")]
     rc = cli_main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "mf" / "out.csv").exists()  # nothing written before the check
 
 
 @pytest.mark.parametrize(

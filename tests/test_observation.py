@@ -8,6 +8,8 @@ from nftrack.estimation import Combiner
 from nftrack.geometry import ArrayConfig, Pose, channel_matrix, pilot_response
 from nftrack.observation import full_snapshot, generate_pilot
 
+from reference import random_phases
+
 F28 = 28e9
 
 
@@ -56,7 +58,7 @@ def test_noise_quadratic_form():
     h = channel_matrix(pose, cfg)
     pilot = generate_pilot(np.random.default_rng(3), 0.01, cfg.n_m)
     rng = np.random.default_rng(4)
-    q = Combiner(rng.standard_normal((3, cfg.n_b)) + 0j, unit_modulus=False)
+    q = Combiner(random_phases(rng, (3, cfg.n_b)))
     sigma2 = 1e-10
     signal = q.apply(h @ pilot)
     rng_noise = np.random.default_rng(5)
@@ -73,7 +75,7 @@ def test_all_ones_row_noise_variance():
     cfg = cfg_small()
     h = np.zeros((cfg.n_b, cfg.n_m), dtype=complex)
     pilot = np.zeros(cfg.n_m, dtype=complex)
-    q = Combiner(np.ones((1, cfg.n_b), dtype=complex), unit_modulus=True)
+    q = Combiner(np.ones((1, cfg.n_b), dtype=complex))
     rng = np.random.default_rng(6)
     vals = np.array([q.apply(full_snapshot(h, pilot, 1.0, rng))[0] for _ in range(20_000)])
     assert np.var(vals) == pytest.approx(cfg.n_b, rel=0.05)
@@ -100,7 +102,7 @@ def test_compression_consistency():
     h = channel_matrix(pose, cfg)
     pilot = generate_pilot(np.random.default_rng(8), 0.01, cfg.n_m)
     rng_q = np.random.default_rng(9)
-    q = Combiner((rng_q.integers(0, 2, (3, cfg.n_b)) * 2 - 1).astype(complex), unit_modulus=True)
+    q = Combiner((rng_q.integers(0, 2, (3, cfg.n_b)) * 2 - 1).astype(complex))
     sigma2 = 1e-9
     full = combiner_fd(cfg).apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(11)))
     compressed = q.apply(full_snapshot(h, pilot, sigma2, np.random.default_rng(11)))

@@ -17,10 +17,12 @@ from nftrack import geometry
 from nftrack.cli import main as cli_main
 from nftrack.combiners import CRB_POLICIES, combiner_fd, parse_scheme
 from nftrack.estimation import Belief
-from nftrack.geometry import (ArrayConfig, ChannelDerivatives, Pose, _distance_terms,
+from nftrack.geometry import (ArrayConfig, Pose, _distance_terms,
                               channel_derivatives, channel_error_sq, channel_grid, pilot_response)
 from nftrack.harness import crb_policy, load_config, run_campaign, run_trial
 from nftrack.information import bayesian_fim_step
+
+from reference import derivative_matrices
 
 F28 = 28e9
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,7 +77,7 @@ def _kernels(pose, cfg, x, r_ref, a_ref):
     hx, b = pilot_response(pose, cfg, x)
     dr = [d.copy() for d in _distance_terms(pose, cfg)[1]]
     r, a, h = channel_grid(pose, cfg)
-    derivs = channel_derivatives(pose, cfg).matrices
+    derivs = derivative_matrices(channel_derivatives(pose, cfg))
     err = channel_error_sq(pose, cfg, r_ref, a_ref)
     gram = channel_derivatives(pose, cfg).gram
     return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
@@ -109,7 +111,7 @@ def test_kernels_match_allocating_expressions_bit_for_bit(n_b, n_m, seed):
 @given(st.integers(1, 40), st.sampled_from([1, 2, 5, 8, 25]), st.integers(0, 2**32 - 1))
 def test_streamed_derivatives_match_matrices_bit_for_bit(n_b, n_m, seed):
     pose, cfg, x, r_ref, a_ref = _case(n_b, n_m, seed)
-    want = _bytes(channel_derivatives(pose, cfg).matrices)
+    want = _bytes(derivative_matrices(channel_derivatives(pose, cfg)))
     assert want == _bytes(_ref_kernels(pose, cfg, x, r_ref, a_ref)[8:11])
     other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
     derivs = channel_derivatives(pose, cfg)
@@ -137,14 +139,13 @@ def test_derivative_matrices_are_distinct_and_survive_crb_steps():
     cfg = load_config(FULL)
     pose = cfg.initial_state.pose
     derivs = channel_derivatives(pose, cfg.array)
-    arrays = derivs.matrices
-    assert derivs.matrices is arrays  # built once
+    arrays = derivative_matrices(derivs)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
     kept = _bytes(arrays)
     for token in ("svd_pe", "qom"):
         _crb(cfg, token, 3)
     assert _bytes(arrays) == kept
-    assert _bytes(channel_derivatives(pose, cfg.array).matrices) == kept
+    assert _bytes(derivative_matrices(channel_derivatives(pose, cfg.array))) == kept
 
 
 def _crb(cfg, token, steps, wait=lambda: None):
@@ -186,15 +187,22 @@ def test_two_threads_running_crb_steps_on_one_shape_match_serial_results():
 
 
 def test_no_library_path_materialises_derivative_matrices(monkeypatch, tmp_path):
-    def refuse(self):
-        raise AssertionError("the derivative matrices were materialised")
+    # Every derivative matrix a command builds is written into its thread's
+    # scratch grids, never into an array of its own.
+    built = []
+    derivative = geometry._derivative
 
-    monkeypatch.setattr(ChannelDerivatives, "matrices", property(refuse))
+    def in_scratch(out, *args):
+        built.append(any(np.shares_memory(out, g) for g in geometry._local.grids))
+        return derivative(out, *args)
+
+    monkeypatch.setattr(geometry, "_derivative", in_scratch)
     common = ["--config", str(DESK), "--out", str(tmp_path / "o.csv")]
     runs = [["crb", *common, "--steps", "3", "--policy", p] for p in CRB_POLICIES]
     runs += [["fisher", *common, "--sweep", s] for s in ("nb:16:101:3", "nm:1:25:3")]
     runs.append(["track", *common, "--trials", "1", "--steps", "3"])
     assert [cli_main(argv) for argv in runs] == [0] * len(runs)
+    assert built and all(built)
 
 
 def _in_fresh_thread(fn):
@@ -218,11 +226,11 @@ def test_public_results_survive_later_kernel_calls():
     pose, cfg, x, r_ref, a_ref = _case(33, 9, 3)
     other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
     grid = channel_grid(pose, cfg)
-    matrices = channel_derivatives(pose, cfg).matrices
+    matrices = derivative_matrices(channel_derivatives(pose, cfg))
     response = pilot_response(pose, cfg, x)
     kept = _bytes([*grid, *matrices, *response])
     _kernels(other, cfg, x, r_ref, a_ref)
-    channel_derivatives(other, cfg).matrices
+    derivative_matrices(channel_derivatives(other, cfg))
     assert _bytes([*grid, *matrices, *response]) == kept
 
 
