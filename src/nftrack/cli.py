@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -41,7 +42,10 @@ def _add_common(parser, *overrides):
         parser.add_argument(flag, type=kind, default=None, dest=name)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at its first call and shared after: parsing
+    leaves it unchanged, and building it costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="nftrack",
         description="Near-field pose tracking simulator with hybrid-array analog combining.",

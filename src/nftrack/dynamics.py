@@ -35,6 +35,7 @@ class MsState:
         for name in ("x", "y", "psi", "v", "omega"):
             value = getattr(self, name)
             if type(value) is not float:  # np.float64 too: it subclasses float
+                value = _typed(value, _REAL, f"state {name} must be a real number")
                 object.__setattr__(self, name, float(value))
 
     def as_vector(self) -> np.ndarray:

@@ -156,6 +156,10 @@ class Pose:
     psi: float
 
     def __post_init__(self):
+        if not type(self.x) is type(self.y) is type(self.psi) is float:
+            for name in ("x", "y", "psi"):
+                value = _typed(getattr(self, name), _REAL, f"pose {name} must be a real number")
+                object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
             raise ValueError("pose components must be finite")
         if self.x == 0.0 and self.y == 0.0:
@@ -170,10 +174,16 @@ class Pose:
         return float(np.arctan2(self.y, self.x))
 
 
+# S_(k+l) for the (p, q) pair (k, l) of the Gram's column sums, and the
+# triangles that make the Gram exactly symmetric.
+_MOMENT_PAIRS = np.array([[0, 1], [1, 2]])
+_LOWER, _UPPER = ((1, 2, 2), (0, 0, 1)), ((0, 0, 1), (1, 2, 2))
+
+
 class ChannelDerivatives:
     """Exact channel derivatives J_x (1/m), J_y (1/m) and J_psi (1/rad) at one
     pose.  ``stream()`` yields them one at a time in scratch, and ``gram``
-    never needs the complex matrices.
+    needs neither the complex matrices nor the dr/dmu grids.
 
     J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
@@ -199,21 +209,42 @@ class ChannelDerivatives:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        lam = self.cfg.wavelength
-        r, dr = _distance_terms(self.pose, self.cfg)
-        work = _scratch(self.cfg)[4]
-        # (lam / (4 pi r^2))^2 (1 + (2 pi / lam r)^2); r's grid is spent on the
-        # second factor, then holds each weighted derivative.
-        dh_dr_sq = np.multiply(4 * np.pi, np.square(r, out=work), out=work)
-        np.square(np.divide(lam, dh_dr_sq, out=dh_dr_sq), out=dh_dr_sq)
-        np.multiply(2 * np.pi / lam, r, out=r)
-        np.multiply(dh_dr_sq, np.add(1, np.square(r, out=r), out=r), out=dh_dr_sq)
-        g = np.empty((3, 3))
-        for i in range(3):
-            weighted = np.multiply(dh_dr_sq, dr[i], out=r)
-            for j in range(i, 3):
-                g[i, j] = g[j, i] = np.vdot(weighted, dr[j])
-        return g
+        """Re tr(J_mu^H J_nu) over (x, y, psi), from three column sums.
+
+        With t_b = beta_b - y the BS element's offset from the MS center
+        and l the lever arm of MS column m, r dr/dmu = p_mu + q_mu t_b is
+        affine in t_b: (p, q) is (x + l cos psi, 0) for x, (l sin psi, -1)
+        for y and (-x l sin psi, -l cos psi) for psi.  So with
+        w = |dh/dr|^2 / r^2 and S_k = sum_b t_b^k w, which one product of
+        the moment rows (1, t, t^2) with w gives,
+
+            G_mu,nu = sum_m p_mu p_nu S0 + (p_mu q_nu + q_mu p_nu) S1 + q_mu q_nu S2.
+
+        Two scratch grids, viewed as (n_m, n_b), hold 1/r^2 and w.
+        """
+        pose, cfg = self.pose, self.cfg
+        lam = cfg.wavelength
+        cos, sin = math.cos(pose.psi), math.sin(pose.psi)
+        lever = cfg.ms_lever[0]
+        pq = np.zeros((2, 3, cfg.n_m))
+        dx, rise, twist = pq[0]
+        np.add(pose.x, np.multiply(lever, cos, out=dx), out=dx)
+        np.multiply(np.multiply(lever, sin, out=rise), -pose.x, out=twist)
+        pq[1, 1], pq[1, 2] = -1.0, -cos * lever
+        moments = np.ones((3, cfg.n_b))
+        np.subtract(cfg.bs_offsets[:, 0], pose.y, out=moments[1])
+        np.square(moments[1], out=moments[2])
+        u, w = (g.reshape(cfg.n_m, cfg.n_b) for g in _scratch(cfg)[:2])
+        # r dr/dy = l sin psi - t as a product over two terms: one rounded
+        # sum per entry, as the subtraction, and faster than its broadcast.
+        np.square(np.matmul(pq[:, 1].T, moments[:2], out=u), out=u)
+        np.divide(1.0, np.add(u, (dx * dx)[:, None], out=u), out=u)
+        # w / (lam / 4 pi)^2 = (1/r^2 + (2 pi / lam)^2) / r^4
+        np.add(u, (2 * np.pi / lam) ** 2, out=w)
+        np.multiply(np.multiply(w, u, out=w), u, out=w)
+        g = np.einsum("kim,klm,ljm->ij", pq, (moments @ w.T)[_MOMENT_PAIRS], pq)
+        g[_LOWER] = g[_UPPER]
+        return np.multiply(g, (lam / (4 * np.pi)) ** 2, out=g)
 
 
 def pair_distance(pose: Pose, cfg: ArrayConfig, n_b_idx, n_m_idx):
@@ -278,8 +309,9 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
 
 def _distance_terms(pose: Pose, cfg: ArrayConfig):
     """The distance grid r and its real derivatives dr/d(x, y, psi), each
-    (n_b, n_m): the one pose-derivative formula of the filter and the pose
-    Gram.  Scratch grids 0 to 3 hold dr/dy, r, dr/dx and dr/dpsi."""
+    (n_b, n_m): the one pose-derivative formula of the filter and of the
+    streamed derivative matrices.  Scratch grids 0 to 3 hold dr/dy, r, dr/dx
+    and dr/dpsi."""
     nm = cfg.ms_index_row
     grid = _scratch(cfg)
     dx, dy, r = _pair_offsets(pose, cfg)
@@ -356,7 +388,8 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
     and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  The
     matrices are built only as ``stream()`` yields them (dh/dr * dr/dmu of
-    ``_chain_terms``); ``gram`` comes from the distance grid alone.
+    ``_chain_terms``); ``gram`` comes from three column sums over
+    the squared distances alone.
     """
     return ChannelDerivatives(pose, cfg)
 

@@ -35,6 +35,7 @@ from .estimation import Belief, ekf_predict, ekf_update
 from .geometry import (
     ArrayConfig,
     Pose,
+    _typed,
     channel_error_sq,
     channel_grid,
     pilot_jacobian,
@@ -55,6 +56,11 @@ class RfChains:
     """The RF chain count n_rf of every compressed scheme; fd takes all n_b."""
 
     n_rf: int
+
+    def __post_init__(self):
+        if type(self.n_rf) is not int:
+            n_rf = _typed(self.n_rf, (int, np.integer), "n_rf must be an integer")
+            object.__setattr__(self, "n_rf", int(n_rf))
 
 
 # The config format: JSON key path -> (the ScenarioConfig field it fills, its
@@ -421,7 +427,8 @@ def run_trial(
     grids = None  # the trial's one truth set, made at step 1 and rewritten after
     for k in range(1, cfg.k_steps + 1):
         x = pilots(k)
-        grids = r_true, a_true, h_true = channel_grid(Pose(*truth[k, :3]), array, out=grids)
+        pose = Pose(*truth[k, :3].tolist())
+        grids = r_true, a_true, h_true = channel_grid(pose, array, out=grids)
         h_true_sq[k - 1] = np.linalg.norm(h_true) ** 2
         y = full_snapshot(
             h_true, x, cfg.noise_power_watts, stream(cfg.seed, trial_index, k, "obs")

@@ -24,8 +24,10 @@ J_mu = dh/dr * dr/dmu with dr/dmu real, and
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu,
     |dh/dr|^2 = (lambda / (4 pi r^2))^2 (1 + (2 pi r / lambda)^2).
 
-That pose Gram (``ChannelDerivatives.gram``) is real arithmetic on the
-distance grid, so the identity branch of expected_fim builds no complex matrix.
+In each MS column, r dr/dmu is affine in the BS element position, so that
+pose Gram (``ChannelDerivatives.gram``) is three column sums of
+|dh/dr|^2 / r^2 weighted by 1, the position and its square: the identity
+branch of expected_fim builds no complex matrix and no dr/dmu grid.
 """
 
 from dataclasses import dataclass

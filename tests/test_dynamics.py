@@ -212,6 +212,10 @@ def test_invalid_spec_rejected():
             ProcessNoiseSpec(*fields)
     spec = ProcessNoiseSpec(np.int64(2), np.float32(0.5), 1)
     assert (spec.sigma_v, spec.sigma_omega, spec.tau) == (2.0, 0.5, 1.0)
+    # The state too: float() would read "15" as x = 15 m and True as y = 1 m.
+    for fields in (("15", 2.0, 0, 10, 0.1), (15, True, 0, 10, 0.1), (15, 2, 0, 10, np.bool_(1))):
+        with pytest.raises(TypeError, match="must be a real number"):
+            MsState(*fields)
     with pytest.raises(ValueError):
         ctrv_transition(MsState(0, 0, 0, 1, 0), -1.0)
 
@@ -316,8 +320,8 @@ def test_transition_and_jacobian_bits_at_chosen_turns():
 
 
 @pytest.mark.parametrize(
-    "value", [np.float64(2.5), 3, True, np.int64(-4), np.float32(0.1)],
-    ids=["float64", "int", "bool", "int64", "float32"],
+    "value", [np.float64(2.5), 3, np.int64(-4), np.float32(0.1)],
+    ids=["float64", "int", "int64", "float32"],
 )
 def test_ms_state_stores_python_floats(value):
     for state in (MsState(value, value, value, value, value),

@@ -241,8 +241,9 @@ def test_channel_derivatives_match_finite_differences():
 
 def test_heading_derivative_zero_for_single_ms_antenna():
     cfg = ArrayConfig(n_b=11, n_m=1, carrier_freq=F28)
-    j_psi = derivative_matrices(channel_derivatives(Pose(7, 3, 1.1), cfg))[2]
-    np.testing.assert_allclose(j_psi, 0.0, atol=1e-30)
+    derivs = channel_derivatives(Pose(7, 3, 1.1), cfg)
+    np.testing.assert_allclose(derivative_matrices(derivs)[2], 0.0, atol=1e-30)
+    assert not derivs.gram[2].any() and not derivs.gram[:, 2].any()
 
 
 def test_x_axis_mirror_symmetry():
@@ -330,6 +331,13 @@ def test_pose_validation():
         Pose(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Pose(np.nan, 1.0, 0.0)
+    # A str or bool is no real number: it used to be kept as given.
+    for fields in ((True, 2.0, 0), (1.0, "2", 0), (1.0, 2.0, np.bool_(False))):
+        with pytest.raises(TypeError, match="must be a real number"):
+            Pose(*fields)
+    pose = Pose(np.int64(3), 2, np.float32(0.5))
+    assert (pose.x, pose.y, pose.psi) == (3.0, 2.0, 0.5)
+    assert {type(v) for v in (pose.x, pose.y, pose.psi)} == {float}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, "28e9", "0.005", True, np.bool_(True)])

@@ -30,6 +30,7 @@ from nftrack.harness import (
     SchemeMetrics,
     TrialRecord,
     load_config,
+    manifest_path,
     metrics_rmse,
     parse_scheme,
     run_campaign,
@@ -542,6 +543,10 @@ def test_config_validation_errors(tmp_path):
     for n_rf in (0, 33):  # every scheme's n_rf is in [1, n_b)
         with pytest.raises(ConfigError, match="n_rf"):
             tiny_config(combiner=RfChains(n_rf))
+    for n_rf in (True, "3", 3.0):  # a chain count is an integer, and a bool is none
+        with pytest.raises(TypeError, match="n_rf must be an integer"):
+            RfChains(n_rf)
+    assert type(RfChains(np.int64(3)).n_rf) is int
     # initial_cov_diag is read only in place of initial_cov, never beside it.
     both = {**tiny_config().to_dict(), "initial_cov_diag": [1.0] * 5}
     with pytest.raises(ConfigError, match="initial_cov_diag"):
@@ -817,6 +822,22 @@ def test_cli_rejects_flags_a_subcommand_ignores(tmp_path, argv):
     out = tmp_path / "x.csv"
     assert cli_main([*argv, "--config", str(p), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_successive_main_calls_parse_independently(tmp_path):
+    # main reuses one parser: a flag of one call must not carry into the next.
+    p = _write_cli_config(tmp_path)
+    out = tmp_path / "f.csv"
+
+    def config_hash(*flags):
+        argv = ["fisher", "--config", str(p), "--out", str(out), "--sweep", "nb:16:16:1"]
+        assert cli_main([*argv, *flags]) == 0
+        return json.loads(manifest_path(out).read_text())["config_hash"]
+
+    cfg = load_config(p)
+    loud = replace(cfg, p_m_dbm=40.0).config_hash()
+    assert [config_hash("--pm-dbm", "40"), config_hash(), config_hash("--pm-dbm", "40")] == [
+        loud, cfg.config_hash(), loud]
 
 
 def test_cli_entry_point_runs(tmp_path):

@@ -84,6 +84,17 @@ _EDGES = [
     for n_b, n_m in ((33, 9), (32, 8), (33, 8), (32, 9), (17, 1), (16, 1))
     for pose in (Pose(2.0, 0.0, 0.3), Pose(-21.0, 21.4, -2.0))
 ]
+# Poses that stress the Gram's expansion in the BS element position, on a
+# 2048-element BS (an 11 m aperture): the MS 0.5-2 m in front of the aperture,
+# at its center, inside it and past its edge; the MS axis along the line of
+# sight; and 200 m away.
+_EDGES += [
+    (ArrayConfig(n_b=2048, n_m=n_m, carrier_freq=28e9), pose)
+    for n_m in (25, 1)
+    for pose in (Pose(0.5, 0.0, 0.0), Pose(0.5, 4.9, 1.2), Pose(2.0, -5.5, -0.4),
+                 Pose(1.0, 1.0, np.pi / 4), Pose(-3.0, 4.0, np.arctan2(4.0, -3.0)),
+                 Pose(160.0, -120.0, 2.5))
+]
 
 
 def _with_edges(test):

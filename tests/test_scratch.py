@@ -64,12 +64,17 @@ def _ref_kernels(pose, cfg, x, r_ref, a_ref):
     s = np.sin(np.pi / lam * (r - r_ref))
     da = a - a_ref
     err = float(np.vdot(da, da) + 4.0 * np.vdot(a * a_ref, s * s))
-    dh_dr_sq = (lam / (4 * np.pi * r**2)) ** 2 * (1 + (2 * np.pi / lam * r) ** 2)
-    gram = np.empty((3, 3))
-    for i in range(3):
-        weighted = dh_dr_sq * dr[i]
-        for j in range(i, 3):
-            gram[i, j] = gram[j, i] = np.vdot(weighted, dr[j])
+    # The Gram's column sums: r dr/dmu = p_mu + q_mu t in MS column m.
+    lever, t = cfg.ms_lever[0], cfg.bs_offsets[:, 0] - pose.y
+    dx, rise = pose.x + lever * np.cos(pose.psi), lever * np.sin(pose.psi)
+    pq = np.array([[dx, rise, rise * -pose.x],
+                   [np.zeros_like(lever), np.full_like(lever, -1.0), -np.cos(pose.psi) * lever]])
+    inv_r2 = 1.0 / ((rise[:, None] - t) ** 2 + (dx * dx)[:, None])
+    w = (inv_r2 + (2 * np.pi / lam) ** 2) * inv_r2 * inv_r2
+    sums = np.array([np.ones_like(t), t, t**2]) @ w.T
+    gram = np.einsum("kim,klm,ljm->ij", pq, sums[[[0, 1], [1, 2]]], pq)
+    gram[[1, 2, 2], [0, 0, 1]] = gram[[0, 0, 1], [1, 2, 2]]
+    gram *= (lam / (4 * np.pi)) ** 2
     return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
 
 
@@ -286,6 +291,13 @@ def test_warm_tracking_kernels_allocate_less_than_one_grid():
 
     step()
     assert _traced_peak(step) < COMPLEX_GRID_275X75
+
+
+def test_warm_fd_gram_allocates_less_than_one_real_grid():
+    # The Gram writes two scratch grids and allocates only rows of n_b or n_m.
+    pose, cfg, *_ = _case(275, 75, 5)
+    channel_derivatives(pose, cfg).gram
+    assert _traced_peak(lambda: channel_derivatives(pose, cfg).gram) < 275 * 75 * 8
 
 
 def test_fd_combiner_holds_no_dense_identity():
