@@ -14,15 +14,25 @@ gives
 
 one real sine of a small argument per entry (``channel_error_sq``).
 
+The phase exp(-j 2 pi r / lambda) is evaluated two ways.  The tracking
+filter's kernel (``_chain_terms``, behind ``pilot_response`` and
+``ChannelDerivatives.stream``) and ``channel_grid`` take numpy's complex
+exp, and the filter's outputs are pinned to its bits.  The compressed Fisher
+information (``ChannelDerivatives.compressed``) takes the half-angle tangent
+tau = tan(pi r / lambda), exp(-j theta) = (1 - tau^2 - 2j tau) / (1 + tau^2),
+exact and as accurate, in real grids: numpy's float64 tan is a SIMD loop,
+its complex exp a scalar one, about 20 times slower per entry.
+
 The kernels write their (n_b, n_m) temporaries into one scratch set per
 thread, kept for the thread's most recent array shape, so they allocate no
 full grid but those they return.  Each expression keeps its operands and
 evaluation order; only where a result is stored differs, so every bit is the
 same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
-``_chain_terms``) and ``ChannelDerivatives.stream`` return views into that
-set, valid until the next kernel call on the same thread.  Public results are
-fresh arrays: ``channel_grid`` (unless given arrays to write into),
-``channel_matrix``, and ``pilot_response``'s H x and Jacobian.
+``_chain_terms``, ``_slope``) and ``ChannelDerivatives.stream`` return views
+into that set, valid until the next kernel call on the same thread.  Public
+results are fresh arrays: ``channel_grid`` (unless given arrays to write
+into), ``channel_matrix``, ``ChannelDerivatives.compressed``, and
+``pilot_response``'s H x and Jacobian.
 
 All quantities are SI: meters, radians, Hz, Watts.
 """
@@ -141,6 +151,12 @@ class ArrayConfig:
         """(n_b, 1) column of BS element positions n d_b on the y-axis, m."""
         return _frozen(self.bs_indices[:, None].astype(float) * self.d_b)
 
+    @cached_property
+    def bs_negated_pairs(self) -> np.ndarray:
+        """(n_b, 2) rows (-n d_b, 1): their product with a (2, n_m) stack
+        (1, c) is the grid c - n d_b, one rounding per entry."""
+        return _frozen(np.hstack((-self.bs_offsets, np.ones((self.n_b, 1)))))
+
     @property
     def fresnel_distance(self) -> float:
         """Boundary between the reactive and radiative near field of the BS."""
@@ -180,10 +196,25 @@ _MOMENT_PAIRS = np.array([[0, 1], [1, 2]])
 _LOWER, _UPPER = ((1, 2, 2), (0, 0, 1)), ((0, 0, 1), (1, 2, 2))
 
 
+def _affine_rows(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
+    """The (2, 3, n_m) rows (p, q) of r dr/dmu = p_mu + q_mu t_b over
+    mu = (x, y, psi) and the MS columns, t_b = beta_b - y: p is
+    (x + l cos psi, l sin psi, -x l sin psi) and q is (0, -1, -l cos psi)."""
+    cos, sin = math.cos(pose.psi), math.sin(pose.psi)
+    lever = cfg.ms_lever[0]
+    pq = np.zeros((2, 3, cfg.n_m))
+    dx, rise, twist = pq[0]
+    np.add(pose.x, np.multiply(lever, cos, out=dx), out=dx)
+    np.multiply(np.multiply(lever, sin, out=rise), -pose.x, out=twist)
+    pq[1, 1], pq[1, 2] = -1.0, -cos * lever
+    return pq
+
+
 class ChannelDerivatives:
     """Exact channel derivatives J_x (1/m), J_y (1/m) and J_psi (1/rad) at one
-    pose.  ``stream()`` yields them one at a time in scratch, and ``gram``
-    needs neither the complex matrices nor the dr/dmu grids.
+    pose.  ``stream()`` yields them one at a time in scratch; ``compressed``
+    gives Q J_mu for a combiner matrix Q, and ``gram`` the fully digital
+    Gram, and neither builds a complex derivative matrix or a dr/dmu grid.
 
     J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
@@ -203,9 +234,38 @@ class ChannelDerivatives:
         for i in range(3):
             stamp, terms = self._chain  # one read: another thread may replace it
             if stamp != getattr(_local, "stamp", None):
-                _, *terms = _chain_terms(self.pose, self.cfg)
+                terms = _chain_terms(self.pose, self.cfg)
                 self._chain = _local.stamp, terms
-            yield _derivative(*terms, i)
+            yield _derivative(*terms[1:], i)
+
+    def compressed(self, q: np.ndarray) -> np.ndarray:
+        """Q J_x, Q J_y and Q J_psi as one (3, n_rf, n_m) array for an
+        (n_rf, n_b) matrix q, with no complex derivative matrix.
+
+        With E = (dh/dr)/r and the affine rows (p, q) of ``gram``,
+        J_mu = E (p_mu + q_mu t_b) entry by entry, so column m of Q J_mu is
+        p_mu (Q E)[:, m] + q_mu (Q diag(t) E)[:, m]: one product
+        [Q; Q diag(t)] E gives all three.  E comes from the half-angle
+        tangent (``_slope``), as stacked real and imaginary grids, and the
+        product is one real GEMM.  r is the grid that ``stream()`` left in
+        scratch while no kernel has run on the thread since, else a fresh
+        one: the same bits either way.
+        """
+        pose, cfg = self.pose, self.cfg
+        stamp, terms = self._chain
+        r = terms[0] if stamp == getattr(_local, "stamp", None) else _pair_offsets(pose, cfg)[2]
+        e = _slope(cfg, r, _scratch(cfg))
+        a = np.concatenate((q, q * (cfg.bs_offsets[:, 0] - pose.y)))  # [Q; Q diag(t)]
+        # [[Re A, -Im A], [Im A, Re A]] [Re E; Im E] = [Re AE; Im AE]
+        n, n_b = a.shape
+        m = np.empty((2 * n, 2 * n_b))
+        m[:n, :n_b] = m[n:, n_b:] = a.real
+        m[n:, :n_b] = a.imag
+        np.negative(a.imag, out=m[:n, n_b:])
+        prod = m @ e
+        qe = (prod[:n] + 1j * prod[n:]).reshape(2, len(q), cfg.n_m)  # Q E, Q diag(t) E
+        pq = _affine_rows(pose, cfg)[:, :, None]
+        return pq[0] * qe[0] + pq[1] * qe[1]
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -224,13 +284,8 @@ class ChannelDerivatives:
         """
         pose, cfg = self.pose, self.cfg
         lam = cfg.wavelength
-        cos, sin = math.cos(pose.psi), math.sin(pose.psi)
-        lever = cfg.ms_lever[0]
-        pq = np.zeros((2, 3, cfg.n_m))
-        dx, rise, twist = pq[0]
-        np.add(pose.x, np.multiply(lever, cos, out=dx), out=dx)
-        np.multiply(np.multiply(lever, sin, out=rise), -pose.x, out=twist)
-        pq[1, 1], pq[1, 2] = -1.0, -cos * lever
+        pq = _affine_rows(pose, cfg)
+        dx = pq[0, 0]
         moments = np.ones((3, cfg.n_b))
         np.subtract(cfg.bs_offsets[:, 0], pose.y, out=moments[1])
         np.square(moments[1], out=moments[2])
@@ -302,7 +357,11 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
     grid = _scratch(cfg)
     lever = cfg.ms_lever
     dx = pose.x + lever * math.cos(pose.psi)
-    dy = np.subtract(pose.y + lever * math.sin(pose.psi), cfg.bs_offsets, out=grid[0])
+    # (y + l sin psi) - beta as a product over two terms: the same rounded
+    # difference per entry, and faster than the broadcast subtraction.
+    rows = np.ones((2, cfg.n_m))
+    np.add(pose.y, np.multiply(lever[0], math.sin(pose.psi), out=rows[1]), out=rows[1])
+    dy = np.matmul(cfg.bs_negated_pairs, rows, out=grid[0])
     r = np.sqrt(np.add(dx**2, np.square(dy, out=grid[1]), out=grid[1]), out=grid[1])
     return dx, dy, r
 
@@ -340,6 +399,41 @@ def _chain_terms(pose: Pose, cfg: ArrayConfig):
     np.add(1, np.multiply(2j * np.pi / lam, r, out=dh_dr), out=dh_dr)
     np.multiply(np.multiply(work, dh_dr, out=dh_dr), phase, out=dh_dr)
     return r, phase, dh_dr, dr
+
+
+def _slope(cfg: ArrayConfig, r: np.ndarray, grid: list) -> np.ndarray:
+    """E = (dh/dr)/r on the distance grid r, as the (2 n_b, n_m) stack of
+    Re E over Im E in the floats of complex scratch grid 5.
+
+    With theta = k r, k = 2 pi / lambda, and tau = tan(theta / 2),
+    exp(-j theta) = (1 - tau^2 - 2j tau) / (1 + tau^2), so
+
+        E = -lambda / (4 pi r^3 (1 + tau^2))
+            * ((1 - tau^2 + 2 k r tau) + j (k r (1 - tau^2) - 2 tau)).
+
+    Real grids 0, 2 and 3 are the work space, and the two output grids hold
+    1 - tau^2 and k r on the way: six grids in all, r (which may be grid 1)
+    included, so that more of them stay in cache.
+    """
+    lam = cfg.wavelength
+    e = grid[5].view(float).reshape(2 * cfg.n_b, cfg.n_m)
+    re, im = e[:cfg.n_b], e[cfg.n_b:]
+    tau, u, kr_tau = grid[0], grid[2], grid[3]
+    np.tan(np.multiply(r, np.pi / lam, out=tau), out=tau)
+    np.square(tau, out=u)
+    np.subtract(1.0, u, out=re)
+    np.add(u, 1.0, out=u)
+    np.add(tau, tau, out=tau)  # 2 tau from here on
+    kr = np.multiply(r, 2 * np.pi / lam, out=im)
+    np.multiply(kr, tau, out=kr_tau)
+    np.subtract(np.multiply(kr, re, out=im), tau, out=im)
+    np.add(re, kr_tau, out=re)
+    for _ in range(3):
+        np.multiply(u, r, out=u)
+    np.divide(-lam / (4 * np.pi), u, out=u)
+    np.multiply(re, u, out=re)
+    np.multiply(im, u, out=im)
+    return e
 
 
 def _derivative(out: np.ndarray, dh_dr: np.ndarray, dr, i: int) -> np.ndarray:
@@ -388,8 +482,9 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
     and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  The
     matrices are built only as ``stream()`` yields them (dh/dr * dr/dmu of
-    ``_chain_terms``); ``gram`` comes from three column sums over
-    the squared distances alone.
+    ``_chain_terms``); ``compressed`` forms their products with a combiner
+    from (dh/dr)/r and the affine rows of r dr/dmu, and ``gram`` comes from
+    three column sums over the squared distances alone.
     """
     return ChannelDerivatives(pose, cfg)
 

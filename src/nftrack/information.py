@@ -28,6 +28,13 @@ In each MS column, r dr/dmu is affine in the BS element position, so that
 pose Gram (``ChannelDerivatives.gram``) is three column sums of
 |dh/dr|^2 / r^2 weighted by 1, the position and its square: the identity
 branch of expected_fim builds no complex matrix and no dr/dmu grid.
+
+With an analog combiner Q the same rows give Q J_mu: with E = (dh/dr)/r,
+J_mu = E (p_mu + q_mu t_b) entry by entry, so each MS column of Q J_mu is
+p_mu (Q E) + q_mu (Q diag(t) E), and one product [Q; Q diag(t)] E gives
+all three (``ChannelDerivatives.compressed``).  E takes its phase from the
+half-angle tangent, in real grids, so the compressed branch builds no
+complex grid either: one solve with Q Q^H and one contraction follow.
 """
 
 from dataclasses import dataclass
@@ -72,21 +79,22 @@ def expected_fim(
 
     Entry (mu, nu) over the pose block is
     (2 P_m / (sigma^2 N_m)) Re tr(J_mu^H P_Q J_nu); velocity rows are zero.
+    P_Q = Q^H (Q Q^H)^-1 Q, so with Q a matrix the entry is
+    Re tr((Q J_mu)^H (Q Q^H)^-1 Q J_nu), from the compressed derivatives;
+    the identity combiner takes the pose Gram.
     """
     scale = 2.0 * p_m / (noise_power * n_m)
     f = np.zeros((5, 5))
     if q.q is None:
         f[:3, :3] = scale * derivs.gram
         return f
-    originals = [q.q @ j for j in derivs.stream()]  # Q J_mu
-    projected = [q.solve_gram(w) for w in originals]  # (QQ^H)^-1 Q J_nu
-    for i in range(3):
-        for j_idx in range(i, 3):
-            val = scale * float(
-                np.real(np.sum(np.conj(originals[i]) * projected[j_idx]))
-            )
-            f[i, j_idx] = val
-            f[j_idx, i] = val
+    qj = derivs.compressed(q.q)  # Q J_mu, (3, n_rf, n_m)
+    n_rf = qj.shape[1]
+    rhs = qj.transpose(1, 0, 2).reshape(n_rf, -1)
+    projected = q.solve_gram(rhs).reshape(n_rf, 3, -1).transpose(1, 0, 2)  # (QQ^H)^-1 Q J_nu
+    # Each entry one pairwise sum over (n_rf, n_m), as np.sum adds a contiguous block.
+    g = scale * np.sum(np.conj(qj)[:, None] * projected, axis=(2, 3)).real
+    f[:3, :3] = np.triu(g) + np.triu(g, 1).T
     return f
 
 

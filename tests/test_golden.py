@@ -28,12 +28,19 @@ output against the committed file, and its first differing cell, old
 against new, and exits 1 unless every fixture reads identical.  Quote it
 whenever fixtures are regenerated.
 
-The fixtures pin the rounding of the BLAS kernel, not only the program.
-They were generated with the OpenBLAS 0.3.31 that numpy and scipy bundle, on
-an AVX-512 Xeon where it picks its SkylakeX kernel, and pass with
-OPENBLAS_CORETYPE=SkylakeX and =Haswell.  With =Sandybridge (AVX only)
-desk_per_step.csv fails at svd_pe step 2 by 1.29e-9 relative: the filter
-amplifies a different rounding of the BLAS products.
+The fixtures pin the rounding of the BLAS kernel and of numpy's SIMD loops,
+not only the program.  They were generated with the OpenBLAS 0.3.31 that
+numpy and scipy bundle, on an AVX-512 Xeon where it picks its SkylakeX
+kernel, and with numpy 2.4.6's AVX512_SKX loops.  With
+OPENBLAS_CORETYPE=Haswell every fixture moves (tracking by up to 1.84e-10,
+CRB 5.2e-12, fisher 1.6e-15), so --compare exits 1, but the golden tests
+pass at rtol 1e-9.  With =Sandybridge (AVX only) desk_per_step.csv fails at
+svd_pe step 2 by 1.29e-9 relative: the filter amplifies a different rounding
+of the BLAS products.  The compressed CRB fixtures (desk_crb_* and
+full_crb_* of rand, svd_pe and qom) also pin numpy's float64 tan, whose loop
+numpy picks by CPU feature.  The test of --compare below checks its logic on
+a fixture that it regenerates, so it does not depend on this machine's
+rounding.
 """
 
 import csv
@@ -201,13 +208,16 @@ CHEAPEST = _fisher_name("pose-grid")
 
 
 def test_compare_exits_1_unless_every_fixture_is_identical(tmp_path, monkeypatch, capsys):
+    # The fixture is first written by the tool's own write mode, so that the
+    # exit 0 tests --compare, not this machine's rounding.
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    assert _main([CHEAPEST]) == 0
     assert _main(["--compare", CHEAPEST]) == 0
-    rows = _rows(GOLDEN_DIR / CHEAPEST)
+    rows = _rows(tmp_path / CHEAPEST)
     fresh = rows[1][5]
     rows[1][5] = repr(float(fresh) * (1 + 1e-15))  # one cell off by rounding
     with open(tmp_path / CHEAPEST, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
     assert _main(["--compare", CHEAPEST]) == 1
     same, differs = capsys.readouterr().out.splitlines()
     assert same == f"{CHEAPEST}: identical"

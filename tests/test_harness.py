@@ -1015,16 +1015,20 @@ def test_every_registry_scheme_tracks_and_bounds(tmp_path, token):
 ])
 def test_cli_channel_kernel_builds(tmp_path, monkeypatch, argv, builds):
     # The fully digital CRB and the Fisher sweeps use the phase-free pose
-    # Gram and build no complex channel kernel; a compressed CRB step builds
-    # exactly one.
+    # Gram and build no channel kernel.  A compressed CRB step builds its
+    # compressed derivatives once, for the data information; only the svd_pe
+    # policy also builds the complex chain terms, for its observation Jacobian.
     p = _write_cli_config(tmp_path)
-    calls = []
-    real = nftrack.geometry._chain_terms
-    monkeypatch.setattr(
-        nftrack.geometry, "_chain_terms", lambda pose, cfg: calls.append(1) or real(pose, cfg)
-    )
+    chain, compressed = [], []
+    real_chain = nftrack.geometry._chain_terms
+    real_compressed = nftrack.geometry.ChannelDerivatives.compressed
+    monkeypatch.setattr(nftrack.geometry, "_chain_terms",
+                        lambda pose, cfg: chain.append(1) or real_chain(pose, cfg))
+    monkeypatch.setattr(nftrack.geometry.ChannelDerivatives, "compressed",
+                        lambda derivs, q: compressed.append(1) or real_compressed(derivs, q))
     assert cli_main([*argv, "--config", str(p), "--out", str(tmp_path / "out.csv")]) == 0
-    assert len(calls) == builds
+    assert len(compressed) == builds
+    assert len(chain) == (builds if "svd_pe" in argv else 0)
 
 
 def test_mo_step_inverts_the_prior_once(monkeypatch):

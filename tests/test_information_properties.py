@@ -12,7 +12,7 @@ from nftrack.geometry import ArrayConfig, Pose, channel_derivatives, pilot_respo
 from nftrack.information import avg_fisher, bayesian_fim_step, expected_fim
 from nftrack.observation import generate_pilot
 
-from reference import derivative_matrices
+from reference import derivative_matrices, random_phases
 
 P_M = 0.01  # 10 dBm
 SIGMA2 = 1e-10  # -70 dBm
@@ -128,6 +128,26 @@ def test_fd_information_matches_complex_reference(scenario):
     assert not f[3:].any() and not f[:, 3:].any()
     af = avg_fisher(channel_derivatives(pose, cfg), fd, P_M, SIGMA2, cfg.n_m)
     assert np.abs([af.f_x, af.f_y, af.f_psi] - np.diagonal(ref)).max() <= tol
+
+
+@PROPERTY
+@_with_edges
+@given(near_field())
+def test_compressed_derivatives_match_complex_matrices(scenario):
+    # Q J_mu from E = (dh/dr)/r, the affine rows and the half-angle phase,
+    # against the product of Q with each complex derivative matrix.
+    cfg, pose = scenario
+    q = random_phases(np.random.default_rng(cfg.n_b), (1 + cfg.n_b % 3, cfg.n_b))
+    derivs = channel_derivatives(pose, cfg)
+    got = derivs.compressed(q)
+    want = [q @ j for j in derivative_matrices(derivs)]
+    assert got.shape == (3, len(q), cfg.n_m)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.linalg.norm(w)
+    if cfg.n_m == 1:
+        assert not got[2].any()
+    # After the stream, the kernel reads the stream's distance grid: the same bits.
+    assert derivs.compressed(q).tobytes() == got.tobytes()
 
 
 @st.composite
