@@ -293,12 +293,6 @@ class _PoseObjective:
         return -2.0 * self.scale * (y @ (s3.T @ s3)) @ (self.b3h - _h(y) @ q)
 
 
-def _renormalize(q: np.ndarray) -> np.ndarray:
-    mags = np.abs(q)
-    mags[mags == 0] = 1.0
-    return q / mags
-
-
 def combiner_mo(
     init: Combiner,
     prior: Belief,
@@ -329,7 +323,10 @@ def combiner_mo(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     objective = _PoseObjective(prior, b_pred, noise_power)
-    q = _renormalize(np.asarray(init.q, dtype=complex).copy())
+    # The copy is C-ordered whatever init's layout (qom's q is column-major),
+    # and every product with q below rounds as it does on a row-major q.
+    q = init.q.copy()
+    q = q / np.abs(q)
     f_curr, s3, y = objective(q)
     info = MoInfo(objectives=[f_curr])
     best_q, best_f = q, f_curr
@@ -396,7 +393,7 @@ class PredictionBuilder:
         self.fallback_steps: List[int] = []
         self.mo_stalled_steps: List[int] = []
         self._seed, self._trial_index = seed, trial_index
-        self._chain = SCHEMES[spec.kind]
+        self._scheme = SCHEMES[spec.kind]
         self._previous = None
 
     def build(
@@ -404,7 +401,7 @@ class PredictionBuilder:
     ) -> Combiner:
         """Step k's combiner at the predicted pose; jacobian() returns the
         predicted observation Jacobian, prior is the predicted belief."""
-        self._previous = self._chain(self, k, pose, jacobian, prior)
+        self._previous = self._scheme(self, k, pose, jacobian, prior)
         return self._previous
 
     @cached_property

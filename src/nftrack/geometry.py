@@ -15,29 +15,29 @@ gives
 one real sine of a small argument per entry (``channel_error_sq``).
 
 The phase exp(-j 2 pi r / lambda) is evaluated two ways.  The tracking
-filter's kernel (``_chain_terms``, behind ``pilot_response`` and
-``ChannelDerivatives.stream``) and ``channel_grid`` take numpy's complex
-exp, and the filter's outputs are pinned to its bits.  The compressed Fisher
-information (``ChannelDerivatives.compressed``) takes the half-angle tangent
-tau = tan(pi r / lambda), exp(-j theta) = (1 - tau^2 - 2j tau) / (1 + tau^2),
-exact and as accurate, in real grids: numpy's float64 tan is a SIMD loop,
-its complex exp a scalar one, about 20 times slower per entry.
+filter's kernel (``_chain_terms``, behind ``pilot_response``, whose
+observation Jacobian the svd_pe CRB policy shares) and ``channel_grid``
+take numpy's complex exp, and the filter's outputs are pinned to its bits.
+The compressed Fisher information (``ChannelDerivatives.compressed``) takes
+the half-angle tangent tau = tan(pi r / lambda),
+exp(-j theta) = (1 - tau^2 - 2j tau) / (1 + tau^2), exact and as accurate,
+in real grids: numpy's float64 tan is a SIMD loop, its complex exp a scalar
+one, about 20 times slower per entry.
 
 The kernels write their (n_b, n_m) temporaries into one scratch set per
 thread, kept for the thread's most recent array shape, so they allocate no
 full grid but those they return.  Each expression keeps its operands and
 evaluation order; only where a result is stored differs, so every bit is the
 same.  The private helpers (``_pair_offsets``, ``_distance_terms``,
-``_chain_terms``, ``_slope``) and ``ChannelDerivatives.stream`` return views
-into that set, valid until the next kernel call on the same thread.  Public
-results are fresh arrays: ``channel_grid`` (unless given arrays to write
-into), ``channel_matrix``, ``ChannelDerivatives.compressed``, and
-``pilot_response``'s H x and Jacobian.
+``_chain_terms``, ``_slope``) return views into that set, valid until the
+next kernel call on the same thread.  Public results are fresh arrays:
+``channel_grid`` (unless given arrays to write into), ``channel_matrix``,
+``ChannelDerivatives.compressed``, and ``pilot_response``'s H x and
+Jacobian.
 
 All quantities are SI: meters, radians, Hz, Watts.
 """
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -212,9 +212,9 @@ def _affine_rows(pose: Pose, cfg: ArrayConfig) -> np.ndarray:
 
 class ChannelDerivatives:
     """Exact channel derivatives J_x (1/m), J_y (1/m) and J_psi (1/rad) at one
-    pose.  ``stream()`` yields them one at a time in scratch; ``compressed``
-    gives Q J_mu for a combiner matrix Q, and ``gram`` the fully digital
-    Gram, and neither builds a complex derivative matrix or a dr/dmu grid.
+    pose, never built as matrices: ``compressed`` gives Q J_mu for a combiner
+    matrix Q, and ``gram`` the fully digital Gram, and neither builds a
+    complex derivative matrix or a dr/dmu grid.
 
     J_mu = dh/dr * dr/dmu entry by entry with dr/dmu real, so
     Re tr(J_mu^H J_nu) = sum |dh/dr|^2 dr/dmu dr/dnu: the phase cancels and
@@ -224,19 +224,6 @@ class ChannelDerivatives:
     def __init__(self, pose: Pose, cfg: ArrayConfig):
         self.pose = pose
         self.cfg = cfg
-        self._chain = (-1, None)  # (scratch stamp, the chain terms in that scratch)
-
-    def stream(self):
-        """J_x, J_y and J_psi in turn, written into the thread's phase grid:
-        each matrix is valid only until the next, or until any other kernel
-        call on the thread.  The chain terms are reused while no kernel has
-        run on the thread since."""
-        for i in range(3):
-            stamp, terms = self._chain  # one read: another thread may replace it
-            if stamp != getattr(_local, "stamp", None):
-                terms = _chain_terms(self.pose, self.cfg)
-                self._chain = _local.stamp, terms
-            yield _derivative(*terms[1:], i)
 
     def compressed(self, q: np.ndarray) -> np.ndarray:
         """Q J_x, Q J_y and Q J_psi as one (3, n_rf, n_m) array for an
@@ -247,14 +234,10 @@ class ChannelDerivatives:
         p_mu (Q E)[:, m] + q_mu (Q diag(t) E)[:, m]: one product
         [Q; Q diag(t)] E gives all three.  E comes from the half-angle
         tangent (``_slope``), as stacked real and imaginary grids, and the
-        product is one real GEMM.  r is the grid that ``stream()`` left in
-        scratch while no kernel has run on the thread since, else a fresh
-        one: the same bits either way.
+        product is one real GEMM.
         """
         pose, cfg = self.pose, self.cfg
-        stamp, terms = self._chain
-        r = terms[0] if stamp == getattr(_local, "stamp", None) else _pair_offsets(pose, cfg)[2]
-        e = _slope(cfg, r, _scratch(cfg))
+        e = _slope(cfg, _pair_offsets(pose, cfg)[2], _scratch(cfg))
         a = np.concatenate((q, q * (cfg.bs_offsets[:, 0] - pose.y)))  # [Q; Q diag(t)]
         # [[Re A, -Im A], [Im A, Re A]] [Re E; Im E] = [Re AE; Im AE]
         n, n_b = a.shape
@@ -329,14 +312,11 @@ def _grids(shape, n_real: int, n_complex: int) -> list:
 
 
 _local = threading.local()
-_stamps = itertools.count()
 
 
 def _scratch(cfg: ArrayConfig) -> list:
     """This thread's work grids for cfg's shape: five real grids, then two
-    complex ones.  Made anew when the shape changes.  Each call gives the
-    thread a new stamp, unique across threads: it dates what scratch holds."""
-    _local.stamp = next(_stamps)
+    complex ones.  Made anew when the shape changes."""
     shape = (cfg.n_b, cfg.n_m)
     if getattr(_local, "shape", None) != shape:
         _local.shape = _local.grids = None  # free the old block before making the new
@@ -368,9 +348,8 @@ def _pair_offsets(pose: Pose, cfg: ArrayConfig):
 
 def _distance_terms(pose: Pose, cfg: ArrayConfig):
     """The distance grid r and its real derivatives dr/d(x, y, psi), each
-    (n_b, n_m): the one pose-derivative formula of the filter and of the
-    streamed derivative matrices.  Scratch grids 0 to 3 hold dr/dy, r, dr/dx
-    and dr/dpsi."""
+    (n_b, n_m): the one pose-derivative formula of the observation Jacobian.
+    Scratch grids 0 to 3 hold dr/dy, r, dr/dx and dr/dpsi."""
     nm = cfg.ms_index_row
     grid = _scratch(cfg)
     dx, dy, r = _pair_offsets(pose, cfg)
@@ -436,11 +415,6 @@ def _slope(cfg: ArrayConfig, r: np.ndarray, grid: list) -> np.ndarray:
     return e
 
 
-def _derivative(out: np.ndarray, dh_dr: np.ndarray, dr, i: int) -> np.ndarray:
-    """J_mu = dh/dr * dr/dmu for pose component i of _chain_terms' dr, written into out."""
-    return np.multiply(dh_dr, dr[i], out=out)
-
-
 def channel_grid(pose: Pose, cfg: ArrayConfig, out=None):
     """The distance grid r, the amplitudes a = lambda/(4*pi*r) and the channel
     a * exp(-j*2*pi*r/lambda) of one pose, each (n_b, n_m): fresh arrays,
@@ -480,37 +454,30 @@ def channel_derivatives(pose: Pose, cfg: ArrayConfig) -> ChannelDerivatives:
     """Exact pose derivatives of the channel, via the chain rule through r_e.
 
     dh/dr = -lambda/(4*pi*r^2) * (1 + j*2*pi*r/lambda) * exp(-j*2*pi*r/lambda),
-    and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  The
-    matrices are built only as ``stream()`` yields them (dh/dr * dr/dmu of
-    ``_chain_terms``); ``compressed`` forms their products with a combiner
-    from (dh/dr)/r and the affine rows of r dr/dmu, and ``gram`` comes from
-    three column sums over the squared distances alone.
+    and dr/dpsi combines dr/dx, dr/dy with the MS element lever arm.  No
+    derivative matrix is built: ``compressed`` forms their products with a
+    combiner from (dh/dr)/r and the affine rows of r dr/dmu, and ``gram``
+    comes from three column sums over the squared distances alone.  Only
+    ``pilot_response`` writes the matrices, in turn, into scratch.
     """
     return ChannelDerivatives(pose, cfg)
 
 
 def pilot_response(pose: Pose, cfg: ArrayConfig, x: np.ndarray):
-    """H(p) x and its (n_b, 5) state Jacobian from one distance grid.
+    """H(p) x and its (n_b, 5) state Jacobian [J_x x, J_y x, J_psi x, 0, 0]
+    from one distance grid: the filter's observation Jacobian, which the
+    svd_pe CRB policy takes too.
 
     The Jacobian's velocity columns are identically zero: a single snapshot
     carries no information about v or omega.  Bit-identical to
-    ``channel_matrix(pose, cfg) @ x`` and to the derivatives of
-    ``channel_derivatives`` applied to x.
+    ``channel_matrix(pose, cfg) @ x`` and to each J_mu = dh/dr * dr/dmu
+    applied to x.
     """
     r, phase, dh_dr, dr = _chain_terms(pose, cfg)
     # The phase grid becomes H, then holds each derivative matrix in turn.
     h = np.multiply(_amplitudes(cfg.wavelength, r, _scratch(cfg)[4]), phase, out=phase)
     hx = h @ x
-    return hx, pilot_jacobian((_derivative(h, dh_dr, dr, i) for i in range(3)), x, cfg.n_b)
-
-
-def pilot_jacobian(derivs, x: np.ndarray, n_b: int) -> np.ndarray:
-    """(n_b, 5) state Jacobian [J_x x, J_y x, J_psi x, 0, 0] of H(p) x from
-    the three channel derivative matrices, taken one at a time.  The filter
-    (``pilot_response``) and the CRB combiner policies share it, so both see
-    the same bits."""
-    b = np.zeros((n_b, 5), dtype=complex)
-    for col, j in enumerate(derivs):
-        b[:, col] = j @ x
-    return b
-
+    b = np.zeros((cfg.n_b, 5), dtype=complex)
+    for col in range(3):
+        b[:, col] = np.multiply(dh_dr, dr[col], out=h) @ x
+    return hx, b

@@ -38,7 +38,6 @@ from .geometry import (
     _typed,
     channel_error_sq,
     channel_grid,
-    pilot_jacobian,
     pilot_response,
 )
 from .observation import full_snapshot, generate_pilot
@@ -378,25 +377,23 @@ def _pilots(cfg: ScenarioConfig, trial_index: int):
 
 
 def crb_policy(cfg: ScenarioConfig, token: str):
-    """The CRB combiner policy(pose, derivs) of a scheme token.
+    """The CRB combiner policy(pose) of a scheme token.
 
     It is trial 0's PredictionBuilder, with trial 0's random combiner and
     pilots, so the bound sees the combiner a tracking filter builds,
-    fallbacks included.  The observation Jacobian is formed from the step's
-    channel derivatives, only when the scheme asks for it.
+    fallbacks included.  The observation Jacobian is the filter's own,
+    ``pilot_response``'s, formed only when the scheme asks for it.
     """
-    n_b = cfg.array.n_b
     builder = PredictionBuilder(
-        parse_scheme(token, cfg.combiner.n_rf, n_b), cfg.array, cfg.seed, 0, cfg.noise_power_watts
+        parse_scheme(token, cfg.combiner.n_rf, cfg.array.n_b), cfg.array, cfg.seed, 0,
+        cfg.noise_power_watts,
     )
     pilots = _pilots(cfg, 0)
     steps = itertools.count(1)
 
-    def policy(pose, derivs):
+    def policy(pose):
         k = next(steps)
-        return builder.build(
-            k, pose, lambda: pilot_jacobian(derivs.stream(), pilots(k), n_b), None
-        )
+        return builder.build(k, pose, lambda: pilot_response(pose, cfg.array, pilots(k))[1], None)
 
     return policy
 

@@ -127,7 +127,7 @@ def bayesian_fim_step(
     spec: ProcessNoiseSpec,
     pilot_power: float,
     noise_power: float,
-    q_policy: Callable[[Pose, ChannelDerivatives], Combiner],
+    q_policy: Callable[[Pose], Combiner],
 ) -> Belief:
     """One step of the Bayesian CRB along the nominal trajectory.
 
@@ -136,12 +136,11 @@ def bayesian_fim_step(
     with the expected data information at the nominal next pose.  Process
     noise perturbs only v and omega, so every next state the motion model
     can reach shares that pose, and the expectation of the data information
-    over the next state is its value there.  q_policy(pose, derivs) receives
-    the channel derivatives of that pose, which the data information then
-    reuses.
+    over the next state is its value there.  q_policy(pose) gives the
+    combiner at that pose.
     """
     prior = ekf_predict(bound, spec)
     pose = prior.mean.pose
-    derivs = channel_derivatives(pose, cfg)
-    f_d = expected_fim(derivs, q_policy(pose, derivs), pilot_power, noise_power, cfg.n_m)
+    q = q_policy(pose)
+    f_d = expected_fim(channel_derivatives(pose, cfg), q, pilot_power, noise_power, cfg.n_m)
     return Belief(prior.mean, psd_inverse(prior.info + f_d))

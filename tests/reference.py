@@ -1,17 +1,36 @@
-"""Test-side references: fresh copies of the exact channel derivative
-matrices, their large-array (scaled-channel) approximations, which only
-validation reads, and unit-modulus combiner matrices for the Combiner
-contract (a matrix of phase shifters, or None for the identity)."""
+"""Test-side references: the exact channel derivative matrices as plain
+allocating expressions, their large-array (scaled-channel) approximations,
+which only validation reads, and unit-modulus combiner matrices for the
+Combiner contract (a matrix of phase shifters, or None for the identity)."""
 
 import numpy as np
 
 from nftrack.geometry import channel_matrix
 
 
+def chain_terms(pose, cfg):
+    """r, the phase exp(-j 2 pi r / lambda), dh/dr and dr/d(x, y, psi), each
+    (n_b, n_m), from the lever-arm offsets with an array allocated per
+    operation: the expressions the scratch-grid kernels must match bit for bit."""
+    lam = cfg.wavelength
+    nm = cfg.ms_index_row
+    lever = cfg.ms_lever
+    dx = pose.x + lever * np.cos(pose.psi)
+    dy = pose.y + lever * np.sin(pose.psi) - cfg.bs_offsets
+    r = np.sqrt(dx**2 + dy**2)
+    dr_dx = dx / r
+    dr_dy = dy / r
+    dr_dpsi = -dr_dx * nm * cfg.d_m * np.sin(pose.psi) + dr_dy * nm * cfg.d_m * np.cos(pose.psi)
+    phase = np.exp(-2j * np.pi / lam * r)
+    dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
+    return r, phase, dh_dr, (dr_dx, dr_dy, dr_dpsi)
+
+
 def derivative_matrices(derivs) -> tuple:
-    """(J_x, J_y, J_psi) of a ChannelDerivatives as fresh arrays: stream()
-    yields each in scratch, valid only until the next kernel call."""
-    return tuple(j.copy() for j in derivs.stream())
+    """(J_x, J_y, J_psi) = dh/dr * dr/dmu at a ChannelDerivatives' pose, as
+    fresh arrays."""
+    _, _, dh_dr, dr = chain_terms(derivs.pose, derivs.cfg)
+    return tuple(dh_dr * d for d in dr)
 
 
 def channel_derivatives_asymptotic(pose, cfg):

@@ -452,7 +452,7 @@ def test_criterion_10_bcrb_lower_bounds_tracking_mse():
     bounds = []
     for k in range(1, cfg.k_steps + 1):
         bound = bayesian_fim_step(
-            bound, cfg.array, cfg.noise, P_M, SIGMA2, lambda pose, derivs: fd,
+            bound, cfg.array, cfg.noise, P_M, SIGMA2, lambda pose: fd,
         )
         bounds.append(bound.cov[0, 0] + bound.cov[1, 1])
     bounds = np.array(bounds)

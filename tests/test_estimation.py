@@ -115,8 +115,9 @@ def test_factor_screen_vouches_for_well_conditioned_combiners(rows, n_rf):
 
 
 @pytest.mark.parametrize(
-    "modulus, accepted", [(1 + 1e-10, True), (1 - 1e-10, True), (1 + 1e-6, False),
-                          (1 - 1e-6, False), (np.nan, False)],
+    "modulus, accepted", [(1 + 1e-10, True), (1 - 1e-10, True), (1 + 0.9e-9, True),
+                          (1 - 0.9e-9, True), (1 + 1.5e-9, False), (1 - 1.5e-9, False),
+                          (1 + 1e-6, False), (1 - 1e-6, False), (np.nan, False)],
 )
 def test_unit_modulus_check_tolerance(modulus, accepted):
     q = np.exp(2j * np.pi * np.random.default_rng(3).random((2, 8)))

@@ -894,22 +894,22 @@ def test_cli_crb_svd_policy(tmp_path):
 
 @pytest.mark.parametrize("config", ["tiny", "configs/desk.json"])
 def test_cli_crb_svd_pe_matches_observation_jacobian_policy(tmp_path, monkeypatch, config):
-    # The svd_pe CRB policy builds its Jacobian from the step's channel
-    # derivatives; the CSV must equal that of a policy that rebuilds it with
+    # The svd_pe CRB policy takes the tracking filter's observation Jacobian:
+    # the CSV must equal that of a policy that builds svd_pe directly from
     # pilot_response at the same pose.
     p = _write_cli_config(tmp_path) if config == "tiny" else Path(__file__).parent.parent / config
     argv = ["crb", "--config", str(p), "--policy", "svd_pe", "--steps", "8"]
-    assert cli_main([*argv, "--out", str(tmp_path / "derivs.csv")]) == 0
+    assert cli_main([*argv, "--out", str(tmp_path / "crb.csv")]) == 0
 
     def reference_policy(cfg, token):
         pilot = generate_pilot(stream(cfg.seed, 0, 0, "pilot"), cfg.p_m_watts, cfg.array.n_m)
-        return lambda pose, derivs: combiner_svd_pe(
+        return lambda pose: combiner_svd_pe(
             pilot_response(pose, cfg.array, pilot)[1], cfg.combiner.n_rf
         )
 
     monkeypatch.setattr(nftrack.cli, "crb_policy", reference_policy)
     assert cli_main([*argv, "--out", str(tmp_path / "reference.csv")]) == 0
-    assert (tmp_path / "derivs.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "crb.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_cli_crb_per_step_uses_step_k_pilots(tmp_path, monkeypatch):
@@ -922,7 +922,7 @@ def test_cli_crb_per_step_uses_step_k_pilots(tmp_path, monkeypatch):
     def reference_policy(cfg, token):
         steps = iter(range(1, cfg.k_steps + 1))
 
-        def policy(pose, derivs):
+        def policy(pose):
             rng = stream(cfg.seed, 0, next(steps), "pilot")
             pilot = generate_pilot(rng, cfg.p_m_watts, cfg.array.n_m)
             b_jac = pilot_response(pose, cfg.array, pilot)[1]

@@ -207,7 +207,7 @@ def test_bayesian_step_pure_information_transport():
     spec = ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02)
     fd = combiner_fd(cfg)
     bound1 = bayesian_fim_step(
-        Belief(PREV, PRIOR_COV), cfg, spec, 0.0, SIGMA2, lambda pose, derivs: fd
+        Belief(PREV, PRIOR_COV), cfg, spec, 0.0, SIGMA2, lambda pose: fd
     )
     a = ctrv_jacobian(PREV, spec.tau)
     expected = np.linalg.inv(a @ PRIOR_COV @ a.T)
@@ -225,7 +225,7 @@ def test_bayesian_step_rejects_a_bound_that_is_not_pd():
     still = ProcessNoiseSpec(sigma_v=0.0, sigma_omega=0.0, tau=0.02)
     for cov in (np.zeros((5, 5)), np.diag([1.0, 1.0, -1.0, 1.0, 1.0])):
         with pytest.raises(SingularPriorCovariance):
-            bayesian_fim_step(Belief(PREV, cov), cfg, still, P_M, SIGMA2, lambda pose, derivs: fd)
+            bayesian_fim_step(Belief(PREV, cov), cfg, still, P_M, SIGMA2, lambda pose: fd)
 
 
 def test_bayesian_step_deterministic_given_seed():
@@ -235,7 +235,7 @@ def test_bayesian_step_deterministic_given_seed():
     runs = []
     for _ in range(2):
         s = bayesian_fim_step(
-            Belief(PREV, PRIOR_COV), cfg, spec, P_M, SIGMA2, lambda pose, derivs: fd
+            Belief(PREV, PRIOR_COV), cfg, spec, P_M, SIGMA2, lambda pose: fd
         )
         runs.append(s.cov)
     np.testing.assert_array_equal(runs[0], runs[1])
@@ -247,11 +247,11 @@ def test_bayesian_step_policies_run():
     pilot = generate_pilot(np.random.default_rng(0), P_M, cfg.n_m)
     rand = combiner_random(np.random.default_rng(1), 3, cfg.n_b)
     policies = {
-        "fd": lambda pose, derivs: combiner_fd(cfg),
-        "rand": lambda pose, derivs: rand,
-        "svd_pe": lambda pose, derivs: combiner_svd_pe(
+        "fd": lambda pose: combiner_fd(cfg),
+        "rand": lambda pose: rand,
+        "svd_pe": lambda pose: combiner_svd_pe(
             pilot_response(pose, cfg, pilot)[1], 3),
-        "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
+        "qom": lambda pose: combiner_qom(pose, cfg, 3),
     }
     traces = {}
     for name, pol in policies.items():
@@ -276,8 +276,7 @@ def _sampled_bayesian_fim_step(bound, cfg, spec, p_m, sigma2, q_policy, n_sample
     f_d = np.zeros((5, 5))
     for vec in samples:
         pose = Pose(*vec[:3])
-        derivs = channel_derivatives(pose, cfg)
-        f_d += expected_fim(derivs, q_policy(pose, derivs), p_m, sigma2, cfg.n_m)
+        f_d += expected_fim(channel_derivatives(pose, cfg), q_policy(pose), p_m, sigma2, cfg.n_m)
     return prior.info + f_d / len(samples)
 
 
@@ -293,8 +292,8 @@ def test_sampled_next_state_reduces_to_nominal_pose():
 
     cfg = desk_array(n_b=17, n_m=5)
     policies = {
-        "fd": lambda pose, derivs: combiner_fd(cfg),
-        "qom": lambda pose, derivs: combiner_qom(pose, cfg, 3),
+        "fd": lambda pose: combiner_fd(cfg),
+        "qom": lambda pose: combiner_qom(pose, cfg, 3),
     }
     for n_samples in (1, 4, 7):
         spec = ProcessNoiseSpec(
@@ -309,9 +308,8 @@ def test_sampled_next_state_reduces_to_nominal_pose():
             nominal = bayesian_fim_step(bound0, cfg, spec, P_M, SIGMA2, pol)
             # The step's bound is the inverse of this information, bit for bit.
             pose = nominal.mean.pose
-            derivs = channel_derivatives(pose, cfg)
             info = ekf_predict(bound0, spec).info + expected_fim(
-                derivs, pol(pose, derivs), P_M, SIGMA2, cfg.n_m)
+                channel_derivatives(pose, cfg), pol(pose), P_M, SIGMA2, cfg.n_m)
             np.testing.assert_array_equal(nominal.cov, psd_inverse(info), err_msg=name)
             np.testing.assert_allclose(info, sampled, rtol=1e-12, err_msg=name)
 

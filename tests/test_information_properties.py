@@ -146,7 +146,7 @@ def test_compressed_derivatives_match_complex_matrices(scenario):
         assert np.abs(g - w).max() <= 1e-12 * np.linalg.norm(w)
     if cfg.n_m == 1:
         assert not got[2].any()
-    # After the stream, the kernel reads the stream's distance grid: the same bits.
+    # A second call builds its own distance grid again: the same bits.
     assert derivs.compressed(q).tobytes() == got.tobytes()
 
 
@@ -181,7 +181,7 @@ def test_bayesian_step_matches_information_form(run):
     bound = Belief(start, prior)
     info, state = np.linalg.inv(prior), start
     for _ in range(steps):
-        bound = bayesian_fim_step(bound, cfg, spec, P_M, SIGMA2, lambda pose, derivs: q)
+        bound = bayesian_fim_step(bound, cfg, spec, P_M, SIGMA2, lambda pose: q)
         a = ctrv_jacobian(state, spec.tau)
         state = ctrv_transition(state, spec.tau)
         f_d = _data_fim(channel_derivatives(state.pose, cfg), q, cfg)

@@ -1,6 +1,6 @@
 """The channel kernels' scratch grids: bit-identical results, fresh public
-arrays, streamed derivatives, thread safety, and the memory the kernels, the
-CRB steps, the tracking trials and fd no longer take."""
+arrays, thread safety, and the memory the kernels, the CRB steps, the
+tracking trials and fd no longer take."""
 
 import os
 import sys
@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from nftrack import geometry
 from nftrack.cli import main as cli_main
-from nftrack.combiners import CRB_POLICIES, combiner_fd, parse_scheme
+from nftrack.combiners import combiner_fd, parse_scheme
 from nftrack.estimation import Belief
 from nftrack.geometry import (ArrayConfig, Pose, _distance_terms,
                               channel_derivatives, channel_error_sq, channel_grid, pilot_response)
 from nftrack.harness import crb_policy, load_config, run_campaign, run_trial
 from nftrack.information import bayesian_fim_step
 
-from reference import derivative_matrices
+from reference import chain_terms, derivative_matrices
 
 F28 = 28e9
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -33,30 +33,11 @@ COMPLEX_GRID_275X75 = 275 * 75 * 16  # bytes
 
 # The kernels' expressions as they read with an array allocated per operation:
 # the reference the scratch-grid kernels must match bit for bit.
-def _ref_pair_offsets(pose, cfg):
-    lever = cfg.ms_lever
-    dx = pose.x + lever * np.cos(pose.psi)
-    dy = pose.y + lever * np.sin(pose.psi) - cfg.bs_offsets
-    return dx, dy, np.sqrt(dx**2 + dy**2)
-
-
-def _ref_distance_terms(pose, cfg):
-    nm = cfg.ms_index_row
-    dx, dy, r = _ref_pair_offsets(pose, cfg)
-    dr_dx = dx / r
-    dr_dy = dy / r
-    dr_dpsi = -dr_dx * nm * cfg.d_m * np.sin(pose.psi) + dr_dy * nm * cfg.d_m * np.cos(pose.psi)
-    return r, (dr_dx, dr_dy, dr_dpsi)
-
-
 def _ref_kernels(pose, cfg, x, r_ref, a_ref):
     lam = cfg.wavelength
-    r, dr = _ref_distance_terms(pose, cfg)
-    phase = np.exp(-2j * np.pi / lam * r)
-    dh_dr = -lam / (4 * np.pi * r**2) * (1 + 2j * np.pi / lam * r) * phase
-    derivs = [dh_dr * d for d in dr]
+    r, phase, _, dr = chain_terms(pose, cfg)
     b = np.zeros((cfg.n_b, 5), dtype=complex)
-    for col, j in enumerate(derivs):
+    for col, j in enumerate(derivative_matrices(channel_derivatives(pose, cfg))):
         b[:, col] = j @ x
     hx = (lam / (4 * np.pi * r) * phase) @ x
     a = lam / (4 * np.pi * r)
@@ -75,17 +56,16 @@ def _ref_kernels(pose, cfg, x, r_ref, a_ref):
     gram = np.einsum("kim,klm,ljm->ij", pq, sums[[[0, 1], [1, 2]]], pq)
     gram[[1, 2, 2], [0, 0, 1]] = gram[[0, 0, 1], [1, 2, 2]]
     gram *= (lam / (4 * np.pi)) ** 2
-    return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
+    return [hx, b, r, a, h, *dr, np.array(err), gram]
 
 
 def _kernels(pose, cfg, x, r_ref, a_ref):
     hx, b = pilot_response(pose, cfg, x)
     dr = [d.copy() for d in _distance_terms(pose, cfg)[1]]
     r, a, h = channel_grid(pose, cfg)
-    derivs = derivative_matrices(channel_derivatives(pose, cfg))
     err = channel_error_sq(pose, cfg, r_ref, a_ref)
     gram = channel_derivatives(pose, cfg).gram
-    return [hx, b, r, a, h, *dr, *derivs, np.array(err), gram]
+    return [hx, b, r, a, h, *dr, np.array(err), gram]
 
 
 def _bytes(arrays):
@@ -112,45 +92,14 @@ def test_kernels_match_allocating_expressions_bit_for_bit(n_b, n_m, seed):
     assert _bytes(_kernels(*case)) == _bytes(_ref_kernels(*case))
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(1, 40), st.sampled_from([1, 2, 5, 8, 25]), st.integers(0, 2**32 - 1))
-def test_streamed_derivatives_match_matrices_bit_for_bit(n_b, n_m, seed):
-    pose, cfg, x, r_ref, a_ref = _case(n_b, n_m, seed)
-    want = _bytes(derivative_matrices(channel_derivatives(pose, cfg)))
-    assert want == _bytes(_ref_kernels(pose, cfg, x, r_ref, a_ref)[8:11])
-    other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
-    derivs = channel_derivatives(pose, cfg)
-    first = _bytes(derivs.stream())
-    second = _bytes(derivs.stream())  # reuses the chain terms in scratch
-    pilot_response(other, cfg, x)  # a kernel at another pose overwrites them
-    interrupted = []
-    for j in derivs.stream():
-        interrupted.append(j.tobytes())
-        pilot_response(other, cfg, x)  # and again between two yields
-    assert first == second == interrupted == want
-
-
 def test_svd_pe_crb_step_builds_its_chain_terms_once(monkeypatch):
-    # The policy's Jacobian and the data information both walk the streamed
-    # derivatives; the second walk reuses the first one's chain terms.
+    # The policy's observation Jacobian is the step's one complex kernel: the
+    # data information takes the compressed derivatives, which need none.
     calls = []
-    chain_terms = geometry._chain_terms
-    monkeypatch.setattr(geometry, "_chain_terms", lambda *a: calls.append(1) or chain_terms(*a))
+    real = geometry._chain_terms
+    monkeypatch.setattr(geometry, "_chain_terms", lambda *a: calls.append(1) or real(*a))
     cfg = load_config(DESK)
     assert len(_crb(cfg, "svd_pe", 5)) == len(calls) == 5
-
-
-def test_derivative_matrices_are_distinct_and_survive_crb_steps():
-    cfg = load_config(FULL)
-    pose = cfg.initial_state.pose
-    derivs = channel_derivatives(pose, cfg.array)
-    arrays = derivative_matrices(derivs)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    kept = _bytes(arrays)
-    for token in ("svd_pe", "qom"):
-        _crb(cfg, token, 3)
-    assert _bytes(arrays) == kept
-    assert _bytes(derivative_matrices(channel_derivatives(pose, cfg.array))) == kept
 
 
 def _crb(cfg, token, steps, wait=lambda: None):
@@ -158,8 +107,8 @@ def _crb(cfg, token, steps, wait=lambda: None):
     between each step's policy and its data information."""
     policy = crb_policy(cfg, token)
 
-    def paused(pose, derivs):
-        combiner = policy(pose, derivs)
+    def paused(pose):
+        combiner = policy(pose)
         wait()
         return combiner
 
@@ -172,9 +121,9 @@ def _crb(cfg, token, steps, wait=lambda: None):
 
 
 def test_two_threads_running_crb_steps_on_one_shape_match_serial_results():
-    # svd_pe walks the streamed derivatives twice per step, qom once.  Each
-    # thread stops between its policy and its data information until the
-    # other has run its own kernels on the same shape.
+    # Each thread stops between its policy (svd_pe's observation Jacobian,
+    # qom's closed form) and its data information until the other has run
+    # its own kernels on the same shape.
     cfg = replace(load_config(DESK), k_steps=8)
     serial = {token: _crb(cfg, token, cfg.k_steps) for token in ("svd_pe", "qom")}
     barrier = threading.Barrier(2, timeout=60)
@@ -189,25 +138,6 @@ def test_two_threads_running_crb_steps_on_one_shape_match_serial_results():
         w.join(timeout=120)
     assert not any(w.is_alive() for w in workers)
     assert got == serial
-
-
-def test_no_library_path_materialises_derivative_matrices(monkeypatch, tmp_path):
-    # Every derivative matrix a command builds is written into its thread's
-    # scratch grids, never into an array of its own.
-    built = []
-    derivative = geometry._derivative
-
-    def in_scratch(out, *args):
-        built.append(any(np.shares_memory(out, g) for g in geometry._local.grids))
-        return derivative(out, *args)
-
-    monkeypatch.setattr(geometry, "_derivative", in_scratch)
-    common = ["--config", str(DESK), "--out", str(tmp_path / "o.csv")]
-    runs = [["crb", *common, "--steps", "3", "--policy", p] for p in CRB_POLICIES]
-    runs += [["fisher", *common, "--sweep", s] for s in ("nb:16:101:3", "nm:1:25:3")]
-    runs.append(["track", *common, "--trials", "1", "--steps", "3"])
-    assert [cli_main(argv) for argv in runs] == [0] * len(runs)
-    assert built and all(built)
 
 
 def _in_fresh_thread(fn):
@@ -231,12 +161,10 @@ def test_public_results_survive_later_kernel_calls():
     pose, cfg, x, r_ref, a_ref = _case(33, 9, 3)
     other = Pose(pose.x + 0.5, pose.y - 0.25, pose.psi + 0.3)
     grid = channel_grid(pose, cfg)
-    matrices = derivative_matrices(channel_derivatives(pose, cfg))
     response = pilot_response(pose, cfg, x)
-    kept = _bytes([*grid, *matrices, *response])
+    kept = _bytes([*grid, *response])
     _kernels(other, cfg, x, r_ref, a_ref)
-    derivative_matrices(channel_derivatives(other, cfg))
-    assert _bytes([*grid, *matrices, *response]) == kept
+    assert _bytes([*grid, *response]) == kept
 
 
 def test_two_threads_on_one_shape_match_serial_results():
@@ -315,8 +243,9 @@ def test_fd_fisher_point_at_2048_antennas_stays_small(tmp_path):
 
 @pytest.mark.parametrize("token", ["svd_pe", "qom"])
 def test_warm_compressed_crb_step_allocates_less_than_one_grid(token):
-    # The step streams J_x, J_y and J_psi through one scratch grid instead of
-    # materialising three.
+    # The step builds no complex derivative matrix: svd_pe's observation
+    # Jacobian writes J_x, J_y and J_psi in turn into one scratch grid, and
+    # the data information takes the compressed derivatives.
     cfg = load_config(FULL)
     policy = crb_policy(cfg, token)
     bound = Belief(cfg.initial_state, cfg.initial_cov)
